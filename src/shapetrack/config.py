@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .gaussian import GaussianState, UnscentedSpread
+from .metrics import shape_polyline
 from .simulate import (
     MeasurementCountModel,
     NoiseMixture,
@@ -208,6 +209,12 @@ def _build_target(r: _Reader, base_dir: Path | None):
         raise ConfigValidationError(
             f"target.geometry: {name!r} holds a {target.kind} target, config says {kind}"
         )
+    if kind == "group":
+        # the group is scored through its convex hull, which needs an area
+        try:
+            shape_polyline(target)
+        except ValueError as err:
+            raise ConfigValidationError(f"target.geometry: {name!r}: {err}") from err
     return target
 
 

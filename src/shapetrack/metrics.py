@@ -1,19 +1,27 @@
 """Shape-overlap scoring between estimates and ground truth.
 
-shape_iou rasterizes both regions on a shared grid spanning their joint
-bounding box and counts cells. Ellipse rows are filled from the exact
-quadratic roots; polygons, Fourier contours, and group hulls go through
-an even-odd scanline over their boundary polyline, so non-convex
-star-shaped regions with several spans per row come out right.
+shape_iou scores both regions on a shared grid of row-centre scanlines
+spanning their joint bounding box, without building the grid. Each region
+yields the cell indices where its boundary crosses each row: ellipses from
+the exact quadratic roots; polygons, Fourier contours and group hulls from
+their boundary polyline under a half-open crossing rule, which keeps every
+row's count even. Cell ``i`` of a row is inside a region when an odd number
+of its crossings lie at or before ``i`` (even-odd fill), so non-convex
+star-shaped regions with several spans per row come out right. Both
+regions' crossings are swept together in one sorted pass, which counts the
+union and the intersection cells at O(rows + crossings log crossings) per
+call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .ellipse import EllipseParams
-from .starconvex import FourierShapeParams, radius
+from .starconvex import FourierShapeParams, fourier_basis
 from .targets import GroundTruthTarget
 
 __all__ = ["shape_iou", "shape_polyline", "DEFAULT_RESOLUTION"]
@@ -33,6 +41,24 @@ def _group_hull(members: np.ndarray) -> np.ndarray:
     return members[hull.vertices]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
+def _directions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample angles and unit directions of an n-point boundary trace."""
+    phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    return _read_only(phi), _read_only(e)
+
+
+@lru_cache(maxsize=16)
+def _radius_basis(n: int, n_coeffs: int) -> np.ndarray:
+    return _read_only(fourier_basis(_directions(n)[0], n_coeffs))
+
+
 def shape_polyline(shape, n: int = CONTOUR_SAMPLES) -> np.ndarray:
     """Closed boundary polyline (last vertex != first; edges wrap around).
 
@@ -46,25 +72,39 @@ def shape_polyline(shape, n: int = CONTOUR_SAMPLES) -> np.ndarray:
         if shape.kind == "point_group":
             return _group_hull(shape.members)
         shape = shape.ellipse
-    phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     if isinstance(shape, EllipseParams):
+        e = _directions(n)[1]
         quad = np.einsum("ni,ij,nj->n", e, shape.quad_form, e)
         return shape.center + e / np.sqrt(quad)[:, None]
     if isinstance(shape, FourierShapeParams):
-        r = np.clip(radius(shape, phi), 0.0, None)
+        e = _directions(n)[1]
+        r = np.clip(_radius_basis(n, shape.coeffs.shape[0]) @ shape.coeffs, 0.0, None)
         return shape.center + r[:, None] * e
     raise TypeError(f"cannot trace a boundary for {type(shape).__name__}")
 
 
-def _bbox(shape) -> tuple[np.ndarray, np.ndarray]:
+def _boundary(shape, resolution: int):
+    """Bounding box and scoring boundary of one region.
+
+    Returns (lo, hi, boundary) where boundary is the EllipseParams itself
+    or a closed polyline. The box of a traced region comes from a
+    CONTOUR_SAMPLES trace; the scoring trace is coarser on coarse grids,
+    since boundary sampling finer than the grid adds nothing, and is
+    shared with the box trace otherwise.
+    """
     if isinstance(shape, GroundTruthTarget) and shape.kind == "ellipse":
         shape = shape.ellipse
     if isinstance(shape, EllipseParams):
         half = np.sqrt(np.diag(np.linalg.inv(shape.quad_form)))
-        return shape.center - half, shape.center + half
+        return shape.center - half, shape.center + half, shape
     pts = shape_polyline(shape)
-    return pts.min(axis=0), pts.max(axis=0)
+    # contiguous rows reduce ~10x faster than axis 0 of an (n, 2) array
+    xy = pts.T.copy()
+    lo, hi = xy.min(axis=1), xy.max(axis=1)
+    samples = min(CONTOUR_SAMPLES, max(256, 2 * resolution))
+    if samples != CONTOUR_SAMPLES and not isinstance(shape, GroundTruthTarget):
+        pts = shape_polyline(shape, samples)
+    return lo, hi, pts
 
 
 def _ellipse_row_cells(ell: EllipseParams, ys, xlo, dx, res):
@@ -89,38 +129,45 @@ def _ellipse_row_cells(ell: EllipseParams, ys, xlo, dx, res):
     return i0, i1
 
 
-def _ellipse_mask(ell: EllipseParams, ys, xlo, dx, res) -> np.ndarray:
-    i0, i1 = _ellipse_row_cells(ell, ys, xlo, dx, res)
-    cols = np.arange(res)
-    return (cols >= i0[:, None]) & (cols < i1[:, None])
-
-
-def _polyline_mask(poly: np.ndarray, ys, xlo, dx, res) -> np.ndarray:
-    """Even-odd scanline fill of a closed polyline."""
-    p0 = poly
-    p1 = np.roll(poly, -1, axis=0)
+def _crossing_keys(boundary, ys, xlo, dx, res) -> np.ndarray:
+    """Flat keys row * (res + 1) + idx of every boundary crossing, where
+    idx in [0, res] is the first cell centre at or beyond the crossing."""
+    if isinstance(boundary, EllipseParams):
+        i0, i1 = _ellipse_row_cells(boundary, ys, xlo, dx, res)
+        rows = np.flatnonzero(i1 > i0)
+        base = rows * (res + 1)
+        return np.concatenate([base + i0[rows], base + i1[rows]])
+    p0 = boundary
+    p1 = np.roll(boundary, -1, axis=0)
     y0, y1 = p0[:, 1], p1[:, 1]
-    # half-open crossing rule keeps the parity even at shared vertices
-    crosses = (y0[None, :] <= ys[:, None]) != (y1[None, :] <= ys[:, None])
-    rows, edges = np.nonzero(crosses)
-    if rows.size == 0:
-        return np.zeros((res, res), dtype=bool)
+    # half-open crossing rule keeps the parity even at shared vertices:
+    # an edge crosses the rows whose centre lies in [min(y0, y1), max(y0, y1))
+    r0 = np.searchsorted(ys, np.minimum(y0, y1))
+    counts = np.searchsorted(ys, np.maximum(y0, y1)) - r0
+    edges = np.repeat(np.arange(len(p0)), counts)
+    rows = np.arange(edges.size) + np.repeat(r0 - (np.cumsum(counts) - counts), counts)
     frac = (ys[rows] - y0[edges]) / (y1[edges] - y0[edges])
     xs = p0[edges, 0] + frac * (p1[edges, 0] - p0[edges, 0])
     idx = np.clip(np.ceil((xs - xlo) / dx - 0.5).astype(int), 0, res)
-    marks = np.zeros((res, res + 1), dtype=np.int32)
-    np.add.at(marks, (rows, idx), 1)
-    return (np.cumsum(marks, axis=1)[:, :res] % 2).astype(bool)
+    return rows * (res + 1) + idx
 
 
-def _rasterize(shape, ys, xlo, dx, res) -> np.ndarray:
-    if isinstance(shape, GroundTruthTarget) and shape.kind == "ellipse":
-        shape = shape.ellipse
-    if isinstance(shape, EllipseParams):
-        return _ellipse_mask(shape, ys, xlo, dx, res)
-    # boundary sampling finer than the grid adds nothing
-    samples = min(CONTOUR_SAMPLES, max(256, 2 * res))
-    return _polyline_mask(shape_polyline(shape, samples), ys, xlo, dx, res)
+def _sweep_counts(keys_a: np.ndarray, keys_b: np.ndarray) -> tuple[int, int]:
+    """(intersection, union) cell counts of two even-odd filled key sets.
+
+    Sweeping the merged sorted keys, the running parity of each set's keys
+    says whether the cells up to the next key are inside that region.
+    Every row holds an even number of each set's keys, so both parities
+    are back to zero at each row end.
+    """
+    keys = np.concatenate([keys_a, keys_b])
+    # tied keys may come in any order (their gap is 0); the stable sort is
+    # chosen for speed, as it merges the keys' partly sorted runs
+    order = np.argsort(keys, kind="stable")
+    # bit 0 toggles on a's keys, bit 1 on b's
+    state = np.bitwise_xor.accumulate(np.where(order < keys_a.size, 1, 2))[:-1]
+    gaps = np.diff(keys[order])
+    return int(gaps[state == 3].sum()), int(gaps[state != 0].sum())
 
 
 def shape_iou(a, b, resolution: int = DEFAULT_RESOLUTION) -> float:
@@ -138,12 +185,8 @@ def shape_iou(a, b, resolution: int = DEFAULT_RESOLUTION) -> float:
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if isinstance(a, GroundTruthTarget) and a.kind == "ellipse":
-        a = a.ellipse
-    if isinstance(b, GroundTruthTarget) and b.kind == "ellipse":
-        b = b.ellipse
-    lo_a, hi_a = _bbox(a)
-    lo_b, hi_b = _bbox(b)
+    lo_a, hi_a, a = _boundary(a, resolution)
+    lo_b, hi_b, b = _boundary(b, resolution)
     lo = np.minimum(lo_a, lo_b)
     hi = np.maximum(hi_a, hi_b)
     span = np.maximum(hi - lo, 1e-12)
@@ -151,20 +194,16 @@ def shape_iou(a, b, resolution: int = DEFAULT_RESOLUTION) -> float:
     xs0 = lo[0]
     ys = lo[1] + (np.arange(resolution) + 0.5) * dy
     if isinstance(a, EllipseParams) and isinstance(b, EllipseParams):
-        # one span per row each; count overlaps without building grids
+        # one span per row each: a per-row min/max is cheaper than the sweep
         a0, a1 = _ellipse_row_cells(a, ys, xs0, dx, resolution)
         b0, b1 = _ellipse_row_cells(b, ys, xs0, dx, resolution)
-        na = np.sum(a1 - a0)
-        nb = np.sum(b1 - b0)
         inter = np.sum(np.clip(np.minimum(a1, b1) - np.maximum(a0, b0), 0, None))
-        union = na + nb - inter
-        if union == 0:
-            raise ValueError("both regions rasterize to zero area")
-        return float(inter / union)
-    mask_a = _rasterize(a, ys, xs0, dx, resolution)
-    mask_b = _rasterize(b, ys, xs0, dx, resolution)
-    union = np.count_nonzero(mask_a | mask_b)
+        union = np.sum(a1 - a0) + np.sum(b1 - b0) - inter
+    else:
+        inter, union = _sweep_counts(
+            _crossing_keys(a, ys, xs0, dx, resolution),
+            _crossing_keys(b, ys, xs0, dx, resolution),
+        )
     if union == 0:
         raise ValueError("both regions rasterize to zero area")
-    inter = np.count_nonzero(mask_a & mask_b)
-    return inter / union
+    return float(inter / union)

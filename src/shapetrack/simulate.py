@@ -214,12 +214,6 @@ def posed_target(config: ScenarioConfig, step: int) -> GroundTruthTarget:
     )
 
 
-def _estimate_shape(tracker: Tracker):
-    if tracker.config.shape_family == "ellipse":
-        return tracker.ellipse_estimate()
-    return tracker.contour_estimate()
-
-
 def _shape_from_state(config: ScenarioConfig, mean: np.ndarray):
     """Shape value from a raw state vector (used for run-averaged states)."""
     shape_dim = config.tracker.shape_dim

@@ -137,6 +137,20 @@ def test_validation_error_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_collinear_group_exits_3_without_outputs(tmp_path, capsys):
+    # a group with no hull area cannot be scored; it used to pass validation,
+    # score every step 0 and crash while plotting after writing the CSVs
+    (tmp_path / "line.txt").write_text("group\n0 0\n1 0\n2 0\n")
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "stationary_group_low.cfg", "--out", str(out),
+        "--set", f"target.geometry={tmp_path / 'line.txt'}", *REDUCED,
+    )
+    assert code == 3
+    assert "no area" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_all_diverged_exits_4_without_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli(
