@@ -1,11 +1,11 @@
 """Fingerprint the CSV outputs of every bundled scenario.
 
 Runs each bundled scenario through the CLI at a reduced size
-(``runs.n_runs=3``, ``runs.n_steps=40``) into a temporary directory and
-prints one ``<sha256>  <scenario>/<file>`` line per estimates.csv and
-summary.csv. Saving the listing from one checkout and passing it to
-``--against`` in another checks that a change keeps every output
-byte-identical:
+(``runs.n_runs=3``, ``runs.n_steps=40``; ``--full`` keeps each config's own
+sizes) into a temporary directory and prints one
+``<sha256>  <scenario>/<file>`` line per estimates.csv and summary.csv.
+Saving the listing from one checkout and passing it to ``--against`` in
+another checks that a change keeps every output byte-identical:
 
     PYTHONPATH=src python scripts/check_bundled_outputs.py > before.txt
     # ... change the code ...
@@ -13,14 +13,24 @@ byte-identical:
 
 With ``--against``, every line that differs from the saved listing is
 reported and the exit status is 1.
+
+``--keep DIR`` saves the hashed CSVs as ``DIR/<scenario>/<file>``.
+``--near DIR`` compares the current CSVs value by value with such a kept
+tree: it prints the largest ``|Δ|`` and ``|Δ|/(1 + |x|)`` per file and
+exits 1 when a relative difference exceeds 1e-12, when any ``iou`` or
+``mean_iou`` cell changed at all, or when the tables differ in shape or
+in a non-numeric cell.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import math
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -29,35 +39,95 @@ from shapetrack import cli
 
 REDUCED = ["--set", "runs.n_runs=3", "--set", "runs.n_steps=40"]
 FILES = ("estimates.csv", "summary.csv")
+NEAR_TOL = 1e-12
+EXACT_COLUMNS = ("iou", "mean_iou")
 
 
-def listing() -> list[str]:
-    lines = []
+def listing(full: bool = False, keep: Path | None = None, near: Path | None = None):
+    """Hash lines of every bundled CSV, and the problems found against ``near``."""
+    lines, problems = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for name in cli.bundled_scenarios():
             out = Path(tmp) / Path(name).stem
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["run", name, "--out", str(out), *REDUCED])
+                code = cli.main(["run", name, "--out", str(out), *([] if full else REDUCED)])
             if code != 0:
                 raise SystemExit(f"{name}: shapetrack run exited with {code}")
             for fname in FILES:
                 digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
                 lines.append(f"{digest}  {name}/{fname}")
-    return lines
+                if near is not None:
+                    kept = near / Path(name).stem / fname
+                    problems += compare(kept, out / fname, f"{name}/{fname}")
+            if keep is not None:
+                dest = keep / Path(name).stem
+                dest.mkdir(parents=True, exist_ok=True)
+                for fname in FILES:
+                    shutil.copyfile(out / fname, dest / fname)
+    return lines, problems
+
+
+def _rows(path: Path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def compare(kept: Path, current: Path, label: str) -> list[str]:
+    """Print the value-by-value distance of one CSV; return what breaks the check."""
+    old, new = _rows(kept), _rows(current)
+    if len(old) != len(new) or old[:1] != new[:1]:
+        print(f"{label}: header or row count differs", file=sys.stderr)
+        return [f"{label}: header or row count differs"]
+    header = old[0]
+    problems, max_abs, max_rel, iou_changed = [], 0.0, 0.0, 0
+    for row_old, row_new in zip(old[1:], new[1:]):
+        if len(row_old) != len(row_new):
+            return [f"{label}: row length differs"]
+        for col, a, b in zip(header, row_old, row_new):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                problems.append(f"{label}: {col} changed {a!r} -> {b!r}")
+                continue
+            if math.isnan(x) or math.isnan(y):
+                problems.append(f"{label}: {col} changed {a!r} -> {b!r}")
+                continue
+            delta = abs(y - x)
+            max_abs = max(max_abs, delta)
+            max_rel = max(max_rel, delta / (1.0 + abs(x)))
+            iou_changed += col in EXACT_COLUMNS
+    print(
+        f"{label}: max |d| {max_abs:.3g}  max |d|/(1+|x|) {max_rel:.3g}"
+        f"  changed iou cells {iou_changed}",
+        file=sys.stderr,
+    )
+    if max_rel > NEAR_TOL:
+        problems.append(f"{label}: relative difference {max_rel:.3g} above {NEAR_TOL:g}")
+    if iou_changed:
+        problems.append(f"{label}: {iou_changed} iou cells changed")
+    return problems
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", type=Path, help="saved listing to compare with")
+    parser.add_argument("--full", action="store_true", help="run at the bundled sizes")
+    parser.add_argument("--keep", type=Path, help="directory to save the CSVs in")
+    parser.add_argument("--near", type=Path, help="kept CSV tree to compare values with")
     args = parser.parse_args(argv)
-    current = listing()
+    current, problems = listing(args.full, args.keep, args.near)
     print("\n".join(current))
+    for problem in problems:
+        print(f"near: {problem}", file=sys.stderr)
+    status = int(bool(problems))
     if args.against is None:
-        return 0
+        return status
     saved = args.against.read_text().splitlines()
     if saved == current:
         print(f"all {len(current)} outputs match {args.against}", file=sys.stderr)
-        return 0
+        return status
     for line in sorted(set(saved) ^ set(current), key=lambda line: line.split()[::-1]):
         mark = "-" if line in saved else "+"
         print(f"{mark} {line}", file=sys.stderr)

@@ -9,6 +9,7 @@ polynomial in the state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,68 +158,72 @@ def ellipse_boundary_point(p: EllipseParams, theta) -> np.ndarray:
 
 
 def ellipse_closest_point(p: EllipseParams, query) -> np.ndarray:
-    """Point on the ellipse boundary closest to the query point.
+    """Point(s) on the ellipse boundary closest to a query (2,) or to k queries (k, 2).
 
     Damped Newton iteration on the boundary angle minimizing squared
     distance, initialized from the unit-circle pullback of the query. A
-    coarse angular scan guards against convergence to a non-global
-    critical point. A query at the exact center returns the boundary
-    point at angle 0.
+    coarse 16-angle scan guards against convergence to a non-global
+    critical point; when a scan angle beats Newton's, Newton restarts from
+    it. The scan table is built once per call (one ellipse) and each
+    query's Newton runs in scalar float arithmetic on the entries of
+    L^{-T}. A query at the exact center returns the boundary point at
+    angle 0. The result has the shape of `query`.
     """
-    query = np.asarray(query, dtype=float).reshape(2)
-    w = query - p.center
-    if w[0] == 0.0 and w[1] == 0.0:
-        return ellipse_boundary_point(p, 0.0)
-
-    inv_l_t = p.inv_l_t
-    pull = p.matrix_l.T @ w
-    theta = float(np.arctan2(pull[1], pull[0]))
-    theta = _newton_angle(p.center, inv_l_t, query, theta)
-
-    # Guard: restart from the best of a coarse scan if that beats Newton.
-    scan = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-    dists = np.sum((ellipse_boundary_point(p, scan) - query) ** 2, axis=1)
-    best = float(scan[np.argmin(dists)])
-    if np.min(dists) < _sqdist(p.center, inv_l_t, query, theta) - 1e-12:
-        theta = _newton_angle(p.center, inv_l_t, query, best)
-
-    return ellipse_boundary_point(p, theta)
-
-
-def _sqdist(center, inv_l_t, query, theta):
-    pt = center + inv_l_t @ np.array([np.cos(theta), np.sin(theta)])
-    return float(np.sum((pt - query) ** 2))
+    q = np.asarray(query, dtype=float)
+    if q.ndim not in (1, 2) or q.shape[-1] != 2:
+        raise ValueError(f"query must have shape (2,) or (k, 2), got {q.shape}")
+    a, b, c = p.chol.tolist()
+    cx, cy = p.center.tolist()
+    ell = (cx, cy, 1.0 / a, -c / (a * b), 1.0 / b)  # center; L^{-T} = [[m00, m01], [0, m11]]
+    scan = [(t, _boundary(ell, t)) for t in np.linspace(0.0, 2 * np.pi, 16, endpoint=False).tolist()]
+    out = []
+    for qx, qy in q.reshape(-1, 2).tolist():
+        wx, wy = qx - cx, qy - cy
+        theta = 0.0
+        if wx != 0.0 or wy != 0.0:
+            theta = _newton_angle(ell, qx, qy, math.atan2(b * wy, a * wx + c * wy))
+            best, t_best = min(((px - qx) ** 2 + (py - qy) ** 2, t) for t, (px, py) in scan)
+            if best < _sqdist(ell, qx, qy, theta) - 1e-12:
+                theta = _newton_angle(ell, qx, qy, t_best)
+        out.append(_boundary(ell, theta))
+    return np.array(out).reshape(q.shape)
 
 
-def _newton_angle(center, inv_l_t, query, theta, max_iter=50, res_tol=1e-13):
+def _boundary(ell, theta):
+    cx, cy, m00, m01, m11 = ell
+    co, si = math.cos(theta), math.sin(theta)
+    return cx + (m00 * co + m01 * si), cy + m11 * si
+
+
+def _sqdist(ell, qx, qy, theta):
+    px, py = _boundary(ell, theta)
+    return (px - qx) ** 2 + (py - qy) ** 2
+
+
+def _newton_angle(ell, qx, qy, theta, max_iter=50, res_tol=1e-13):
     """Damped Newton on f(theta) = |m + L^{-T} e(theta) - q|^2.
 
     Convergence is judged on the normalized first-order condition (the
     residual vector must be orthogonal to the boundary tangent), not on
     the step size.
     """
+    cx, cy, m00, m01, m11 = ell
     for _ in range(max_iter):
-        e = np.array([np.cos(theta), np.sin(theta)])
-        de = np.array([-e[1], e[0]])
-        u = center + inv_l_t @ e - query
-        du = inv_l_t @ de
-        ddu = -inv_l_t @ e
-        denom = np.sqrt((u @ u) * (du @ du))
-        if denom < 1e-28 or abs(u @ du) < res_tol * denom:
+        co, si = math.cos(theta), math.sin(theta)
+        ex, ey = m00 * co + m01 * si, m11 * si  # L^{-T} e, which is -u''
+        ux, uy = cx + ex - qx, cy + ey - qy
+        dux, duy = m01 * co - m00 * si, m11 * co  # L^{-T} e'
+        uu, dd, ud = ux * ux + uy * uy, dux * dux + duy * duy, ux * dux + uy * duy
+        denom = math.sqrt(uu * dd)
+        if denom < 1e-28 or abs(ud) < res_tol * denom:
             break
-        grad = 2.0 * (u @ du)
-        hess = 2.0 * (du @ du + u @ ddu)
-        if hess <= 0:
-            step = -np.sign(grad) * 0.1  # walk downhill out of concave stretches
-        else:
-            step = -grad / hess
+        hess = 2.0 * (dd - (ux * ex + uy * ey))
+        # walk downhill out of concave stretches
+        step = math.copysign(0.1, -ud) if hess <= 0 else -2.0 * ud / hess
         # Accept steps that do not increase f beyond evaluation noise;
         # near the optimum true decreases are smaller than machine eps.
-        f0 = float(u @ u)
-        slack = 1e-14 * (1.0 + f0)
-        while abs(step) > 1e-15 and (
-            _sqdist(center, inv_l_t, query, theta + step) > f0 + slack
-        ):
+        slack = 1e-14 * (1.0 + uu)
+        while abs(step) > 1e-15 and _sqdist(ell, qx, qy, theta + step) > uu + slack:
             step *= 0.5
         theta += step
         if abs(step) < 1e-15:

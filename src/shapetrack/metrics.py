@@ -18,7 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .ellipse import EllipseParams
 from .starconvex import FourierShapeParams, fourier_basis
@@ -31,6 +30,8 @@ CONTOUR_SAMPLES = 2048
 
 
 def _group_hull(members: np.ndarray) -> np.ndarray:
+    from scipy.spatial import ConvexHull, QhullError  # loaded only for point groups
+
     try:
         hull = ConvexHull(members)
     except QhullError as err:

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .ellipse import clamp_chol
 from .gaussian import ConditioningError, GaussianState
@@ -127,6 +126,8 @@ class Trajectory:
     @classmethod
     def from_waypoints(cls, waypoints, n_steps: int) -> "Trajectory":
         """Constant-speed resampling of a spline through the waypoints."""
+        from scipy.interpolate import CubicSpline  # loaded only for moving scenarios
+
         wp = np.asarray(waypoints, dtype=float)
         if n_steps < 1:
             raise ValueError("n_steps must be positive")
@@ -228,8 +229,11 @@ def mean_shape(report: "ScenarioReport", step: int):
     return _shape_from_state(report.config, report.mean_estimates[step])
 
 
-def _run_single(config: ScenarioConfig, rng: np.random.Generator, collect):
-    """One Monte-Carlo run. Returns (estimates, diverged_at, measurements)."""
+def _run_single(config: ScenarioConfig, truths, rng: np.random.Generator, collect):
+    """One Monte-Carlo run against the posed truths of every step.
+
+    Returns (estimates, diverged_at, measurements).
+    """
     n_steps, dim = config.n_steps, config.prior.dim
     estimates = np.full((n_steps, dim), np.nan)
     measurements = [] if collect else None
@@ -237,8 +241,7 @@ def _run_single(config: ScenarioConfig, rng: np.random.Generator, collect):
     told_cov = config.noise_mixture.mean_covariance
     n_levels = len(config.noise_mixture.probabilities)
     factors = np.stack([psd_root(c) for c in config.noise_mixture.covariances])
-    for k in range(n_steps):
-        truth_k = posed_target(config, k)
+    for k, truth_k in enumerate(truths):
         n_k = measurement_count(config.meas_count_model, rng)
         sources = sample_measurement_sources(truth_k, n_k, rng)
         if n_levels == 1:
@@ -284,12 +287,13 @@ def run_scenario(
     seeds = np.random.SeedSequence(config.rng_seed).spawn(config.n_runs)
     n_runs, n_steps, dim = config.n_runs, config.n_steps, config.prior.dim
 
+    truths = [posed_target(config, k) for k in range(n_steps)]
     estimates = np.full((n_runs, n_steps, dim), np.nan)
     diverged_at = np.full(n_runs, -1, dtype=int)
     example = None
     for r in range(n_runs):
         rng = np.random.Generator(np.random.Philox(seeds[r]))
-        est, died, meas = _run_single(config, rng, collect=(r == 0))
+        est, died, meas = _run_single(config, truths, rng, collect=(r == 0))
         estimates[r] = est
         diverged_at[r] = died
         if r == 0:
@@ -297,7 +301,6 @@ def run_scenario(
 
     run_iou = np.full((n_runs, n_steps), np.nan)
     run_center_error = np.full((n_runs, n_steps), np.nan)
-    truths = [posed_target(config, k) for k in range(n_steps)]
     for r in range(n_runs):
         last = n_steps if diverged_at[r] < 0 else diverged_at[r]
         for k in range(last):

@@ -10,6 +10,7 @@ fraction of each sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -156,14 +157,20 @@ class GroundTruthTarget:
     vertices: np.ndarray | None = None
     members: np.ndarray | None = None
 
-    @property
+    @cached_property
     def anchor(self) -> np.ndarray:
-        """Reference point: ellipse center, polygon centroid, member mean."""
+        """Reference point: ellipse center, polygon centroid, member mean.
+
+        Computed once per target; a moved target is a new target.
+        """
         if self.kind == "ellipse":
             return self.ellipse.center
         if self.kind == "polygon":
-            return polygon_centroid(self.vertices)
-        return np.mean(self.members, axis=0)
+            anchor = polygon_centroid(self.vertices)
+        else:
+            anchor = np.mean(self.members, axis=0)
+        anchor.flags.writeable = False  # one array shared by every caller
+        return anchor
 
     def transformed(self, rotation: float = 0.0, translation=(0.0, 0.0)) -> "GroundTruthTarget":
         """Rigidly move the target: rotate about its anchor, then translate."""

@@ -8,6 +8,12 @@ variable; conditioning on pseudo-measurement = 0 with a Gaussian
 statistical linearization gives the measurement update. Both the elliptic
 (Cholesky triple) and star-convex (Fourier radius) families are handled.
 
+Every update runs one kernel, `batch_update`: one source-estimate pass
+over the step's k measurements (one closest-point call on the clamped
+prior-mean ellipse, or one angle per measurement), then one stacked
+pseudo-measurement evaluation of all k columns per sigma-point set. A
+sequential update is the case k = 1.
+
 State layout is fixed as [center(2); velocity(2, only with the
 constant-velocity dynamics); shape parameters].
 """
@@ -25,7 +31,6 @@ from .gaussian import (
     DegenerateInnovationWarning,
     GaussianState,
     UnscentedSpread,
-    joint_state,
     kalman_predict,
     statistical_linearization_update,
 )
@@ -166,173 +171,146 @@ def ellipse_pseudo_measurement(
     """Elliptic pseudo-measurement; zero when measurement, state, and noise agree.
 
     Args:
-        state: augmented vector(s) [x; v; u] of shape (d,) or (n, d); the
-            last three entries are the measurement noise v (2) and the
-            squared scaling factor u (1); the state part ends with the
-            Cholesky triple (a, b, c) and starts with the center.
-        measurement: observed 2-vector y.
-        source_offset: fixed estimate of (source - center), taken from the
-            closest point on the prior-mean ellipse to y.
+        state: augmented vector(s) [x; v_1; u_1; ...; v_k; u_k] of shape
+            (d,) or (n, d); each measurement l owns a noise block of its
+            noise v_l (2) and squared scaling factor u_l (1); the state part
+            x ends with the Cholesky triple (a, b, c) and starts with the
+            center.
+        measurement: observed 2-vector y, or k of them as (k, 2).
+        source_offset: fixed estimate(s) of (source - center), shaped like
+            `measurement`, taken from the closest point on the prior-mean
+            ellipse to each y.
         trace_normalize: divide by the trace of L L^T (computed per state
             vector), which levels the innovation scale across shape sizes.
 
     Returns:
-        Scalar for a single vector, else array of shape (n,).
+        Scalar for a single vector and measurement, else one value per
+        state vector, with a trailing axis of k for (k, 2) measurements.
     """
-    aug = np.atleast_2d(np.asarray(state, dtype=float))
-    y = np.asarray(measurement, dtype=float).reshape(2)
-    r_hat = np.asarray(source_offset, dtype=float).reshape(2)
-
-    u = aug[:, -1]
-    v = aug[:, -3:-1]
-    x = aug[:, :-3]
-    m = x[:, :2]
-    a, b, c = x[:, -3], x[:, -2], x[:, -1]
+    x, y, noise = _stacked(state, measurement)
+    r0, r1 = np.asarray(source_offset, dtype=float).reshape(y.shape).T
+    v0, v1, u = np.ascontiguousarray(noise.transpose(2, 0, 1))  # each (n, k)
+    w0, w1 = y.T[:, None, :] - x[:, :2].T[:, :, None]  # y - m, each (n, k)
+    a, b, c = np.ascontiguousarray(x[:, -3:].T)[:, :, None]  # each (n, 1)
 
     # L L^T entries for L = [[a, 0], [c, b]]
     q11 = a * a
     q12 = a * c
     q22 = b * b + c * c
 
-    w = y - m
-    quad = q11 * w[:, 0] ** 2 + 2.0 * q12 * w[:, 0] * w[:, 1] + q22 * w[:, 1] ** 2
-    cross = (
-        q11 * r_hat[0] * v[:, 0]
-        + q12 * (r_hat[0] * v[:, 1] + r_hat[1] * v[:, 0])
-        + q22 * r_hat[1] * v[:, 1]
-    )
-    noise_quad = q11 * v[:, 0] ** 2 + 2.0 * q12 * v[:, 0] * v[:, 1] + q22 * v[:, 1] ** 2
+    quad = q11 * w0**2 + 2.0 * q12 * w0 * w1 + q22 * w1**2
+    cross = q11 * r0 * v0 + q12 * (r0 * v1 + r1 * v0) + q22 * r1 * v1
+    noise_quad = q11 * v0**2 + 2.0 * q12 * v0 * v1 + q22 * v1**2
 
     vals = quad - 2.0 * cross - noise_quad - u
     if trace_normalize:
         vals = vals / np.maximum(q11 + q22, TRACE_FLOOR)
-    return float(vals[0]) if np.ndim(state) == 1 else vals
+    return _unstacked(vals, state, measurement)
 
 
-def sc_pseudo_measurement(state, measurement, phi_hat: float, n_coeffs: int):
+def sc_pseudo_measurement(state, measurement, phi_hat, n_coeffs: int):
     """Star-convex pseudo-measurement with the source angle frozen at phi_hat.
 
     Args:
-        state: augmented vector(s) [x; v; s], shape (d,) or (n, d); the
-            state part ends with the n_coeffs Fourier coefficients.
-        measurement: observed 2-vector y.
-        phi_hat: point estimate of the source angle (from the prior center).
+        state: augmented vector(s) [x; v_1; s_1; ...; v_k; s_k], shape (d,)
+            or (n, d); the state part x ends with the n_coeffs Fourier
+            coefficients, and measurement l owns the noise block (v_l, s_l).
+        measurement: observed 2-vector y, or k of them as (k, 2).
+        phi_hat: point estimate of the source angle (from the prior
+            center), one per measurement.
         n_coeffs: length of the coefficient block.
 
     Returns:
-        s^2 r^2 + 2 s r e(phi)^T v + |v|^2 - |y - m|^2 per vector.
+        s^2 r^2 + 2 s r e(phi)^T v + |v|^2 - |y - m|^2 per vector, with a
+        trailing axis of k for (k, 2) measurements.
     """
-    aug = np.atleast_2d(np.asarray(state, dtype=float))
-    y = np.asarray(measurement, dtype=float).reshape(2)
-
-    s = aug[:, -1]
-    v = aug[:, -3:-1]
-    x = aug[:, :-3]
-    m = x[:, :2]
+    x, y, noise = _stacked(state, measurement)
+    phi = np.asarray(phi_hat, dtype=float).reshape(len(y))
+    s, v = noise[..., 2], noise[..., :2]
+    m = x[:, None, :2]
     coeffs = x[:, -n_coeffs:]
 
-    r = coeffs @ fourier_basis(phi_hat, n_coeffs)
-    e = np.array([np.cos(phi_hat), np.sin(phi_hat)])
+    # One matrix-vector product per measurement, (k, n, 1) -> (n, k), so each
+    # column is computed exactly as a single-measurement call computes it.
+    r = np.matmul(coeffs, fourier_basis(phi, n_coeffs)[:, :, None])[..., 0].T
+    e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    ve = np.matmul(v.swapaxes(0, 1), e[:, :, None])[..., 0].T
     w = y - m
-    vals = (
-        (s * r) ** 2
-        + 2.0 * s * r * (v @ e)
-        + np.sum(v * v, axis=1)
-        - np.sum(w * w, axis=1)
-    )
-    return float(vals[0]) if np.ndim(state) == 1 else vals
+    vals = (s * r) ** 2 + 2.0 * s * r * ve + np.sum(v * v, axis=-1) - np.sum(w * w, axis=-1)
+    return _unstacked(vals, state, measurement)
+
+
+def _stacked(state, measurement):
+    """Views (state part x (n, d), y (k, 2), noise blocks (n, k, 3)) of augmented vectors."""
+    aug = np.atleast_2d(np.asarray(state, dtype=float))
+    y = np.asarray(measurement, dtype=float)
+    y = y.reshape(len(y) if y.ndim == 2 else 1, 2)
+    split = aug.shape[1] - 3 * len(y)
+    return aug[:, :split], y, aug[:, split:].reshape(len(aug), len(y), 3)
+
+
+def _unstacked(vals, state, measurement):
+    """Drop the measurement axis for a single 2-vector and the row axis for a single state."""
+    if np.ndim(measurement) == 1:
+        vals = vals[:, 0]
+    return vals[0] if np.ndim(state) == 1 else vals
 
 
 # ---------------------------------------------------------------------------
 # Updates
 
 
-def _prior_shape_views(prior: GaussianState, config: TrackerConfig):
-    mean = prior.mean
-    if config.shape_family == "ellipse":
-        ell, _ = clamp_chol(mean[:2], mean[-3:])
-        return ell
-    return FourierShapeParams(mean[:2], mean[-config.shape_dim :])
-
-
-def _measurement_h(prior: GaussianState, measurement, config: TrackerConfig):
-    """Build the single-measurement h closure over augmented sigma points."""
-    y = np.asarray(measurement, dtype=float).reshape(2)
-    if config.shape_family == "ellipse":
-        ell = _prior_shape_views(prior, config)
-        offset = ellipse_closest_point(ell, y) - prior.mean[:2]
-
-        def h(points, _y):
-            return ellipse_pseudo_measurement(points, y, offset, config.trace_normalize)
-
-    else:
-        phi = angle_point_estimate(y, prior.mean[:2])
-        n_coeffs = config.shape_dim
-
-        def h(points, _y):
-            return sc_pseudo_measurement(points, y, phi, n_coeffs)
-
-    return h
-
-
 def measurement_update(
     prior: GaussianState, measurement, noise_cov, config: TrackerConfig
 ) -> GaussianState:
-    """Condition the state on one measurement via the pseudo-measurement.
+    """Condition the state on one measurement: `batch_update` with k = 1."""
+    return batch_update(prior, [measurement], [noise_cov], config)
 
-    The augmented density [prior; v; scaling] is propagated through the
-    family's pseudo-measurement function and linearized statistically
-    against the target 0. The source estimate (closest boundary point or
-    angle) is computed from the prior mean and held fixed.
+
+def batch_update(
+    prior: GaussianState, measurements, noise_covs, config: TrackerConfig
+) -> GaussianState:
+    """Condition the state on k measurements in one stacked update.
+
+    The augmented density [prior; v_1; scaling_1; ...; v_k; scaling_k]
+    carries an independent noise block per measurement. The source
+    estimates (closest boundary points or angles) are computed in one pass
+    from the prior mean and held fixed; the family's pseudo-measurement is
+    evaluated for all k at once and linearized statistically against the
+    target 0.
 
     Returns the posterior; on a degenerate innovation the prior is
     returned unchanged (a DegenerateInnovationWarning is emitted by the
     underlying update).
     """
     config.check_layout(prior.dim)
-    noise_cov = np.asarray(noise_cov, dtype=float).reshape(2, 2)
-    noise_aug = joint_state(
-        GaussianState(np.zeros(2), noise_cov),
-        scaling_noise_gaussian(config.scaling),
-    )
-    h = _measurement_h(prior, measurement, config)
-    return statistical_linearization_update(
-        prior, h, noise_aug, measurement=None, spread=config.unscented
-    )
-
-
-def batch_update(
-    prior: GaussianState, measurements, noise_covs, config: TrackerConfig
-) -> GaussianState:
-    """Process several measurements in one stacked update.
-
-    The augmented state carries an independent (v, scaling) block per
-    measurement; the pseudo-measurement vector stacks the per-measurement
-    functions, all with source estimates from the same prior mean.
-    """
-    config.check_layout(prior.dim)
-    measurements = [np.asarray(y, dtype=float).reshape(2) for y in measurements]
-    if len(measurements) == 0:
+    ys = np.array([np.asarray(y, dtype=float).reshape(2) for y in measurements])
+    if len(ys) == 0:
         raise ValueError("batch_update needs at least one measurement")
-    noise_covs = [np.asarray(r, dtype=float).reshape(2, 2) for r in noise_covs]
-    if len(noise_covs) != len(measurements):
+    covs = [np.asarray(r, dtype=float).reshape(2, 2) for r in noise_covs]
+    if len(covs) != len(ys):
         raise ValueError("one noise covariance per measurement required")
 
-    d = prior.dim
-    parts = []
-    hs = []
-    for y, r in zip(measurements, noise_covs):
-        parts.append(GaussianState(np.zeros(2), r))
-        parts.append(scaling_noise_gaussian(config.scaling))
-        hs.append(_measurement_h(prior, y, config))
-    noise_aug = joint_state(*parts)
+    k = len(ys)
+    noise_cov = np.zeros((3 * k, 3 * k))
+    for l, r in enumerate(covs):
+        noise_cov[3 * l : 3 * l + 2, 3 * l : 3 * l + 2] = r
+        noise_cov[3 * l + 2, 3 * l + 2] = config.scaling.variance
+    noise_aug = GaussianState(np.tile([0.0, 0.0, config.scaling.mean], k), noise_cov)
 
-    def h(points, _y):
-        cols = []
-        for l, hl in enumerate(hs):
-            block = points[:, d + 3 * l : d + 3 * l + 3]
-            cols.append(hl(np.hstack([points[:, :d], block]), None))
-        return np.column_stack(cols)
+    center = prior.mean[:2]
+    if config.shape_family == "ellipse":
+        ell, _ = clamp_chol(center, prior.mean[-3:])
+        offsets = ellipse_closest_point(ell, ys) - center
+
+        def h(points, _y):
+            return ellipse_pseudo_measurement(points, ys, offsets, config.trace_normalize)
+
+    else:
+        phis = [angle_point_estimate(y, center) for y in ys]
+
+        def h(points, _y):
+            return sc_pseudo_measurement(points, ys, phis, config.shape_dim)
 
     return statistical_linearization_update(
         prior, h, noise_aug, measurement=None, spread=config.unscented

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import shapetrack
 
 from shapetrack.cli import bundled_scenarios, main
 from shapetrack.config import load_scenario_file
@@ -162,3 +169,26 @@ def test_all_diverged_exits_4_without_outputs(tmp_path, capsys):
     assert code == 4
     assert "diverged" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+
+def test_cli_import_leaves_scipy_spatial_and_interpolate_unloaded():
+    # point-group hulls and waypoint splines import their scipy modules on use
+    code = (
+        "import sys, shapetrack.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.spatial', 'scipy.interpolate'))))"
+    )
+    src = str(Path(shapetrack.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -194,3 +194,139 @@ def test_closest_point_first_order_optimality(p):
             np.linalg.norm(offset) * np.linalg.norm(normal)
         )
         assert abs(cosangle) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Closest point against the scalar numpy reference
+
+
+def _oracle_closest_point(p: EllipseParams, query) -> np.ndarray:
+    """Scalar numpy closest-point solver kept as the reference implementation."""
+    query = np.asarray(query, dtype=float).reshape(2)
+    w = query - p.center
+    if w[0] == 0.0 and w[1] == 0.0:
+        return ellipse_boundary_point(p, 0.0)
+
+    inv_l_t = p.inv_l_t
+    pull = p.matrix_l.T @ w
+    theta = float(np.arctan2(pull[1], pull[0]))
+    theta = _oracle_newton_angle(p.center, inv_l_t, query, theta)
+
+    # Guard: restart from the best of a coarse scan if that beats Newton.
+    scan = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    dists = np.sum((ellipse_boundary_point(p, scan) - query) ** 2, axis=1)
+    best = float(scan[np.argmin(dists)])
+    if np.min(dists) < _oracle_sqdist(p.center, inv_l_t, query, theta) - 1e-12:
+        theta = _oracle_newton_angle(p.center, inv_l_t, query, best)
+
+    return ellipse_boundary_point(p, theta)
+
+
+def _oracle_sqdist(center, inv_l_t, query, theta):
+    pt = center + inv_l_t @ np.array([np.cos(theta), np.sin(theta)])
+    return float(np.sum((pt - query) ** 2))
+
+
+def _oracle_newton_angle(center, inv_l_t, query, theta, max_iter=50, res_tol=1e-13):
+    """Damped Newton on f(theta) = |m + L^{-T} e(theta) - q|^2.
+
+    Convergence is judged on the normalized first-order condition (the
+    residual vector must be orthogonal to the boundary tangent), not on
+    the step size.
+    """
+    for _ in range(max_iter):
+        e = np.array([np.cos(theta), np.sin(theta)])
+        de = np.array([-e[1], e[0]])
+        u = center + inv_l_t @ e - query
+        du = inv_l_t @ de
+        ddu = -inv_l_t @ e
+        denom = np.sqrt((u @ u) * (du @ du))
+        if denom < 1e-28 or abs(u @ du) < res_tol * denom:
+            break
+        grad = 2.0 * (u @ du)
+        hess = 2.0 * (du @ du + u @ ddu)
+        if hess <= 0:
+            step = -np.sign(grad) * 0.1  # walk downhill out of concave stretches
+        else:
+            step = -grad / hess
+        # Accept steps that do not increase f beyond evaluation noise;
+        # near the optimum true decreases are smaller than machine eps.
+        f0 = float(u @ u)
+        slack = 1e-14 * (1.0 + f0)
+        while abs(step) > 1e-15 and (
+            _oracle_sqdist(center, inv_l_t, query, theta + step) > f0 + slack
+        ):
+            step *= 0.5
+        theta += step
+        if abs(step) < 1e-15:
+            break
+    return theta
+
+
+def _oracle_cases(seed=2024, n_ellipses=60):
+    """Seeded ellipses with aspect ratios up to 1e3 and queries of every kind."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_ellipses):
+        major = rng.uniform(0.1, 5.0)
+        p = from_semi_axes(
+            rng.uniform(-10, 10, size=2),
+            [major, major / 10 ** rng.uniform(0.0, 3.0)],
+            angle=rng.uniform(-np.pi, np.pi),
+        )
+        theta = rng.uniform(0, 2 * np.pi, size=6)
+        boundary = ellipse_boundary_point(p, theta)
+        spokes = boundary - p.center
+        queries = np.concatenate(
+            [
+                p.center + rng.uniform(0.0, 0.99, size=(6, 1)) * spokes,  # inside
+                p.center + rng.uniform(1.01, 3.0, size=(6, 1)) * spokes,  # outside
+                p.center + rng.uniform(50.0, 1e3, size=(6, 1)) * spokes,  # far away
+                boundary,  # on the boundary
+                p.center[None, :],  # the exact center
+            ]
+        )
+        yield p, queries
+
+
+def test_closest_point_matches_oracle():
+    for p, queries in _oracle_cases():
+        for query in queries:
+            got = ellipse_closest_point(p, query)
+            want = _oracle_closest_point(p, query)
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+            # never farther than the reference beyond one rounding of the
+            # coordinates (a boundary query's distance is 0 or a few ulps)
+            d_got = np.linalg.norm(got - query)
+            d_want = np.linalg.norm(want - query)
+            assert d_got <= d_want + 1e-15 * (1.0 + np.max(np.abs(query)))
+
+
+def test_closest_point_stacked_equals_single_calls():
+    for p, queries in _oracle_cases(seed=7, n_ellipses=20):
+        stacked = ellipse_closest_point(p, queries)
+        assert stacked.shape == queries.shape
+        singles = np.array([ellipse_closest_point(p, q) for q in queries])
+        assert np.array_equal(stacked, singles)
+
+
+def test_closest_point_scan_restart_matches_oracle():
+    # Inside a thin axis-aligned ellipse on its major axis, the pullback
+    # start sits exactly on the vertex at angle 0, a critical point that
+    # is not the minimum; only the scan restart finds the minor-axis side.
+    p = EllipseParams([0.0, 0.0], [1.0 / 3.0, 1.0 / 0.2, 0.0])
+    query = np.array([0.4, 0.0])
+    first = _oracle_newton_angle(p.center, p.inv_l_t, query, 0.0)
+    scan = ellipse_boundary_point(p, np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
+    assert np.min(np.sum((scan - query) ** 2, axis=1)) < _oracle_sqdist(
+        p.center, p.inv_l_t, query, first
+    ) - 1e-12
+    got = ellipse_closest_point(p, query)
+    want = _oracle_closest_point(p, query)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    assert abs(abs(got[1]) - 0.2) < 0.05  # the minor-axis side, not the vertex
+
+
+def test_closest_point_rejects_malformed_queries():
+    for bad in ([1.0, 2.0, 3.0], np.zeros((2, 3)), np.zeros((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError):
+            ellipse_closest_point(UNIT_CIRCLE, bad)

@@ -263,6 +263,20 @@ def test_heading_rotates_target_about_anchor():
         assert min(np.linalg.norm(y - rotated, axis=1)) < 1e-9
 
 
+def test_truths_posed_once_per_step(monkeypatch):
+    import shapetrack.simulate as simulate
+
+    calls = []
+    original = simulate.posed_target
+    monkeypatch.setattr(
+        simulate, "posed_target", lambda cfg, k: calls.append(k) or original(cfg, k)
+    )
+    traj = Trajectory(np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 1.5]]), np.zeros(3))
+    report = run_scenario(ellipse_scenario(n_steps=3, n_runs=4, trajectory=traj))
+    assert calls == [0, 1, 2]
+    assert report.n_diverged == 0
+
+
 def test_heading_rotation_can_be_disabled():
     grp = group_target(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     traj = Trajectory(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.0, np.pi / 2]))

@@ -110,6 +110,14 @@ def test_anchor_per_kind():
     assert_allclose(grp.anchor, [1.0, 0.0])
 
 
+def test_anchor_computed_once_per_target():
+    tgt = polygon_target(UNIT_SQUARE)
+    assert tgt.anchor is tgt.anchor
+    assert not tgt.anchor.flags.writeable
+    moved = tgt.transformed(rotation=0.3, translation=[1.0, 2.0])
+    assert_allclose(moved.anchor, [1.5, 2.5], atol=1e-12)
+
+
 def test_transformed_polygon_rotates_about_centroid():
     tgt = polygon_target(UNIT_SQUARE)
     moved = tgt.transformed(rotation=np.pi / 2, translation=[1.0, 0.0])

@@ -6,12 +6,19 @@ from numpy.testing import assert_allclose
 
 from shapetrack.ellipse import (
     EllipseParams,
+    clamp_chol,
     ellipse_boundary_point,
+    ellipse_closest_point,
     ellipse_scaled_implicit,
     from_semi_axes,
 )
-from shapetrack.gaussian import GaussianState
-from shapetrack.starconvex import FourierShapeParams, sc_scaled_implicit
+from shapetrack.gaussian import GaussianState, joint_state, statistical_linearization_update
+from shapetrack.starconvex import (
+    FourierShapeParams,
+    angle_point_estimate,
+    fourier_basis,
+    sc_scaled_implicit,
+)
 from shapetrack.tracker import (
     DynamicsSpec,
     ScalingModel,
@@ -192,12 +199,47 @@ def test_sc_pseudo_identity_oracle():
         phi = rng.uniform(-np.pi, np.pi)
         aug = np.concatenate([center, coeffs, v, [s]])
         direct = sc_pseudo_measurement(aug, y, phi, n_coeffs)
-        from shapetrack.starconvex import fourier_basis
-
         r = fourier_basis(phi, n_coeffs) @ coeffs
         e = np.array([np.cos(phi), np.sin(phi)])
         expansion = np.sum((s * r * e + v) ** 2) - np.sum((y - center) ** 2)
         assert abs(direct - expansion) < 1e-10
+
+
+def _single_view(points, d, l):
+    """The state part plus noise block l of stacked augmented points."""
+    return np.hstack([points[:, :d], points[:, d + 3 * l : d + 3 * l + 3]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_ellipse_pseudo_stacked_columns_match_single(k):
+    rng = np.random.default_rng(25 + k)
+    d = 7
+    points = rng.normal(size=(2 * (d + 3 * k) + 1, d + 3 * k))
+    points[:, 4:6] += 2.0
+    ys = rng.uniform(-3, 3, size=(k, 2))
+    offsets = rng.uniform(-1, 1, size=(k, 2))
+    for normalize in (True, False):
+        stacked = ellipse_pseudo_measurement(points, ys, offsets, normalize)
+        assert stacked.shape == (len(points), k)
+        for l in range(k):
+            single = ellipse_pseudo_measurement(
+                _single_view(points, d, l), ys[l], offsets[l], normalize
+            )
+            assert np.array_equal(stacked[:, l], single)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_sc_pseudo_stacked_columns_match_single(k):
+    rng = np.random.default_rng(35 + k)
+    d, n_coeffs = 17, 15
+    points = rng.normal(size=(2 * (d + 3 * k) + 1, d + 3 * k))
+    ys = rng.uniform(-3, 3, size=(k, 2))
+    phis = rng.uniform(-np.pi, np.pi, size=k)
+    stacked = sc_pseudo_measurement(points, ys, phis, n_coeffs)
+    assert stacked.shape == (len(points), k)
+    for l in range(k):
+        single = sc_pseudo_measurement(_single_view(points, d, l), ys[l], phis[l], n_coeffs)
+        assert np.array_equal(stacked[:, l], single)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +317,69 @@ def test_update_repeated_shrinks_shape_covariance():
 
 
 def test_batch_single_equals_sequential_exactly():
-    prior = ellipse_prior()
-    y = [1.2, 0.3]
-    r = 0.5 * np.eye(2)
-    a = measurement_update(prior, y, r, ELL_CONFIG)
-    b = batch_update(prior, [y], [r], ELL_CONFIG)
-    assert_allclose(a.mean, b.mean, rtol=0, atol=0)
-    assert_allclose(a.cov, b.cov, rtol=0, atol=0)
+    for config, prior, y, r in [
+        (ELL_CONFIG, ellipse_prior(), [1.2, 0.3], 0.5 * np.eye(2)),
+        (SC_CONFIG, circle_prior(), [1.4, -0.6], 0.09 * np.eye(2)),
+    ]:
+        a = measurement_update(prior, y, r, config)
+        b = batch_update(prior, [y], [r], config)
+        assert_allclose(a.mean, b.mean, rtol=0, atol=0)
+        assert_allclose(a.cov, b.cov, rtol=0, atol=0)
+
+
+def _oracle_batch_update(prior, ys, rs, config):
+    """Per-measurement closures stacked column by column, noise by joint_state.
+
+    The reference form of the stacked update; the source estimates are the
+    same closest points / angles the update under test computes.
+    """
+    d = prior.dim
+    parts, hs = [], []
+    for y, r in zip(ys, rs):
+        y = np.asarray(y, dtype=float)
+        parts.append(GaussianState(np.zeros(2), r))
+        parts.append(scaling_noise_gaussian(config.scaling))
+        if config.shape_family == "ellipse":
+            ell, _ = clamp_chol(prior.mean[:2], prior.mean[-3:])
+            offset = ellipse_closest_point(ell, y) - prior.mean[:2]
+            hs.append(
+                lambda pts, y=y, o=offset: ellipse_pseudo_measurement(
+                    pts, y, o, config.trace_normalize
+                )
+            )
+        else:
+            phi = angle_point_estimate(y, prior.mean[:2])
+            hs.append(
+                lambda pts, y=y, phi=phi: sc_pseudo_measurement(pts, y, phi, config.shape_dim)
+            )
+
+    def h(points, _y):
+        return np.column_stack([hl(_single_view(points, d, l)) for l, hl in enumerate(hs)])
+
+    return statistical_linearization_update(
+        prior, h, joint_state(*parts), measurement=None, spread=config.unscented
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 7])
+def test_batch_matches_closure_oracle(k):
+    rng = np.random.default_rng(60 + k)
+    cases = [
+        (ELL_CONFIG, ellipse_prior(), 0.0),
+        (TrackerConfig(shape_family="ellipse", trace_normalize=False), ellipse_prior(), 0.0),
+        (SC_CONFIG, circle_prior(), 1e-12),
+    ]
+    for config, prior, tol in cases:
+        ys = rng.uniform(-2.5, 2.5, size=(k, 2))
+        rs = [s * s * np.eye(2) for s in rng.uniform(0.1, 0.6, size=k)]
+        got = batch_update(prior, ys, rs, config)
+        want = _oracle_batch_update(prior, ys, rs, config)
+        if tol == 0.0:
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.cov, want.cov)
+        else:
+            assert_allclose(got.mean, want.mean, rtol=0, atol=tol * (1 + np.abs(want.mean).max()))
+            assert_allclose(got.cov, want.cov, rtol=0, atol=tol * (1 + np.abs(want.cov).max()))
 
 
 def test_batch_empty_rejected():
@@ -289,6 +387,16 @@ def test_batch_empty_rejected():
         batch_update(ellipse_prior(), [], [], ELL_CONFIG)
     with pytest.raises(ValueError):
         batch_update(ellipse_prior(), [[1.0, 0.0]], [], ELL_CONFIG)
+
+
+def test_batch_malformed_measurement_rejected():
+    for ys in ([[1.0, 0.0, 2.0]], [[1.0, 0.0], [1.0]], [[[1.0, 0.0]] * 2]):
+        with pytest.raises(ValueError):
+            batch_update(ellipse_prior(), ys, [np.eye(2)] * len(ys), ELL_CONFIG)
+    with pytest.raises(ValueError):
+        measurement_update(ellipse_prior(), [1.0, 0.0, 0.0], np.eye(2), ELL_CONFIG)
+    with pytest.raises(ValueError):
+        batch_update(ellipse_prior(), [[1.0, 0.0]], [np.eye(3)], ELL_CONFIG)
 
 
 def test_batch_order_insensitive_sanity():
