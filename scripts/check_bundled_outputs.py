@@ -20,6 +20,9 @@ tree: it prints the largest ``|Δ|`` and ``|Δ|/(1 + |x|)`` per file and
 exits 1 when a relative difference exceeds 1e-12, when any ``iou`` or
 ``mean_iou`` cell changed at all, or when the tables differ in shape or
 in a non-numeric cell.
+
+``--time`` prints each scenario's ``shapetrack run`` wall time to standard
+error, so the listing and ``--against`` work as without it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import math
 import shutil
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from shapetrack import cli
@@ -43,14 +47,22 @@ NEAR_TOL = 1e-12
 EXACT_COLUMNS = ("iou", "mean_iou")
 
 
-def listing(full: bool = False, keep: Path | None = None, near: Path | None = None):
+def listing(
+    full: bool = False,
+    keep: Path | None = None,
+    near: Path | None = None,
+    timed: bool = False,
+):
     """Hash lines of every bundled CSV, and the problems found against ``near``."""
     lines, problems = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for name in cli.bundled_scenarios():
             out = Path(tmp) / Path(name).stem
+            t0 = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(["run", name, "--out", str(out), *([] if full else REDUCED)])
+            if timed:
+                print(f"time {name}: {time.perf_counter() - t0:.3f} s", file=sys.stderr)
             if code != 0:
                 raise SystemExit(f"{name}: shapetrack run exited with {code}")
             for fname in FILES:
@@ -116,8 +128,9 @@ def main(argv=None) -> int:
     parser.add_argument("--full", action="store_true", help="run at the bundled sizes")
     parser.add_argument("--keep", type=Path, help="directory to save the CSVs in")
     parser.add_argument("--near", type=Path, help="kept CSV tree to compare values with")
+    parser.add_argument("--time", action="store_true", help="print each run's wall time")
     args = parser.parse_args(argv)
-    current, problems = listing(args.full, args.keep, args.near)
+    current, problems = listing(args.full, args.keep, args.near, args.time)
     print("\n".join(current))
     for problem in problems:
         print(f"near: {problem}", file=sys.stderr)

@@ -18,6 +18,7 @@ __all__ = [
     "EllipseParams",
     "from_semi_axes",
     "clamp_chol",
+    "clamp_chols",
     "ellipse_implicit",
     "ellipse_scaled_implicit",
     "ellipse_boundary_point",
@@ -25,6 +26,8 @@ __all__ = [
 ]
 
 CHOL_FLOOR = 1e-6
+# boundary angles of the closest-point scan guard
+_SCAN_ANGLES = np.linspace(0.0, 2 * np.pi, 16, endpoint=False).tolist()
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,8 @@ def from_semi_axes(center, semi_axes, angle: float = 0.0) -> EllipseParams:
     return EllipseParams(center, [low[0, 0], low[1, 1], low[1, 0]])
 
 
-def clamp_chol(center, chol, floor: float = CHOL_FLOOR) -> tuple[EllipseParams, bool]:
-    """Canonicalize a Cholesky triple that drifted mid-filter.
+def clamp_chols(chols, floor: float = CHOL_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+    """Canonicalize a stack of Cholesky triples that drifted mid-filter.
 
     The quadratic form L L^T is invariant under b -> -b and under jointly
     flipping the signs of (a, c), so estimators (whose measurement models
@@ -114,22 +117,31 @@ def clamp_chol(center, chol, floor: float = CHOL_FLOOR) -> tuple[EllipseParams, 
     which is exact. Diagonal magnitudes below `floor` describe a genuinely
     degenerate ellipse and are clamped to `floor`.
 
-    Returns the EllipseParams and whether a (non-exact) clamp was applied,
-    so callers can count true repairs.
+    Args:
+        chols: (N, 3) triples (a, b, c).
+
+    Returns:
+        (clamped (N, 3), repaired (N,)); repaired marks the triples where a
+        (non-exact) clamp was applied, so callers can count true repairs.
     """
-    a, b, c = np.asarray(chol, dtype=float).reshape(3)
-    if a < 0:
-        a, c = -a, -c
-    if b < 0:
-        b = -b
-    clamped = False
-    if a < floor:
-        a = floor
-        clamped = True
-    if b < floor:
-        b = floor
-        clamped = True
-    return EllipseParams(center, [a, b, c]), clamped
+    a, b, c = np.asarray(chols, dtype=float).reshape(-1, 3).T
+    flip = a < 0
+    a = np.where(flip, -a, a)
+    c = np.where(flip, -c, c)
+    b = np.where(b < 0, -b, b)
+    repaired = (a < floor) | (b < floor)
+    a = np.where(a < floor, floor, a)
+    b = np.where(b < floor, floor, b)
+    return np.stack([a, b, c], axis=1), repaired
+
+
+def clamp_chol(center, chol, floor: float = CHOL_FLOOR) -> tuple[EllipseParams, bool]:
+    """The ellipse of one Cholesky triple, canonicalized by `clamp_chols`.
+
+    Returns the EllipseParams and whether a (non-exact) clamp was applied.
+    """
+    chols, repaired = clamp_chols(np.asarray(chol, dtype=float).reshape(1, 3), floor)
+    return EllipseParams(center, chols[0]), bool(repaired[0])
 
 
 def ellipse_implicit(p: EllipseParams, z) -> float | np.ndarray:
@@ -175,7 +187,7 @@ def ellipse_closest_point(p: EllipseParams, query) -> np.ndarray:
     a, b, c = p.chol.tolist()
     cx, cy = p.center.tolist()
     ell = (cx, cy, 1.0 / a, -c / (a * b), 1.0 / b)  # center; L^{-T} = [[m00, m01], [0, m11]]
-    scan = [(t, _boundary(ell, t)) for t in np.linspace(0.0, 2 * np.pi, 16, endpoint=False).tolist()]
+    scan = [(t, _boundary(ell, t)) for t in _SCAN_ANGLES]
     out = []
     for qx, qy in q.reshape(-1, 2).tolist():
         wx, wy = qx - cx, qy - cy

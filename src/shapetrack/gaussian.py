@@ -5,6 +5,18 @@ manipulates Gaussian densities through the small set of primitives in this
 module: `GaussianState`, deterministic sigma-point generation, a generic
 measurement update based on statistical linearization of a (pseudo-)
 measurement function, and the linear Kalman time update.
+
+The numerical work runs in stacked kernels over a leading run axis: means
+(R, d), covariances (R, d, d) and sigma points (R, 2d+1, d), factorized
+with stacked `cholesky`/`eigvalsh`/`solve` (`stacked_predict`,
+`stacked_sigma_points`, `stacked_psd_repair`, `stacked_sl_update`). Each
+run's arithmetic is the same as a lone call's, bit for bit, and each
+kernel reports per run a status (`OK`, `DEGENERATE`, `FAILED`) rather
+than a warning or an exception, so one failing run leaves the others
+untouched. The `GaussianState` functions (`kalman_predict`,
+`draw_sigma_points`, `psd_repair`, `statistical_linearization_update`)
+are their R = 1 cases; they turn the status back into the warning or the
+`ConditioningError` of the single-state API.
 """
 
 from __future__ import annotations
@@ -27,6 +39,14 @@ __all__ = [
     "draw_sigma_points",
     "statistical_linearization_update",
     "kalman_predict",
+    "OK",
+    "DEGENERATE",
+    "FAILED",
+    "stacked_psd_repair",
+    "stacked_sigma_points",
+    "stacked_sl_update",
+    "stacked_predict",
+    "single_posterior",
 ]
 
 
@@ -44,14 +64,44 @@ PSD_TOL = 1e-9
 JITTER_FLOOR = 1e-12
 INNOVATION_TOL = 1e-12
 
+# Per-run status of a stacked kernel: the update was applied; the innovation
+# covariance was degenerate and the run keeps its prior; the run failed (a
+# covariance could not be factorized or repaired, or a value is not finite).
+OK, DEGENERATE, FAILED = 0, 1, 2
+
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (C + C^T) / 2."""
-    return 0.5 * (cov + cov.T)
+    """Return the symmetric part (C + C^T) / 2 of a matrix or of a stack of them."""
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+
+def _finite_rows(a: np.ndarray) -> np.ndarray:
+    """Per leading index, whether every entry is finite."""
+    return np.isfinite(a).reshape(len(a), -1).all(axis=1)
+
+
+def stacked_psd_repair(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`psd_repair` over a stack of covariances (R, d, d).
+
+    Returns the repaired stack and a per-matrix flag, False where a matrix
+    is not finite or is still indefinite after the jitter.
+    """
+    sym = symmetrize(np.asarray(covs, dtype=float))
+    ok = _finite_rows(sym)
+    w_min = np.zeros(len(sym))
+    w_min[ok] = np.linalg.eigvalsh(sym[ok])[:, 0]
+    bad = np.flatnonzero(w_min < -PSD_TOL)
+    if bad.size:
+        eps = np.abs(w_min[bad]) + JITTER_FLOOR
+        sym[bad] = sym[bad] + eps[:, None, None] * np.eye(sym.shape[-1])
+        ok[bad] = np.linalg.eigvalsh(sym[bad])[:, 0] >= -PSD_TOL
+    return sym, ok
 
 
 def psd_repair(cov: np.ndarray) -> np.ndarray:
     """Symmetrize and, if needed, jitter a covariance back to PSD.
+
+    The R = 1 case of `stacked_psd_repair`.
 
     Args:
         cov: square matrix, approximately symmetric PSD.
@@ -61,18 +111,13 @@ def psd_repair(cov: np.ndarray) -> np.ndarray:
         is below -1e-9 (eps = |min eigenvalue| + 1e-12).
 
     Raises:
-        ConditioningError: still indefinite after one jitter attempt.
+        ConditioningError: still indefinite after one jitter attempt, or
+            not finite.
     """
-    sym = symmetrize(np.asarray(cov, dtype=float))
-    w_min = float(np.linalg.eigvalsh(sym)[0])
-    if w_min >= -PSD_TOL:
-        return sym
-    repaired = sym + (abs(w_min) + JITTER_FLOOR) * np.eye(sym.shape[0])
-    if float(np.linalg.eigvalsh(repaired)[0]) < -PSD_TOL:
-        raise ConditioningError(
-            f"covariance indefinite after jitter (min eigenvalue {w_min:.3e})"
-        )
-    return repaired
+    repaired, ok = stacked_psd_repair(np.asarray(cov, dtype=float)[None])
+    if not ok[0]:
+        raise ConditioningError("covariance indefinite after jitter, or not finite")
+    return repaired[0]
 
 
 def cholesky_factor(cov: np.ndarray) -> np.ndarray:
@@ -179,10 +224,73 @@ class SigmaPointSet:
         return mean, cov
 
 
+def _stacked_cholesky(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack of finite covariances, and per-matrix success.
+
+    One stacked factorization; if any matrix is not positive definite, each
+    matrix is factorized alone by `cholesky_factor` with its jitter retry.
+    A matrix that fails even then gets a zero factor and the flag False.
+    """
+    sym = symmetrize(covs)
+    ok = np.ones(len(sym), dtype=bool)
+    try:
+        return np.linalg.cholesky(sym), ok
+    except np.linalg.LinAlgError:
+        pass
+    roots = np.zeros_like(sym)
+    for i, cov in enumerate(sym):
+        try:
+            roots[i] = cholesky_factor(cov)
+        except ConditioningError:
+            ok[i] = False
+    return roots, ok
+
+
+def stacked_sigma_points(
+    means: np.ndarray, covs: np.ndarray, spread: UnscentedSpread = DEFAULT_SPREAD
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the 2d+1 scaled symmetric sigma points of R Gaussians at once.
+
+    Args:
+        means: (R, d) means.
+        covs: (R, d, d) finite covariances.
+        spread: unscented parameters; the default keeps d + lambda = 3.
+
+    Returns:
+        (points (R, 2d+1, d), mean weights (2d+1,), covariance weights
+        (2d+1,), ok (R,)); ok is False where a covariance cannot be
+        factorized, and that run's points all sit at its mean.
+
+    Raises:
+        ValueError: spread yields d + lambda <= 0.
+    """
+    n_runs, d = means.shape
+    kappa = spread.resolved_kappa(d)
+    lam = spread.alpha**2 * (d + kappa) - d
+    scale = d + lam
+    if scale <= 0:
+        raise ValueError(f"d + lambda = {scale} must be positive")
+
+    roots, ok = _stacked_cholesky(covs)
+    root_t = np.swapaxes(roots * np.sqrt(scale), -1, -2)
+    points = np.empty((n_runs, 2 * d + 1, d))
+    points[:, 0] = means
+    points[:, 1 : d + 1] = means[:, None, :] + root_t
+    points[:, d + 1 :] = means[:, None, :] - root_t
+
+    w_mean = np.full(2 * d + 1, 1.0 / (2.0 * scale))
+    w_mean[0] = lam / scale
+    w_cov = w_mean.copy()
+    w_cov[0] += 1.0 - spread.alpha**2 + spread.beta
+    return points, w_mean, w_cov, ok
+
+
 def draw_sigma_points(
     state: GaussianState, spread: UnscentedSpread = DEFAULT_SPREAD
 ) -> SigmaPointSet:
     """Draw the 2d+1 scaled symmetric sigma points of a Gaussian.
+
+    The R = 1 case of `stacked_sigma_points`.
 
     Args:
         state: source density, dimension d >= 1.
@@ -196,24 +304,134 @@ def draw_sigma_points(
         ValueError: spread yields d + lambda <= 0.
         ConditioningError: covariance cannot be factorized.
     """
-    d = state.dim
-    kappa = spread.resolved_kappa(d)
-    lam = spread.alpha**2 * (d + kappa) - d
-    scale = d + lam
-    if scale <= 0:
-        raise ValueError(f"d + lambda = {scale} must be positive")
+    points, w_mean, w_cov, ok = stacked_sigma_points(
+        state.mean[None], state.cov[None], spread
+    )
+    if not ok[0]:
+        raise ConditioningError("Cholesky failed after jitter retry")
+    return SigmaPointSet(points[0], w_mean, w_cov)
 
-    root = cholesky_factor(state.cov) * np.sqrt(scale)
-    points = np.empty((2 * d + 1, d))
-    points[0] = state.mean
-    points[1 : d + 1] = state.mean + root.T
-    points[d + 1 :] = state.mean - root.T
 
-    w_mean = np.full(2 * d + 1, 1.0 / (2.0 * scale))
-    w_mean[0] = lam / scale
-    w_cov = w_mean.copy()
-    w_cov[0] += 1.0 - spread.alpha**2 + spread.beta
-    return SigmaPointSet(points, w_mean, w_cov)
+def stacked_sl_update(
+    means: np.ndarray,
+    covs: np.ndarray,
+    h,
+    noise_mean: np.ndarray,
+    noise_cov: np.ndarray,
+    spread: UnscentedSpread = DEFAULT_SPREAD,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Condition R Gaussian priors on h(state, noise) = 0 in one stacked pass.
+
+    Each run's augmented density [prior_r; noise] (the noise density is
+    shared by all runs and independent of the state) gets its joint sigma
+    points; h maps them to pseudo-measurement values, and the resulting
+    cross- and innovation covariances feed a Kalman-style update against
+    the constant pseudo-measurement 0.
+
+    Args:
+        means: (R, d) prior means.
+        covs: (R, d, d) finite, symmetric prior covariances.
+        h: callable h(points) -> values, with points of shape (R, n, D)
+            laid out [state, noise] per row, and values (R, n) for a scalar
+            pseudo-measurement or (R, n, m) for a stacked one.
+        noise_mean, noise_cov: the appended noise density, (m0,), (m0, m0).
+        spread: unscented parameters for the joint density.
+
+    Returns:
+        (means, covs, status): posterior moments, and per run `OK`,
+        `DEGENERATE` (innovation covariance below tolerance; the run keeps
+        its prior) or `FAILED` (a factorization or the PSD repair failed,
+        or a value is not finite; the run keeps its prior values).
+    """
+    n_runs, d = means.shape
+    m0 = len(noise_mean)
+    aug_mean = np.empty((n_runs, d + m0))
+    aug_mean[:, :d] = means
+    aug_mean[:, d:] = noise_mean
+    aug_cov = np.zeros((n_runs, d + m0, d + m0))
+    aug_cov[:, :d, :d] = covs
+    aug_cov[:, d:, d:] = noise_cov
+    points, w_m, w_c, ok = stacked_sigma_points(aug_mean, aug_cov, spread)
+    status = np.where(ok, OK, FAILED)
+
+    values = np.asarray(h(points), dtype=float)
+    if values.ndim == 2:
+        values = values[:, :, None]
+    if values.shape[:2] != points.shape[:2]:
+        raise ValueError("h must return one value (or row) per sigma point")
+
+    # Every product keeps the operand layout of a lone update, so each run's
+    # posterior is bit-identical to the one it would get alone.
+    x_pts = points[:, :, :d]
+    mean_h = np.matmul(w_m, values)
+    mean_x = np.matmul(w_m, x_pts)
+    dh = values - mean_h[:, None, :]
+    dx = x_pts - mean_x[:, None, :]
+    cov_hh = symmetrize(np.swapaxes(w_c[:, None] * dh, -1, -2) @ dh)
+    cov_xh = np.swapaxes(w_c[:, None] * dx, -1, -2) @ dh
+
+    ok &= _finite_rows(cov_hh) & _finite_rows(cov_xh)
+    status[~ok] = FAILED
+    live = np.flatnonzero(ok)
+    degenerate = np.linalg.eigvalsh(cov_hh[live])[:, 0] < INNOVATION_TOL
+    status[live[degenerate]] = DEGENERATE
+    go = live[~degenerate]
+
+    out_means, out_covs = means.copy(), covs.copy()
+    if go.size:
+        gain, solved = _stacked_gain(cov_hh[go], cov_xh[go])
+        innovation = (0.0 - mean_h[go])[..., None]
+        mean_post = means[go] + np.matmul(gain, innovation)[..., 0]
+        cov_post, repaired = stacked_psd_repair(
+            covs[go] - gain @ cov_hh[go] @ np.swapaxes(gain, -1, -2)
+        )
+        good = solved & repaired & _finite_rows(mean_post)
+        status[go[~good]] = FAILED
+        out_means[go[good]] = mean_post[good]
+        out_covs[go[good]] = cov_post[good]
+    return out_means, out_covs, status
+
+
+def _stacked_gain(cov_hh: np.ndarray, cov_xh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kalman gains cov_xh cov_hh^{-1} of a stack, and per-run success.
+
+    One stacked solve; if any innovation covariance is singular, each run
+    is solved alone and the singular ones are flagged.
+    """
+    rhs = np.swapaxes(cov_xh, -1, -2)
+    ok = np.ones(len(cov_hh), dtype=bool)
+    try:
+        solved = np.linalg.solve(cov_hh, rhs)
+    except np.linalg.LinAlgError:
+        solved = np.zeros(rhs.shape)
+        for i in range(len(cov_hh)):
+            try:
+                solved[i] = np.linalg.solve(cov_hh[i], rhs[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    return np.swapaxes(solved, -1, -2), ok
+
+
+def single_posterior(
+    prior: GaussianState, means: np.ndarray, covs: np.ndarray, status: np.ndarray
+) -> GaussianState:
+    """The posterior of an R = 1 stacked update, as the single-state API reports it.
+
+    Raises ConditioningError for `FAILED`; emits a DegenerateInnovationWarning
+    and returns a copy of the prior for `DEGENERATE`.
+    """
+    if status[0] == FAILED:
+        raise ConditioningError(
+            "update failed: covariance not factorizable or repairable, or not finite"
+        )
+    if status[0] == DEGENERATE:
+        warnings.warn(
+            "innovation covariance is degenerate; returning the prior",
+            DegenerateInnovationWarning,
+            stacklevel=3,
+        )
+        return prior.copy()
+    return GaussianState(means[0], covs[0])
 
 
 def statistical_linearization_update(
@@ -225,10 +443,10 @@ def statistical_linearization_update(
 ) -> GaussianState:
     """Condition a Gaussian prior on h(state, noise; measurement) = 0.
 
-    Joint sigma points are drawn over the stacked vector [state; noise],
-    propagated through h, and the resulting cross- and innovation
-    covariances feed a Kalman-style update against the constant
-    pseudo-measurement 0.
+    The R = 1 case of `stacked_sl_update`: joint sigma points are drawn
+    over the stacked vector [state; noise], propagated through h, and the
+    resulting cross- and innovation covariances feed a Kalman-style update
+    against the constant pseudo-measurement 0.
 
     Args:
         prior: state density to be updated.
@@ -245,48 +463,51 @@ def statistical_linearization_update(
         Posterior GaussianState; the prior (unchanged) if the innovation
         covariance is degenerate, in which case a
         DegenerateInnovationWarning is emitted.
+
+    Raises:
+        ConditioningError: a covariance cannot be factorized or repaired,
+            or the posterior is not finite.
     """
-    d = prior.dim
-    sigma = draw_sigma_points(joint_state(prior, noise_aug), spread)
+    means, covs, status = stacked_sl_update(
+        prior.mean[None],
+        prior.cov[None],
+        lambda points: np.asarray(h(points[0], measurement), dtype=float)[None],
+        noise_aug.mean,
+        noise_aug.cov,
+        spread,
+    )
+    return single_posterior(prior, means, covs, status)
 
-    values = np.asarray(h(sigma.points, measurement), dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    if values.shape[0] != sigma.points.shape[0]:
-        raise ValueError("h must return one value (or row) per sigma point")
 
-    w_m, w_c = sigma.mean_weights, sigma.cov_weights
-    x_pts = sigma.points[:, :d]
-    mean_h = w_m @ values
-    mean_x = w_m @ x_pts
-    dh = values - mean_h
-    dx = x_pts - mean_x
-    cov_hh = symmetrize((w_c * dh.T) @ dh)
-    cov_xh = (w_c * dx.T) @ dh
+def stacked_predict(
+    means: np.ndarray, covs: np.ndarray, system_matrix: np.ndarray, process_noise_cov: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Linear time update of R states: mean -> A mean, cov -> A cov A^T + Q.
 
-    if float(np.linalg.eigvalsh(cov_hh)[0]) < INNOVATION_TOL:
-        warnings.warn(
-            "innovation covariance is degenerate; returning the prior",
-            DegenerateInnovationWarning,
-            stacklevel=2,
+    Returns (means (R, d), covs (R, d, d), ok (R,)); ok is False where the
+    predicted moments are not finite.
+    """
+    a = np.asarray(system_matrix, dtype=float)
+    q = np.asarray(process_noise_cov, dtype=float)
+    d = means.shape[1]
+    if a.shape != (d, d) or q.shape != (d, d):
+        raise ValueError(
+            f"system matrix {a.shape} / noise {q.shape} do not match state dim {d}"
         )
-        return prior.copy()
-
-    gain = np.linalg.solve(cov_hh, cov_xh.T).T
-    mean_post = prior.mean + gain @ (0.0 - mean_h)
-    cov_post = psd_repair(prior.cov - gain @ cov_hh @ gain.T)
-    return GaussianState(mean_post, cov_post)
+    out_means = np.matmul(a, means[..., None])[..., 0]
+    out_covs = symmetrize(a @ covs @ a.T + q)
+    return out_means, out_covs, _finite_rows(out_means) & _finite_rows(out_covs)
 
 
 def kalman_predict(
     state: GaussianState, system_matrix: np.ndarray, process_noise_cov: np.ndarray
 ) -> GaussianState:
-    """Linear time update: mean -> A mean, cov -> A cov A^T + Q."""
-    a = np.asarray(system_matrix, dtype=float)
-    q = np.asarray(process_noise_cov, dtype=float)
-    d = state.dim
-    if a.shape != (d, d) or q.shape != (d, d):
-        raise ValueError(
-            f"system matrix {a.shape} / noise {q.shape} do not match state dim {d}"
-        )
-    return GaussianState(a @ state.mean, symmetrize(a @ state.cov @ a.T + q))
+    """Linear time update: mean -> A mean, cov -> A cov A^T + Q.
+
+    The R = 1 case of `stacked_predict`; a non-finite prediction raises
+    ValueError from the GaussianState it would become.
+    """
+    means, covs, _ = stacked_predict(
+        state.mean[None], state.cov[None], system_matrix, process_noise_cov
+    )
+    return GaussianState(means[0], covs[0])

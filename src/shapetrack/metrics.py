@@ -11,6 +11,12 @@ star-shaped regions with several spans per row come out right. Both
 regions' crossings are swept together in one sorted pass, which counts the
 union and the intersection cells at O(rows + crossings log crossings) per
 call.
+
+Two ellipses have one span per row each, so their counts come from a
+per-row min/max of the quadratic roots instead of the sweep.
+`ellipse_ious` counts many ellipse pairs at once, PAIRS_PER_CALL per
+stacked call, and the ellipse/ellipse case of `shape_iou` is its
+one-pair case.
 """
 
 from __future__ import annotations
@@ -23,10 +29,12 @@ from .ellipse import EllipseParams
 from .starconvex import FourierShapeParams, fourier_basis
 from .targets import GroundTruthTarget
 
-__all__ = ["shape_iou", "shape_polyline", "DEFAULT_RESOLUTION"]
+__all__ = ["shape_iou", "ellipse_ious", "shape_polyline", "DEFAULT_RESOLUTION"]
 
 DEFAULT_RESOLUTION = 1024
 CONTOUR_SAMPLES = 2048
+# Ellipse pairs per stacked count: bounds the (pairs x resolution) row arrays.
+PAIRS_PER_CALL = 16
 
 
 def _group_hull(members: np.ndarray) -> np.ndarray:
@@ -84,6 +92,20 @@ def shape_polyline(shape, n: int = CONTOUR_SAMPLES) -> np.ndarray:
     raise TypeError(f"cannot trace a boundary for {type(shape).__name__}")
 
 
+def _quad_forms(chols: np.ndarray) -> np.ndarray:
+    """L L^T of each Cholesky triple (N, 3), as `EllipseParams.quad_form` computes it."""
+    a, b, c = chols.T
+    low = np.zeros((len(chols), 2, 2))
+    low[:, 0, 0], low[:, 1, 0], low[:, 1, 1] = a, c, b
+    return low @ np.swapaxes(low, -1, -2)
+
+
+def _ellipse_boxes(centers: np.ndarray, quads: np.ndarray):
+    """Bounding boxes (lo, hi), each (N, 2): the extremes of w^T Q w = 1 are sqrt(diag(Q^-1))."""
+    half = np.sqrt(np.diagonal(np.linalg.inv(quads), axis1=-2, axis2=-1))
+    return centers - half, centers + half
+
+
 def _boundary(shape, resolution: int):
     """Bounding box and scoring boundary of one region.
 
@@ -93,11 +115,9 @@ def _boundary(shape, resolution: int):
     since boundary sampling finer than the grid adds nothing, and is
     shared with the box trace otherwise.
     """
-    if isinstance(shape, GroundTruthTarget) and shape.kind == "ellipse":
-        shape = shape.ellipse
     if isinstance(shape, EllipseParams):
-        half = np.sqrt(np.diag(np.linalg.inv(shape.quad_form)))
-        return shape.center - half, shape.center + half, shape
+        lo, hi = _ellipse_boxes(shape.center[None], _quad_forms(shape.chol[None]))
+        return lo[0], hi[0], shape
     pts = shape_polyline(shape)
     # contiguous rows reduce ~10x faster than axis 0 of an (n, 2) array
     xy = pts.T.copy()
@@ -108,33 +128,92 @@ def _boundary(shape, resolution: int):
     return lo, hi, pts
 
 
-def _ellipse_row_cells(ell: EllipseParams, ys, xlo, dx, res):
-    """Per-row filled cell range [i0, i1) from the exact quadratic roots
-    of Q00 u^2 + 2 Q01 u v + Q11 v^2 = 1."""
-    quad = ell.quad_form
-    v = ys - ell.center[1]
-    a = quad[0, 0]
-    b = 2.0 * quad[0, 1] * v
-    c = quad[1, 1] * v * v - 1.0
+def _ellipse_row_cells(centers, quads, ys, xlo, dx, res):
+    """Per ellipse and row, the filled cell range [i0, i1) from the exact
+    quadratic roots of Q00 u^2 + 2 Q01 u v + Q11 v^2 = 1.
+
+    centers (N, 2), quads (N, 2, 2), ys (N, rows), xlo and dx (N,); returns
+    i0, i1 of shape (N, rows), both 0 on rows the ellipse misses.
+    """
+    v = ys - centers[:, 1:2]
+    a = quads[:, 0, 0, None]
+    b = 2.0 * quads[:, 0, 1, None] * v
+    c = quads[:, 1, 1, None] * v * v - 1.0
     disc = b * b - 4.0 * a * c
-    i0 = np.zeros(len(ys), dtype=int)
-    i1 = np.zeros(len(ys), dtype=int)
     rows = disc > 0.0
-    if rows.any():
-        root = np.sqrt(disc[rows])
-        x0 = ell.center[0] + (-b[rows] - root) / (2.0 * a)
-        x1 = ell.center[0] + (-b[rows] + root) / (2.0 * a)
-        # first cell center at or beyond each crossing
-        i0[rows] = np.clip(np.ceil((x0 - xlo) / dx - 0.5).astype(int), 0, res)
-        i1[rows] = np.clip(np.ceil((x1 - xlo) / dx - 0.5).astype(int), 0, res)
-    return i0, i1
+    root = np.sqrt(np.where(rows, disc, 0.0))
+    x0 = centers[:, 0:1] + (-b - root) / (2.0 * a)
+    x1 = centers[:, 0:1] + (-b + root) / (2.0 * a)
+    # first cell center at or beyond each crossing
+    xlo, dx = xlo[:, None], dx[:, None]
+    i0 = np.clip(np.ceil((x0 - xlo) / dx - 0.5).astype(int), 0, res)
+    i1 = np.clip(np.ceil((x1 - xlo) / dx - 0.5).astype(int), 0, res)
+    return np.where(rows, i0, 0), np.where(rows, i1, 0)
+
+
+def _ellipse_pair_counts(centers_a, chols_a, centers_b, chols_b, res):
+    """(intersection, union) cell counts of N ellipse pairs, each on the grid
+    over its own joint bounding box."""
+    quads_a, quads_b = _quad_forms(chols_a), _quad_forms(chols_b)
+    lo_a, hi_a = _ellipse_boxes(centers_a, quads_a)
+    lo_b, hi_b = _ellipse_boxes(centers_b, quads_b)
+    lo = np.minimum(lo_a, lo_b)
+    hi = np.maximum(hi_a, hi_b)
+    span = np.maximum(hi - lo, 1e-12)
+    dx, dy = (span / res).T
+    ys = lo[:, 1:2] + (np.arange(res) + 0.5) * dy[:, None]
+    a0, a1 = _ellipse_row_cells(centers_a, quads_a, ys, lo[:, 0], dx, res)
+    b0, b1 = _ellipse_row_cells(centers_b, quads_b, ys, lo[:, 0], dx, res)
+    inter = np.sum(np.clip(np.minimum(a1, b1) - np.maximum(a0, b0), 0, None), axis=1)
+    union = np.sum(a1 - a0, axis=1) + np.sum(b1 - b0, axis=1) - inter
+    return inter, union
+
+
+def ellipse_ious(centers, chols, truths, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
+    """IoU of N ellipse estimates against N ellipses, pair by pair.
+
+    Each pair is scored exactly as `shape_iou` scores it, and the pairs
+    are counted PAIRS_PER_CALL at a time.
+
+    Args:
+        centers: (N, 2) estimate centers.
+        chols: (N, 3) estimate Cholesky triples with positive diagonals,
+            as `clamp_chols` returns them.
+        truths: N EllipseParams, the second region of each pair.
+        resolution: cells per axis of each pair's grid.
+
+    Returns:
+        (N,) IoUs in [0, 1]; a pair that covers no grid cell scores 0.
+    """
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    chols = np.asarray(chols, dtype=float).reshape(-1, 3)
+    truth_centers = np.array([t.center for t in truths]).reshape(-1, 2)
+    truth_chols = np.array([t.chol for t in truths]).reshape(-1, 3)
+    out = np.zeros(len(centers))
+    for at in range(0, len(out), PAIRS_PER_CALL):
+        part = slice(at, at + PAIRS_PER_CALL)
+        inter, union = _ellipse_pair_counts(
+            centers[part], chols[part], truth_centers[part], truth_chols[part], resolution
+        )
+        out[part] = np.divide(inter, union, out=np.zeros(len(inter)), where=union > 0)
+    return out
 
 
 def _crossing_keys(boundary, ys, xlo, dx, res) -> np.ndarray:
     """Flat keys row * (res + 1) + idx of every boundary crossing, where
     idx in [0, res] is the first cell centre at or beyond the crossing."""
     if isinstance(boundary, EllipseParams):
-        i0, i1 = _ellipse_row_cells(boundary, ys, xlo, dx, res)
+        i0, i1 = _ellipse_row_cells(
+            boundary.center[None],
+            _quad_forms(boundary.chol[None]),
+            ys[None],
+            np.array([xlo]),
+            np.array([dx]),
+            res,
+        )
+        i0, i1 = i0[0], i1[0]
         rows = np.flatnonzero(i1 > i0)
         base = rows * (res + 1)
         return np.concatenate([base + i0[rows], base + i1[rows]])
@@ -186,24 +265,27 @@ def shape_iou(a, b, resolution: int = DEFAULT_RESOLUTION) -> float:
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    lo_a, hi_a, a = _boundary(a, resolution)
-    lo_b, hi_b, b = _boundary(b, resolution)
-    lo = np.minimum(lo_a, lo_b)
-    hi = np.maximum(hi_a, hi_b)
-    span = np.maximum(hi - lo, 1e-12)
-    dx, dy = span / resolution
-    xs0 = lo[0]
-    ys = lo[1] + (np.arange(resolution) + 0.5) * dy
+    a, b = (
+        s.ellipse if isinstance(s, GroundTruthTarget) and s.kind == "ellipse" else s
+        for s in (a, b)
+    )
     if isinstance(a, EllipseParams) and isinstance(b, EllipseParams):
         # one span per row each: a per-row min/max is cheaper than the sweep
-        a0, a1 = _ellipse_row_cells(a, ys, xs0, dx, resolution)
-        b0, b1 = _ellipse_row_cells(b, ys, xs0, dx, resolution)
-        inter = np.sum(np.clip(np.minimum(a1, b1) - np.maximum(a0, b0), 0, None))
-        union = np.sum(a1 - a0) + np.sum(b1 - b0) - inter
+        inter, union = _ellipse_pair_counts(
+            a.center[None], a.chol[None], b.center[None], b.chol[None], resolution
+        )
+        inter, union = inter[0], union[0]
     else:
+        lo_a, hi_a, a = _boundary(a, resolution)
+        lo_b, hi_b, b = _boundary(b, resolution)
+        lo = np.minimum(lo_a, lo_b)
+        hi = np.maximum(hi_a, hi_b)
+        span = np.maximum(hi - lo, 1e-12)
+        dx, dy = span / resolution
+        ys = lo[1] + (np.arange(resolution) + 0.5) * dy
         inter, union = _sweep_counts(
-            _crossing_keys(a, ys, xs0, dx, resolution),
-            _crossing_keys(b, ys, xs0, dx, resolution),
+            _crossing_keys(a, ys, lo[0], dx, resolution),
+            _crossing_keys(b, ys, lo[0], dx, resolution),
         )
     if union == 0:
         raise ValueError("both regions rasterize to zero area")

@@ -2,8 +2,23 @@
 
 A scenario poses a ground-truth target (optionally along a waypoint
 trajectory), feeds noisy point measurements to a tracker, and repeats
-over independent runs whose random streams are spawned from one master
-seed, so reports are reproducible bit for bit regardless of scheduling.
+over independent runs.
+
+All runs advance in lockstep, one time step at a time. Each run owns a
+Philox stream spawned from the master seed, and at every step each live
+run draws from its own stream, in this order: the measurement count, the
+sources, the noise levels, the noise. Then the live runs are predicted
+together and updated together as stacked arrays (`stacked_time_update`,
+`stacked_update`): in batch mode one update per group of runs with the
+same measurement count; in sequential mode one update per measurement
+index j, taken by the runs with more than j measurements. A run's draws
+and arithmetic do not depend on the other runs, so its results are the
+same bit for bit whatever the number of runs.
+
+Divergence is a per-run mask. A run diverges at a step when its update
+fails (a covariance cannot be factorized or repaired), its mean or
+covariance is not finite, or its centre leaves DIVERGENCE_CENTER_BOUND;
+it then leaves the live set, and the others continue untouched.
 """
 
 from __future__ import annotations
@@ -13,16 +28,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipse import clamp_chol
-from .gaussian import ConditioningError, GaussianState
-from .metrics import shape_iou
-from .starconvex import FourierShapeParams
+from .ellipse import EllipseParams, clamp_chol, clamp_chols
+from .gaussian import FAILED, GaussianState
+from .metrics import ellipse_ious, shape_iou
+from .starconvex import DegenerateAngleWarning, FourierShapeParams
 from .targets import (
     GroundTruthTarget,
     psd_root,
     sample_measurement_sources,
 )
-from .tracker import Tracker, TrackerConfig
+from .tracker import TrackerConfig, stacked_time_update, stacked_update
 
 __all__ = [
     "NoiseMixture",
@@ -55,7 +70,9 @@ class NoiseMixture:
             raise ValueError("covariances must have shape (L, 2, 2)")
         if probs.shape != (covs.shape[0],):
             raise ValueError("one probability per covariance level")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if not np.all(np.isfinite(covs)):
+            raise ValueError("noise covariances must be finite")
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError("probabilities must be nonnegative and sum to 1")
         object.__setattr__(self, "covariances", covs)
         object.__setattr__(self, "probabilities", probs)
@@ -215,60 +232,107 @@ def posed_target(config: ScenarioConfig, step: int) -> GroundTruthTarget:
     )
 
 
-def _shape_from_state(config: ScenarioConfig, mean: np.ndarray):
-    """Shape value from a raw state vector (used for run-averaged states)."""
+def _score(config: ScenarioConfig, states, truths, steps, resolution) -> np.ndarray:
+    """IoU of each state's shape against the truth of its step; a pair with
+    an empty union scores 0.
+
+    Ellipse triples are clamped together, and the ellipse/ellipse pairs
+    are counted together.
+    """
+    out = np.zeros(len(states))
     shape_dim = config.tracker.shape_dim
-    if config.tracker.shape_family == "ellipse":
-        shape, _ = clamp_chol(mean[:2], mean[-shape_dim:])
-        return shape
-    return FourierShapeParams(mean[:2], mean[-shape_dim:])
+    if config.tracker.shape_family != "ellipse":
+        for i, k in enumerate(steps):
+            shape = FourierShapeParams(states[i, :2], states[i, -shape_dim:])
+            out[i] = _safe_iou(shape, truths[k], resolution)
+        return out
+    chols, _ = clamp_chols(states[:, -shape_dim:])
+    paired = np.array([truths[k].kind == "ellipse" for k in steps], dtype=bool)
+    if paired.any():
+        out[paired] = ellipse_ious(
+            states[paired, :2], chols[paired], [truths[k].ellipse for k in steps[paired]], resolution
+        )
+    for i in np.flatnonzero(~paired):
+        out[i] = _safe_iou(EllipseParams(states[i, :2], chols[i]), truths[steps[i]], resolution)
+    return out
 
 
 def mean_shape(report: "ScenarioReport", step: int):
     """Shape value of the run-averaged state at one step."""
-    return _shape_from_state(report.config, report.mean_estimates[step])
+    mean, shape_dim = report.mean_estimates[step], report.config.tracker.shape_dim
+    if report.config.tracker.shape_family == "ellipse":
+        return clamp_chol(mean[:2], mean[-shape_dim:])[0]
+    return FourierShapeParams(mean[:2], mean[-shape_dim:])
 
 
-def _run_single(config: ScenarioConfig, truths, rng: np.random.Generator, collect):
-    """One Monte-Carlo run against the posed truths of every step.
+def _draw_measurements(config: ScenarioConfig, truth, rng: np.random.Generator, factors):
+    """One step's measurements of one run, drawn from its stream: count,
+    sources, noise levels, noise."""
+    mix = config.noise_mixture
+    n_k = measurement_count(config.meas_count_model, rng)
+    sources = sample_measurement_sources(truth, n_k, rng)
+    if len(mix.probabilities) == 1:
+        levels = np.zeros(n_k, dtype=int)
+    else:
+        levels = rng.choice(len(mix.probabilities), size=n_k, p=mix.probabilities)
+    noise = rng.standard_normal((n_k, 2))
+    return sources + np.einsum("lij,lj->li", factors[levels], noise)
 
-    Returns (estimates, diverged_at, measurements).
+
+def _filter_runs(config: ScenarioConfig, truths, seeds):
+    """All Monte-Carlo runs in lockstep against the posed truths of every step.
+
+    Returns (estimates (n_runs, n_steps, dim), diverged_at (n_runs,), the
+    measurements of run 0 per step while it is live).
     """
-    n_steps, dim = config.n_steps, config.prior.dim
-    estimates = np.full((n_steps, dim), np.nan)
-    measurements = [] if collect else None
-    tracker = Tracker(config.tracker, config.prior)
+    n_runs, n_steps, dim = config.n_runs, config.n_steps, config.prior.dim
+    tracker = config.tracker
+    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
     told_cov = config.noise_mixture.mean_covariance
-    n_levels = len(config.noise_mixture.probabilities)
     factors = np.stack([psd_root(c) for c in config.noise_mixture.covariances])
-    for k, truth_k in enumerate(truths):
-        n_k = measurement_count(config.meas_count_model, rng)
-        sources = sample_measurement_sources(truth_k, n_k, rng)
-        if n_levels == 1:
-            levels = np.zeros(n_k, dtype=int)
-        else:
-            levels = rng.choice(n_levels, size=n_k, p=config.noise_mixture.probabilities)
-        noise = rng.standard_normal((n_k, 2))
-        ys = sources + np.einsum("lij,lj->li", factors[levels], noise)
-        if measurements is not None:
-            measurements.append(ys.copy())
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                tracker.predict()
-                tracker.update(list(ys), [told_cov] * n_k)
-        except (ConditioningError, np.linalg.LinAlgError, FloatingPointError):
-            return estimates, k, measurements
-        state = tracker.state
-        bad = (
-            not np.isfinite(state.mean).all()
-            or not np.isfinite(state.cov).all()
-            or np.linalg.norm(state.mean[:2]) > DIVERGENCE_CENTER_BOUND
+
+    estimates = np.full((n_runs, n_steps, dim), np.nan)
+    diverged_at = np.full(n_runs, -1, dtype=int)
+    example = []
+    live = np.arange(n_runs)  # runs still tracking, with their moments below
+    means = np.tile(config.prior.mean, (n_runs, 1))
+    covs = np.tile(config.prior.cov, (n_runs, 1, 1))
+    for k, truth in enumerate(truths):
+        if not live.size:
+            break
+        ys = [_draw_measurements(config, truth, rngs[r], factors) for r in live]
+        if live[0] == 0:
+            example.append(ys[0])
+        counts = np.array([len(y) for y in ys])
+        means, covs, predicted = stacked_time_update(
+            means, covs, tracker.dynamics, tracker.shape_dim
         )
-        if bad:
-            return estimates, k, measurements
-        estimates[k] = state.mean
-    return estimates, -1, measurements
+        failed = ~predicted
+        if tracker.batch_mode:
+            parts = [(counts == n, slice(None)) for n in np.unique(counts)]
+        else:
+            parts = [(counts > j, slice(j, j + 1)) for j in range(counts.max())]
+        for takes_part, cols in parts:
+            sel = np.flatnonzero(takes_part & ~failed)
+            if not sel.size:
+                continue
+            part_ys = np.stack([ys[i][cols] for i in sel])
+            noise_covs = np.broadcast_to(told_cov, (part_ys.shape[1], 2, 2))
+            means[sel], covs[sel], status = stacked_update(
+                means[sel], covs[sel], part_ys, noise_covs, tracker
+            )
+            failed[sel] |= status == FAILED
+        centre = np.linalg.norm(means[:, :2], axis=1)
+        bad = (
+            failed
+            | ~np.isfinite(means).all(axis=1)
+            | ~np.isfinite(covs).all(axis=(1, 2))
+            | (centre > DIVERGENCE_CENTER_BOUND)
+        )
+        diverged_at[live[bad]] = k
+        live, means, covs = live[~bad], means[~bad], covs[~bad]
+        estimates[live, k] = means
+    return estimates, diverged_at, example
 
 
 def run_scenario(
@@ -278,37 +342,29 @@ def run_scenario(
 ) -> ScenarioReport:
     """Execute all Monte-Carlo runs and assemble the averaged report.
 
-    Per-run random streams are spawned from the master seed, so the
-    report is identical for identical configs no matter how runs would
-    be scheduled. A run whose tracker diverges (non-finite state or a
-    conditioning failure) is cut short, keeps NaN rows from that step
-    on, and is excluded from the averaged columns.
+    The runs advance in lockstep (see the module docstring); per-run
+    random streams are spawned from the master seed, so the report is
+    identical for identical configs, and run r's results do not depend
+    on n_runs. A run whose tracker diverges (non-finite state, a centre
+    beyond DIVERGENCE_CENTER_BOUND, or a conditioning failure) is cut
+    short, keeps NaN rows from that step on, and is excluded from the
+    averaged columns.
     """
     seeds = np.random.SeedSequence(config.rng_seed).spawn(config.n_runs)
     n_runs, n_steps, dim = config.n_runs, config.n_steps, config.prior.dim
 
     truths = [posed_target(config, k) for k in range(n_steps)]
-    estimates = np.full((n_runs, n_steps, dim), np.nan)
-    diverged_at = np.full(n_runs, -1, dtype=int)
-    example = None
-    for r in range(n_runs):
-        rng = np.random.Generator(np.random.Philox(seeds[r]))
-        est, died, meas = _run_single(config, truths, rng, collect=(r == 0))
-        estimates[r] = est
-        diverged_at[r] = died
-        if r == 0:
-            example = meas
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        # a measurement on the centre estimate gets angle 0, as the warning says
+        warnings.simplefilter("ignore", DegenerateAngleWarning)
+        estimates, diverged_at, example = _filter_runs(config, truths, seeds)
 
     run_iou = np.full((n_runs, n_steps), np.nan)
     run_center_error = np.full((n_runs, n_steps), np.nan)
-    for r in range(n_runs):
-        last = n_steps if diverged_at[r] < 0 else diverged_at[r]
-        for k in range(last):
-            shape = _shape_from_state(config, estimates[r, k])
-            run_iou[r, k] = _safe_iou(shape, truths[k], run_iou_resolution)
-            run_center_error[r, k] = np.linalg.norm(
-                estimates[r, k, :2] - truths[k].anchor
-            )
+    runs, steps = np.nonzero(np.isfinite(estimates[:, :, 0]))
+    for r, k in zip(runs, steps):
+        run_center_error[r, k] = np.linalg.norm(estimates[r, k, :2] - truths[k].anchor)
+    run_iou[runs, steps] = _score(config, estimates[runs, steps], truths, steps, run_iou_resolution)
 
     completed = diverged_at < 0
     mean_estimates = np.full((n_steps, dim), np.nan)
@@ -318,9 +374,7 @@ def run_scenario(
         mean_estimates = estimates[completed].mean(axis=0)
         errs = run_center_error[completed]
         center_rmse = np.sqrt(np.mean(errs * errs, axis=0))
-        for k in range(n_steps):
-            shape = _shape_from_state(config, mean_estimates[k])
-            mean_iou[k] = _safe_iou(shape, truths[k], mean_iou_resolution)
+        mean_iou = _score(config, mean_estimates, truths, np.arange(n_steps), mean_iou_resolution)
 
     return ScenarioReport(
         config=config,
@@ -332,5 +386,5 @@ def run_scenario(
         mean_estimates=mean_estimates,
         mean_iou=mean_iou,
         center_rmse=center_rmse,
-        example_measurements=example or [],
+        example_measurements=example,
     )

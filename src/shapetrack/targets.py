@@ -172,6 +172,24 @@ class GroundTruthTarget:
         anchor.flags.writeable = False  # one array shared by every caller
         return anchor
 
+    @cached_property
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Axis-aligned box (lo, hi) around the extent, or around the members.
+
+        Computed once per target, like `anchor`; both arrays are read-only
+        because they are shared.
+        """
+        if self.kind == "ellipse":
+            # extremes of {w^T Q w = 1} along the axes: sqrt of diag(Q^{-1})
+            half = np.sqrt(np.diag(np.linalg.inv(self.ellipse.quad_form)))
+            lo, hi = self.ellipse.center - half, self.ellipse.center + half
+        else:
+            pts = self.vertices if self.kind == "polygon" else self.members
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+        lo.flags.writeable = False
+        hi.flags.writeable = False
+        return lo, hi
+
     def transformed(self, rotation: float = 0.0, translation=(0.0, 0.0)) -> "GroundTruthTarget":
         """Rigidly move the target: rotate about its anchor, then translate."""
         rot = np.array(
@@ -241,17 +259,6 @@ def radial_fraction(target: GroundTruthTarget, points) -> np.ndarray:
     return rho / boundary_radius(target, phi)
 
 
-def _bounding_box(target: GroundTruthTarget) -> tuple[np.ndarray, np.ndarray]:
-    if target.kind == "ellipse":
-        # extremes of {w^T Q w = 1} along the axes: sqrt of diag(Q^{-1})
-        quad = target.ellipse.quad_form
-        inv = np.linalg.inv(quad)
-        half = np.sqrt(np.diag(inv))
-        return target.ellipse.center - half, target.ellipse.center + half
-    pts = target.vertices if target.kind == "polygon" else target.members
-    return pts.min(axis=0), pts.max(axis=0)
-
-
 def sample_measurement_sources(
     target: GroundTruthTarget, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -266,7 +273,7 @@ def sample_measurement_sources(
     if target.kind == "point_group":
         return target.members[rng.integers(target.members.shape[0], size=n)].copy()
 
-    lo, hi = _bounding_box(target)
+    lo, hi = target.bounding_box
     out = np.empty((n, 2))
     filled = 0
     attempts = 0

@@ -8,11 +8,14 @@ variable; conditioning on pseudo-measurement = 0 with a Gaussian
 statistical linearization gives the measurement update. Both the elliptic
 (Cholesky triple) and star-convex (Fourier radius) families are handled.
 
-Every update runs one kernel, `batch_update`: one source-estimate pass
-over the step's k measurements (one closest-point call on the clamped
-prior-mean ellipse, or one angle per measurement), then one stacked
-pseudo-measurement evaluation of all k columns per sigma-point set. A
-sequential update is the case k = 1.
+Every update runs one kernel, `stacked_update`, over a leading run axis:
+R states, each conditioned on its own k measurements. Per run it makes
+one source-estimate pass over the k measurements (one closest-point call
+on the clamped prior-mean ellipse, or one angle per measurement); then
+one pseudo-measurement evaluation covers all runs, sigma points and k
+columns, and `gaussian.stacked_sl_update` conditions all runs at once.
+Failures come back as a per-run status. `batch_update`,
+`measurement_update` (k = 1) and `Tracker.update` are its R = 1 cases.
 
 State layout is fixed as [center(2); velocity(2, only with the
 constant-velocity dynamics); shape parameters].
@@ -20,19 +23,22 @@ constant-velocity dynamics); shape parameters].
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipse import EllipseParams, clamp_chol, ellipse_closest_point
+from .ellipse import EllipseParams, clamp_chol, clamp_chols, ellipse_closest_point
 from .gaussian import (
     DEFAULT_SPREAD,
-    DegenerateInnovationWarning,
+    DEGENERATE,
+    FAILED,
+    ConditioningError,
     GaussianState,
     UnscentedSpread,
     kalman_predict,
-    statistical_linearization_update,
+    single_posterior,
+    stacked_predict,
+    stacked_sl_update,
 )
 from .starconvex import FourierShapeParams, angle_point_estimate, fourier_basis
 
@@ -46,7 +52,9 @@ __all__ = [
     "sc_pseudo_measurement",
     "measurement_update",
     "batch_update",
+    "stacked_update",
     "time_update",
+    "stacked_time_update",
 ]
 
 TRACE_FLOOR = 1e-12
@@ -104,10 +112,10 @@ class DynamicsSpec:
     def __post_init__(self):
         if self.model not in ("static_random_walk", "constant_velocity_plus_random_walk"):
             raise ValueError(f"unknown dynamics model {self.model!r}")
-        if not self.step > 0:
-            raise ValueError("time step must be positive")
-        if self.q1 < 0 or self.q2 < 0:
-            raise ValueError("noise intensities must be non-negative")
+        if not (0 < self.step < np.inf):
+            raise ValueError("time step must be positive and finite")
+        if not (0 <= self.q1 < np.inf and 0 <= self.q2 < np.inf):
+            raise ValueError("noise intensities must be non-negative and finite")
 
     @property
     def has_velocity(self) -> bool:
@@ -172,11 +180,12 @@ def ellipse_pseudo_measurement(
 
     Args:
         state: augmented vector(s) [x; v_1; u_1; ...; v_k; u_k] of shape
-            (d,) or (n, d); each measurement l owns a noise block of its
-            noise v_l (2) and squared scaling factor u_l (1); the state part
-            x ends with the Cholesky triple (a, b, c) and starts with the
-            center.
-        measurement: observed 2-vector y, or k of them as (k, 2).
+            (d,), (n, d), or (R, n, d) for R runs; each measurement l owns
+            a noise block of its noise v_l (2) and squared scaling factor
+            u_l (1); the state part x ends with the Cholesky triple
+            (a, b, c) and starts with the center.
+        measurement: observed 2-vector y, k of them as (k, 2), or (R, k, 2)
+            with a run axis (then `state` has one too).
         source_offset: fixed estimate(s) of (source - center), shaped like
             `measurement`, taken from the closest point on the prior-mean
             ellipse to each y.
@@ -185,13 +194,18 @@ def ellipse_pseudo_measurement(
 
     Returns:
         Scalar for a single vector and measurement, else one value per
-        state vector, with a trailing axis of k for (k, 2) measurements.
+        state vector, with a trailing axis of k for (k, 2) measurements
+        and a leading run axis for (R, n, d) states. Every entry is
+        computed exactly as a single-vector, single-measurement call
+        computes it.
     """
     x, y, noise = _stacked(state, measurement)
-    r0, r1 = np.asarray(source_offset, dtype=float).reshape(y.shape).T
-    v0, v1, u = np.ascontiguousarray(noise.transpose(2, 0, 1))  # each (n, k)
-    w0, w1 = y.T[:, None, :] - x[:, :2].T[:, :, None]  # y - m, each (n, k)
-    a, b, c = np.ascontiguousarray(x[:, -3:].T)[:, :, None]  # each (n, 1)
+    r0, r1 = np.moveaxis(np.asarray(source_offset, dtype=float).reshape(y.shape), -1, 0)
+    r0, r1 = r0[:, None, :], r1[:, None, :]  # each (R, 1, k)
+    v0, v1, u = np.ascontiguousarray(np.moveaxis(noise, -1, 0))  # each (R, n, k)
+    # y - m, each (R, n, k)
+    w0, w1 = np.moveaxis(y, -1, 0)[:, :, None, :] - np.moveaxis(x[..., :2], -1, 0)[..., None]
+    a, b, c = np.ascontiguousarray(np.moveaxis(x[..., -3:], -1, 0))[..., None]  # (R, n, 1)
 
     # L L^T entries for L = [[a, 0], [c, b]]
     q11 = a * a
@@ -212,52 +226,130 @@ def sc_pseudo_measurement(state, measurement, phi_hat, n_coeffs: int):
     """Star-convex pseudo-measurement with the source angle frozen at phi_hat.
 
     Args:
-        state: augmented vector(s) [x; v_1; s_1; ...; v_k; s_k], shape (d,)
-            or (n, d); the state part x ends with the n_coeffs Fourier
-            coefficients, and measurement l owns the noise block (v_l, s_l).
-        measurement: observed 2-vector y, or k of them as (k, 2).
+        state: augmented vector(s) [x; v_1; s_1; ...; v_k; s_k], shape
+            (d,), (n, d), or (R, n, d) for R runs; the state part x ends
+            with the n_coeffs Fourier coefficients, and measurement l owns
+            the noise block (v_l, s_l).
+        measurement: observed 2-vector y, k of them as (k, 2), or (R, k, 2)
+            with a run axis (then `state` has one too).
         phi_hat: point estimate of the source angle (from the prior
-            center), one per measurement.
+            center), one per measurement, shaped like `measurement`
+            without its last axis.
         n_coeffs: length of the coefficient block.
 
     Returns:
         s^2 r^2 + 2 s r e(phi)^T v + |v|^2 - |y - m|^2 per vector, with a
-        trailing axis of k for (k, 2) measurements.
+        trailing axis of k for (k, 2) measurements and a leading run axis
+        for (R, n, d) states.
     """
     x, y, noise = _stacked(state, measurement)
-    phi = np.asarray(phi_hat, dtype=float).reshape(len(y))
+    phi = np.asarray(phi_hat, dtype=float).reshape(y.shape[:2])
     s, v = noise[..., 2], noise[..., :2]
-    m = x[:, None, :2]
-    coeffs = x[:, -n_coeffs:]
+    coeffs = x[..., -n_coeffs:]
 
-    # One matrix-vector product per measurement, (k, n, 1) -> (n, k), so each
-    # column is computed exactly as a single-measurement call computes it.
-    r = np.matmul(coeffs, fourier_basis(phi, n_coeffs)[:, :, None])[..., 0].T
+    # One matrix-vector product per run and measurement, (R, k, n, 1) ->
+    # (R, n, k), so each column is computed exactly as a single-measurement
+    # call computes it.
+    basis = fourier_basis(phi, n_coeffs)[..., None]
+    r = np.swapaxes(np.matmul(coeffs[:, None], basis)[..., 0], -1, -2)
     e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    ve = np.matmul(v.swapaxes(0, 1), e[:, :, None])[..., 0].T
-    w = y - m
+    ve = np.swapaxes(np.matmul(v.swapaxes(1, 2), e[..., None])[..., 0], -1, -2)
+    w = y[:, None] - x[:, :, None, :2]
     vals = (s * r) ** 2 + 2.0 * s * r * ve + np.sum(v * v, axis=-1) - np.sum(w * w, axis=-1)
     return _unstacked(vals, state, measurement)
 
 
 def _stacked(state, measurement):
-    """Views (state part x (n, d), y (k, 2), noise blocks (n, k, 3)) of augmented vectors."""
-    aug = np.atleast_2d(np.asarray(state, dtype=float))
+    """Views (state part x (R, n, d), y (R, k, 2), noise blocks (R, n, k, 3))
+    of augmented vectors; missing run, row and measurement axes get length 1."""
+    aug = np.asarray(state, dtype=float)
+    aug = aug.reshape((1,) * (3 - aug.ndim) + aug.shape)
     y = np.asarray(measurement, dtype=float)
-    y = y.reshape(len(y) if y.ndim == 2 else 1, 2)
-    split = aug.shape[1] - 3 * len(y)
-    return aug[:, :split], y, aug[:, split:].reshape(len(aug), len(y), 3)
+    y = y.reshape((1,) * (3 - y.ndim) + y.shape)
+    n_runs, n, width = aug.shape
+    split = width - 3 * y.shape[1]
+    return aug[..., :split], y, aug[..., split:].reshape(n_runs, n, y.shape[1], 3)
 
 
 def _unstacked(vals, state, measurement):
-    """Drop the measurement axis for a single 2-vector and the row axis for a single state."""
+    """Drop the measurement axis for a single 2-vector, and the run and row
+    axes the state did not have."""
     if np.ndim(measurement) == 1:
-        vals = vals[:, 0]
-    return vals[0] if np.ndim(state) == 1 else vals
+        vals = vals[..., 0]
+    return vals[(0,) * (3 - np.ndim(state))]
 
 
 # ---------------------------------------------------------------------------
 # Updates
+
+
+def _noise_block(noise_covs: np.ndarray, scaling: ScalingModel):
+    """Mean and covariance of [v_1; scaling_1; ...; v_k; scaling_k]."""
+    k = len(noise_covs)
+    cov = np.zeros((3 * k, 3 * k))
+    for l, r in enumerate(noise_covs):
+        cov[3 * l : 3 * l + 2, 3 * l : 3 * l + 2] = r
+        cov[3 * l + 2, 3 * l + 2] = scaling.variance
+    return np.tile([0.0, 0.0, scaling.mean], k), cov
+
+
+def stacked_update(means, covs, measurements, noise_covs, config: TrackerConfig):
+    """Condition R states, each on its own k measurements, in one stacked update.
+
+    Each run's augmented density [prior_r; v_1; scaling_1; ...; v_k;
+    scaling_k] carries an independent noise block per measurement. The
+    source estimates (closest boundary points or angles) are computed per
+    run from its prior mean and held fixed; the family's
+    pseudo-measurement is evaluated for all runs and all k at once and
+    linearized statistically against the target 0
+    (`gaussian.stacked_sl_update`).
+
+    Args:
+        means: (R, d) prior means, finite.
+        covs: (R, d, d) symmetric prior covariances, finite.
+        measurements: (R, k, 2), run r's k measurements.
+        noise_covs: (k, 2, 2) measurement noise covariances, shared by all
+            runs.
+        config: tracker configuration; d must match its state layout.
+
+    Returns:
+        (means, covs, status) as `gaussian.stacked_sl_update` returns them:
+        a run with a degenerate innovation (`DEGENERATE`) or a failed
+        update (`FAILED`) keeps its prior moments.
+    """
+    config.check_layout(means.shape[1])
+    noise_mean, noise_cov = _noise_block(noise_covs, config.scaling)
+    centers = means[:, :2]
+    if config.shape_family == "ellipse":
+        chols, _ = clamp_chols(means[:, -3:])
+        offsets = np.full(measurements.shape, np.nan)
+        for r, (c, t, ys) in enumerate(zip(centers, chols, measurements)):
+            try:
+                offsets[r] = ellipse_closest_point(EllipseParams(c, t), ys) - c
+            except OverflowError:
+                pass  # NaN offsets make the run's pseudo-measurements NaN: FAILED
+
+        def h(points):
+            return ellipse_pseudo_measurement(
+                points, measurements, offsets, config.trace_normalize
+            )
+
+    else:
+        phis = [[angle_point_estimate(y, c) for y in ys] for c, ys in zip(centers, measurements)]
+
+        def h(points):
+            return sc_pseudo_measurement(points, measurements, phis, config.shape_dim)
+
+    return stacked_sl_update(means, covs, h, noise_mean, noise_cov, config.unscented)
+
+
+def _measurement_arrays(measurements, noise_covs):
+    """Measurements as (k, 2) and their noise covariances as (k, 2, 2)."""
+    ys = np.array([np.asarray(y, dtype=float).reshape(2) for y in measurements])
+    covs = np.array([np.asarray(r, dtype=float).reshape(2, 2) for r in noise_covs])
+    if len(covs) != len(ys):
+        raise ValueError("one noise covariance per measurement required")
+    return ys.reshape(-1, 2), covs.reshape(-1, 2, 2)
 
 
 def measurement_update(
@@ -272,49 +364,59 @@ def batch_update(
 ) -> GaussianState:
     """Condition the state on k measurements in one stacked update.
 
-    The augmented density [prior; v_1; scaling_1; ...; v_k; scaling_k]
-    carries an independent noise block per measurement. The source
-    estimates (closest boundary points or angles) are computed in one pass
-    from the prior mean and held fixed; the family's pseudo-measurement is
-    evaluated for all k at once and linearized statistically against the
-    target 0.
+    The R = 1 case of `stacked_update`. Returns the posterior; on a
+    degenerate innovation the prior is returned unchanged and a
+    DegenerateInnovationWarning is emitted.
 
-    Returns the posterior; on a degenerate innovation the prior is
-    returned unchanged (a DegenerateInnovationWarning is emitted by the
-    underlying update).
+    Raises:
+        ValueError: no measurements, malformed ones, or a noise covariance
+            count that does not match.
+        ConditioningError: the update failed (see `stacked_update`).
     """
-    config.check_layout(prior.dim)
-    ys = np.array([np.asarray(y, dtype=float).reshape(2) for y in measurements])
+    ys, covs = _measurement_arrays(measurements, noise_covs)
     if len(ys) == 0:
         raise ValueError("batch_update needs at least one measurement")
-    covs = [np.asarray(r, dtype=float).reshape(2, 2) for r in noise_covs]
-    if len(covs) != len(ys):
-        raise ValueError("one noise covariance per measurement required")
-
-    k = len(ys)
-    noise_cov = np.zeros((3 * k, 3 * k))
-    for l, r in enumerate(covs):
-        noise_cov[3 * l : 3 * l + 2, 3 * l : 3 * l + 2] = r
-        noise_cov[3 * l + 2, 3 * l + 2] = config.scaling.variance
-    noise_aug = GaussianState(np.tile([0.0, 0.0, config.scaling.mean], k), noise_cov)
-
-    center = prior.mean[:2]
-    if config.shape_family == "ellipse":
-        ell, _ = clamp_chol(center, prior.mean[-3:])
-        offsets = ellipse_closest_point(ell, ys) - center
-
-        def h(points, _y):
-            return ellipse_pseudo_measurement(points, ys, offsets, config.trace_normalize)
-
-    else:
-        phis = [angle_point_estimate(y, center) for y in ys]
-
-        def h(points, _y):
-            return sc_pseudo_measurement(points, ys, phis, config.shape_dim)
-
-    return statistical_linearization_update(
-        prior, h, noise_aug, measurement=None, spread=config.unscented
+    means, cov, status = stacked_update(
+        prior.mean[None], prior.cov[None], ys[None], covs, config
     )
+    return single_posterior(prior, means, cov, status)
+
+
+def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
+    """System matrix A and process noise Q of one step (see `time_update`)."""
+    if not dyn.has_velocity:
+        if dim != 2 + shape_dim:
+            raise ValueError(
+                f"static layout [center(2); shape({shape_dim})] expects dimension "
+                f"{2 + shape_dim}, got {dim}"
+            )
+        return np.eye(dim), dyn.q1 * np.eye(dim)
+
+    if dim != 4 + shape_dim:
+        raise ValueError(
+            f"constant-velocity layout [center(2); velocity(2); shape({shape_dim})] "
+            f"expects dimension {4 + shape_dim}, got {dim}"
+        )
+    t = dyn.step
+    eye2 = np.eye(2)
+    a = np.eye(dim)
+    a[:2, 2:4] = t * eye2
+    q = np.zeros((dim, dim))
+    q[:2, :2] = dyn.q2 * t**3 / 3.0 * eye2
+    q[:2, 2:4] = dyn.q2 * t**2 / 2.0 * eye2
+    q[2:4, :2] = dyn.q2 * t**2 / 2.0 * eye2
+    q[2:4, 2:4] = dyn.q2 * t * eye2
+    q[4:, 4:] = dyn.q1 * np.eye(shape_dim)
+    return a, q
+
+
+def stacked_time_update(means, covs, dyn: DynamicsSpec, shape_dim: int):
+    """Predict R states forward one step (see `time_update`).
+
+    Returns (means, covs, ok) as `gaussian.stacked_predict` returns them;
+    ok is False where the prediction is not finite.
+    """
+    return stacked_predict(means, covs, *_transition(dyn, means.shape[1], shape_dim))
 
 
 def time_update(state: GaussianState, dyn: DynamicsSpec, shape_dim: int) -> GaussianState:
@@ -323,32 +425,10 @@ def time_update(state: GaussianState, dyn: DynamicsSpec, shape_dim: int) -> Gaus
     Static mode applies a pure random walk (A = I, Q = q1 I) to the
     [center; shape] state. Constant-velocity mode applies the standard CV
     block to [center; velocity] with white-acceleration noise of intensity
-    q2, and a q1 random walk to the shape block.
+    q2, and a q1 random walk to the shape block. The R = 1 case of
+    `stacked_time_update`.
     """
-    if not dyn.has_velocity:
-        if state.dim != 2 + shape_dim:
-            raise ValueError(
-                f"static layout [center(2); shape({shape_dim})] expects dimension "
-                f"{2 + shape_dim}, got {state.dim}"
-            )
-        return kalman_predict(state, np.eye(state.dim), dyn.q1 * np.eye(state.dim))
-
-    if state.dim != 4 + shape_dim:
-        raise ValueError(
-            f"constant-velocity layout [center(2); velocity(2); shape({shape_dim})] "
-            f"expects dimension {4 + shape_dim}, got {state.dim}"
-        )
-    t = dyn.step
-    eye2 = np.eye(2)
-    a = np.eye(state.dim)
-    a[:2, 2:4] = t * eye2
-    q = np.zeros((state.dim, state.dim))
-    q[:2, :2] = dyn.q2 * t**3 / 3.0 * eye2
-    q[:2, 2:4] = dyn.q2 * t**2 / 2.0 * eye2
-    q[2:4, :2] = dyn.q2 * t**2 / 2.0 * eye2
-    q[2:4, 2:4] = dyn.q2 * t * eye2
-    q[4:, 4:] = dyn.q1 * np.eye(shape_dim)
-    return kalman_predict(state, a, q)
+    return kalman_predict(state, *_transition(dyn, state.dim, shape_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +454,31 @@ class Tracker:
         self.state = time_update(self.state, self.config.dynamics, self.config.shape_dim)
 
     def update(self, measurements, noise_covs) -> None:
-        """Apply one step's measurements (batch or sequential per config)."""
+        """Apply one step's measurements (batch or sequential per config).
+
+        The R = 1 case of `stacked_update`: one update over all
+        measurements in batch mode, else one per measurement in order. A
+        degenerate update keeps the state and is counted.
+
+        Raises:
+            ConditioningError: an update failed; the state is left as it
+                was before the call.
+        """
         measurements = list(measurements)
-        noise_covs = list(noise_covs)
         if not measurements:
             return
+        ys, covs = _measurement_arrays(measurements, noise_covs)
         if self.config.shape_family == "ellipse":
             _, clamped = clamp_chol(self.state.mean[:2], self.state.mean[-3:])
             self.clamp_repairs += int(clamped)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            if self.config.batch_mode:
-                self.state = batch_update(
-                    self.state, measurements, noise_covs, self.config
-                )
-            else:
-                for y, r in zip(measurements, noise_covs):
-                    self.state = measurement_update(self.state, y, r, self.config)
-        self.degenerate_updates += sum(
-            issubclass(w.category, DegenerateInnovationWarning) for w in caught
-        )
+        parts = [slice(None)] if self.config.batch_mode else [slice(j, j + 1) for j in range(len(ys))]
+        means, cov = self.state.mean[None], self.state.cov[None]
+        for part in parts:
+            means, cov, status = stacked_update(means, cov, ys[None, part], covs[part], self.config)
+            if status[0] == FAILED:
+                raise ConditioningError("update failed; state left unchanged")
+            self.degenerate_updates += int(status[0] == DEGENERATE)
+        self.state = GaussianState(means[0], cov[0])
 
     @property
     def center(self) -> np.ndarray:

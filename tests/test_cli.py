@@ -144,6 +144,22 @@ def test_validation_error_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    ["noise.std=inf", "noise.std=nan", "noise.std=1e160", "dynamics.q1=nan", "dynamics.q1=inf"],
+)
+def test_non_finite_values_exit_3_without_outputs(tmp_path, capsys, override):
+    # these passed validation and then crashed the run with a traceback
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(
+            "run", "stationary_ellipse_low.cfg", "--out", str(out), "--set", override, *REDUCED
+        )
+    assert code == 3
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_collinear_group_exits_3_without_outputs(tmp_path, capsys):
     # a group with no hull area cannot be scored; it used to pass validation,
     # score every step 0 and crash while plotting after writing the CSVs
@@ -165,6 +181,18 @@ def test_all_diverged_exits_4_without_outputs(tmp_path, capsys):
         "--set", "prior.mean=2000000 0 1.6 1.6 0.6",
         "--set", "prior.cov_diag=0.1 0.1 0.1 0.1 0.1",
         "--set", "runs.n_steps=3", "--set", "runs.n_runs=2",
+    )
+    assert code == 4
+    assert "diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_runs_exit_4_without_outputs(tmp_path, capsys):
+    # q1 = 1e308 is finite, but the covariance overflows: every run diverges
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "stationary_ellipse_low.cfg", "--out", str(out),
+        "--set", "dynamics.q1=1e308", *REDUCED,
     )
     assert code == 4
     assert "diverged" in capsys.readouterr().err

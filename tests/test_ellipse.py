@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from shapetrack.ellipse import (
     EllipseParams,
     clamp_chol,
+    clamp_chols,
     ellipse_boundary_point,
     ellipse_closest_point,
     ellipse_implicit,
@@ -73,6 +74,17 @@ def test_clamp_chol_canonicalizes_signs_exactly():
         a, b, c = chol
         direct = np.array([[a * a, a * c], [a * c, b * b + c * c]])
         assert_allclose(p.quad_form, direct, rtol=1e-15, atol=0.0)
+
+
+def test_clamp_chols_rows_equal_clamp_chol():
+    rng = np.random.default_rng(61)
+    chols = rng.uniform(-2.0, 2.0, size=(40, 3))
+    chols[::7, 1] = 1e-9
+    chols[::11, 0] = -0.0
+    clamped, repaired = clamp_chols(chols)
+    for row, flag, chol in zip(clamped, repaired, chols):
+        p, one = clamp_chol([0.0, 0.0], chol)
+        assert np.array_equal(row, p.chol) and flag == one
 
 
 def test_clamp_chol_floors_degenerate_diagonal():

@@ -14,6 +14,8 @@ from shapetrack.gaussian import (
     joint_state,
     kalman_predict,
     psd_repair,
+    stacked_psd_repair,
+    stacked_sl_update,
     statistical_linearization_update,
 )
 
@@ -202,6 +204,36 @@ def test_update_emits_valid_covariance():
     post = statistical_linearization_update(prior, h, noise)
     assert_allclose(post.cov, post.cov.T, atol=0)
     assert np.linalg.eigvalsh(post.cov)[0] >= -1e-9
+
+
+def test_stacked_update_rows_equal_lone_updates():
+    rng = np.random.default_rng(78)
+    d, n_runs = 4, 5
+    means = rng.normal(size=(n_runs, d))
+    covs = np.stack([random_spd(rng, d) for _ in range(n_runs)])
+    noise = GaussianState([0.0, 0.0], np.diag([0.1, 0.2]))
+
+    def h(pts):  # per run, two quadratic pseudo-measurements
+        return np.stack([pts[..., 0] * pts[..., 1] + pts[..., 4], pts[..., 2] ** 2 - pts[..., 5]], -1)
+
+    got_means, got_covs, status = stacked_sl_update(means, covs, h, noise.mean, noise.cov)
+    assert not status.any()
+    for r in range(n_runs):
+        alone = statistical_linearization_update(
+            GaussianState(means[r], covs[r]), lambda pts, y: h(pts), noise
+        )
+        assert np.array_equal(got_means[r], alone.mean)
+        assert np.array_equal(got_covs[r], alone.cov)
+
+
+def test_stacked_psd_repair_flags_rows():
+    covs = np.stack([np.eye(2), [[1.0, 0.0], [0.0, -0.5]], [[np.nan, 0.0], [0.0, 1.0]]])
+    repaired, ok = stacked_psd_repair(covs)
+    assert ok.tolist() == [True, True, False]
+    for r in range(2):
+        assert np.array_equal(repaired[r], psd_repair(covs[r]))
+    with pytest.raises(ConditioningError):
+        psd_repair(covs[2])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from shapetrack import metrics
 from shapetrack.ellipse import EllipseParams, from_semi_axes
-from shapetrack.metrics import CONTOUR_SAMPLES, shape_iou, shape_polyline
+from shapetrack.ellipse import clamp_chol, clamp_chols
+from shapetrack.metrics import CONTOUR_SAMPLES, ellipse_ious, shape_iou, shape_polyline
 from shapetrack.starconvex import FourierShapeParams
 from shapetrack.targets import (
     GroundTruthTarget,
@@ -274,6 +275,36 @@ def test_zero_union_still_raises():
         shape_iou(speck, dot, resolution=17)
     with pytest.raises(ValueError, match="zero area"):
         dense_iou(speck, dot, 17)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 16, 17])
+@pytest.mark.parametrize("res", [17, 256])
+def test_stacked_ellipse_ious_equal_shape_iou(n_pairs, res):
+    rng = np.random.default_rng(700 + n_pairs + res)
+    centers = rng.uniform(-1.0, 1.0, size=(n_pairs, 2))
+    # raw filter triples: mirrored signs and collapsed diagonals get clamped
+    chols = rng.uniform(-2.0, 2.0, size=(n_pairs, 3))
+    chols[::5, 0] = 1e-9
+    truths = [
+        from_semi_axes(rng.uniform(-1.0, 1.0, 2), rng.uniform(0.3, 2.0, 2), rng.uniform(0, np.pi))
+        for _ in range(n_pairs)
+    ]
+    # one pair in the middle: two specks in opposite corners of their box cover no cell
+    z = n_pairs // 2
+    centers[z] = [0.0, 0.0]
+    chols[z] = [1e4, 1e4, 0.0]
+    truths[z] = circle_params(1e-4, (5.0, 5.0))
+    got = ellipse_ious(centers, clamp_chols(chols)[0], truths, resolution=res)
+    assert got.shape == (n_pairs,)
+    for i in range(n_pairs):
+        est, _ = clamp_chol(centers[i], chols[i])
+        if i == z:
+            with pytest.raises(ValueError, match="zero area"):
+                shape_iou(est, truths[i], resolution=res)
+            assert got[i] == 0.0
+        else:
+            assert got[i] == shape_iou(est, truths[i], resolution=res)
+            assert got[i] == shape_iou(est, ellipse_target(truths[i]), resolution=res)
 
 
 def test_cached_trace_arrays_are_read_only():

@@ -1,19 +1,30 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from shapetrack import gaussian
 from shapetrack.ellipse import from_semi_axes
-from shapetrack.gaussian import GaussianState
+from shapetrack.gaussian import ConditioningError, GaussianState
 from shapetrack.simulate import (
+    DIVERGENCE_CENTER_BOUND,
     MeasurementCountModel,
     NoiseMixture,
     ScenarioConfig,
     Trajectory,
     measurement_count,
+    posed_target,
     run_scenario,
 )
-from shapetrack.targets import ellipse_target, group_target
-from shapetrack.tracker import DynamicsSpec, TrackerConfig
+from shapetrack.targets import (
+    ellipse_target,
+    group_target,
+    psd_root,
+    sample_measurement_sources,
+)
+from shapetrack.tracker import DynamicsSpec, ScalingModel, Tracker, TrackerConfig
 
 STATIC = DynamicsSpec("static_random_walk", q1=0.001)
 
@@ -57,6 +68,16 @@ def test_mixture_rejects_bad_probabilities():
         NoiseMixture.isotropic([0.2, 0.4], [0.8, 0.1])
     with pytest.raises(ValueError):
         NoiseMixture.isotropic([0.2, 0.4], [1.2, -0.2])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_mixture_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        NoiseMixture.single(np.diag([bad, 1.0]))
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
+        NoiseMixture.isotropic([1e160])  # the variance overflows
+    with pytest.raises(ValueError):
+        NoiseMixture.isotropic([0.2, 0.4], [bad, 0.5])
 
 
 def test_mixture_rejects_bad_shapes():
@@ -296,3 +317,183 @@ def test_heading_rotation_can_be_disabled():
     unrotated = np.array([[2.0, 0.0], [0.0, 0.0]])
     for y in report.example_measurements[1]:
         assert min(np.linalg.norm(y - unrotated, axis=1)) < 1e-9
+
+
+@pytest.mark.parametrize("prior_var", [0.5, 1e307], ids=["in_update", "in_predict"])
+def test_overflowing_runs_diverge_instead_of_raising(prior_var):
+    # q1 = 1e308 passes validation, but the covariance overflows within the
+    # first steps; each run must be marked diverged, not crash the scenario
+    tracker = TrackerConfig(shape_family="ellipse", dynamics=DynamicsSpec(q1=1e308))
+    prior = GaussianState(np.array([0.5, 0.5, 1.6, 1.6, 0.6]), prior_var * np.eye(5))
+    report = run_scenario(ellipse_scenario(tracker=tracker, prior=prior, n_steps=4, n_runs=3))
+    assert report.n_diverged == 3
+    assert np.isnan(report.estimates[:, report.diverged_at.max():]).all()
+
+
+# ---------------------------------------------------------------------------
+# lockstep runs against the per-run loop they replaced
+
+
+def _oracle_run_single(config: ScenarioConfig, truths, rng: np.random.Generator, collect):
+    """One Monte-Carlo run against the posed truths of every step.
+
+    Returns (estimates, diverged_at, measurements).
+    """
+    n_steps, dim = config.n_steps, config.prior.dim
+    estimates = np.full((n_steps, dim), np.nan)
+    measurements = [] if collect else None
+    tracker = Tracker(config.tracker, config.prior)
+    told_cov = config.noise_mixture.mean_covariance
+    n_levels = len(config.noise_mixture.probabilities)
+    factors = np.stack([psd_root(c) for c in config.noise_mixture.covariances])
+    for k, truth_k in enumerate(truths):
+        n_k = measurement_count(config.meas_count_model, rng)
+        sources = sample_measurement_sources(truth_k, n_k, rng)
+        if n_levels == 1:
+            levels = np.zeros(n_k, dtype=int)
+        else:
+            levels = rng.choice(n_levels, size=n_k, p=config.noise_mixture.probabilities)
+        noise = rng.standard_normal((n_k, 2))
+        ys = sources + np.einsum("lij,lj->li", factors[levels], noise)
+        if measurements is not None:
+            measurements.append(ys.copy())
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tracker.predict()
+                tracker.update(list(ys), [told_cov] * n_k)
+        except (ConditioningError, np.linalg.LinAlgError, FloatingPointError):
+            return estimates, k, measurements
+        state = tracker.state
+        bad = (
+            not np.isfinite(state.mean).all()
+            or not np.isfinite(state.cov).all()
+            or np.linalg.norm(state.mean[:2]) > DIVERGENCE_CENTER_BOUND
+        )
+        if bad:
+            return estimates, k, measurements
+        estimates[k] = state.mean
+    return estimates, -1, measurements
+
+
+def _oracle_runs(config: ScenarioConfig):
+    """The runs one after another, each with its own spawned stream."""
+    seeds = np.random.SeedSequence(config.rng_seed).spawn(config.n_runs)
+    truths = [posed_target(config, k) for k in range(config.n_steps)]
+    out = [
+        _oracle_run_single(
+            config, truths, np.random.Generator(np.random.Philox(seed)), collect=(r == 0)
+        )
+        for r, seed in enumerate(seeds)
+    ]
+    return np.stack([o[0] for o in out]), np.array([o[1] for o in out]), out[0][2]
+
+
+def _near_bound_scenario(**overrides):
+    # a target 0.2 inside DIVERGENCE_CENTER_BOUND: some runs step over it
+    x0 = DIVERGENCE_CENTER_BOUND - 0.2
+    fields = dict(
+        target=ellipse_target(from_semi_axes([x0, 0.0], [2.0, 1.0], 0.5)),
+        n_steps=20,
+        n_runs=8,
+        prior=GaussianState(
+            np.array([x0, 0.5, 1.6, 1.6, 0.6]), np.diag([0.3, 0.3, 0.5, 0.5, 0.5])
+        ),
+        rng_seed=86,  # run 0 diverges too, which ends the example measurements
+    )
+    fields.update(overrides)
+    return ellipse_scenario(**fields)
+
+
+ZERO_NOISE = NoiseMixture.single(np.zeros((2, 2)))
+ORACLE_CASES = {
+    "ellipse_sequential_k1": lambda: ellipse_scenario(n_steps=30, n_runs=3),
+    "ellipse_sequential_poisson": lambda: ellipse_scenario(
+        meas_count_model=MeasurementCountModel("shifted_poisson", 1.5),
+        n_steps=20,
+        n_runs=4,
+    ),
+    "ellipse_batch_poisson": lambda: ellipse_scenario(
+        noise_mixture=NoiseMixture.isotropic([0.3, 0.8], [0.7, 0.3]),
+        meas_count_model=MeasurementCountModel("shifted_poisson", 2.0),
+        tracker=TrackerConfig(shape_family="ellipse", batch_mode=True, dynamics=STATIC),
+        n_steps=25,
+        n_runs=4,
+    ),
+    "star_convex_sequential_k3": lambda: ellipse_scenario(
+        meas_count_model=MeasurementCountModel("fixed_per_step", 3),
+        tracker=TrackerConfig(shape_family="star_convex", n_fourier=3, dynamics=STATIC),
+        prior=GaussianState(
+            np.r_[0.5, 0.5, 2.4, np.zeros(6)], np.diag([1.0, 1.0, 0.4] + [0.1] * 6)
+        ),
+        n_steps=15,
+        n_runs=3,
+    ),
+    "zero_noise": lambda: ellipse_scenario(noise_mixture=ZERO_NOISE, n_steps=15, n_runs=3),
+    "degenerate_innovation": lambda: ellipse_scenario(
+        target=group_target(np.array([[0.0, 0.0]])),
+        noise_mixture=NoiseMixture.isotropic([1e-9]),
+        prior=GaussianState(np.array([0.0, 0.0, 1.0, 1.0, 0.0]), 1e-18 * np.eye(5)),
+        tracker=TrackerConfig(
+            shape_family="ellipse", scaling=ScalingModel("squared_scale", 0.5, 1e-18)
+        ),
+        n_steps=5,
+        n_runs=2,
+    ),
+    "some_runs_diverge": _near_bound_scenario,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_lockstep_runs_equal_per_run_loop(case):
+    config = ORACLE_CASES[case]()
+    report = run_scenario(config)
+    estimates, diverged_at, example = _oracle_runs(config)
+    assert np.array_equal(report.estimates, estimates, equal_nan=True)
+    assert np.array_equal(report.diverged_at, diverged_at)
+    assert len(report.example_measurements) == len(example)
+    for got, want in zip(report.example_measurements, example):
+        assert np.array_equal(got, want)
+    if case == "some_runs_diverge":
+        assert 0 < report.n_diverged < config.n_runs
+        assert len(set(report.diverged_at[report.diverged_at >= 0])) > 1
+        assert len(example) == report.diverged_at[0] + 1
+    if case == "degenerate_innovation":
+        # every update was skipped: the estimate never leaves the prior mean
+        assert np.array_equal(report.estimates, np.broadcast_to(config.prior.mean, report.estimates.shape))
+
+
+def test_zero_noise_takes_the_cholesky_jitter_path(monkeypatch):
+    calls = []
+    original = gaussian.cholesky_factor
+    monkeypatch.setattr(gaussian, "cholesky_factor", lambda c: calls.append(1) or original(c))
+    report = run_scenario(ORACLE_CASES["zero_noise"]())
+    assert report.n_diverged == 0
+    assert len(calls) >= report.config.n_steps * report.config.n_runs
+
+
+@pytest.mark.parametrize("case", ["ellipse_batch_poisson", "some_runs_diverge"])
+def test_run_results_do_not_depend_on_run_count(case):
+    config = ORACLE_CASES[case]()
+    full = run_scenario(config)
+    for n_runs in (1, 2, 3):
+        part = run_scenario(replace(config, n_runs=n_runs))
+        assert np.array_equal(part.estimates, full.estimates[:n_runs], equal_nan=True)
+        assert np.array_equal(part.diverged_at, full.diverged_at[:n_runs])
+        assert np.array_equal(part.run_iou, full.run_iou[:n_runs], equal_nan=True)
+
+
+def test_state_constructions_do_not_grow_with_steps(monkeypatch):
+    counts = []
+    original = GaussianState.__post_init__
+
+    def counting(self):
+        counts[-1] += 1
+        original(self)
+
+    config = ORACLE_CASES["ellipse_batch_poisson"]()
+    monkeypatch.setattr(GaussianState, "__post_init__", counting)
+    for n_steps in (3, 12):
+        counts.append(0)
+        run_scenario(replace(config, n_steps=n_steps))
+    assert counts[0] == counts[1]

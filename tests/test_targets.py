@@ -118,6 +118,25 @@ def test_anchor_computed_once_per_target():
     assert_allclose(moved.anchor, [1.5, 2.5], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "tgt",
+    [polygon_target(UNIT_SQUARE), disk_target(2.0, (1.0, -1.0)), group_target(DIAMOND)],
+    ids=["polygon", "ellipse", "group"],
+)
+def test_bounding_box_computed_once_and_read_only(tgt):
+    lo, hi = tgt.bounding_box
+    assert tgt.bounding_box[0] is lo and tgt.bounding_box[1] is hi
+    for arr in (lo, hi):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    pts = {"polygon": UNIT_SQUARE, "point_group": DIAMOND}.get(tgt.kind)
+    if pts is None:
+        pts = np.array([[-1.0, -3.0], [3.0, 1.0]])  # the disk's extremes
+    assert_allclose(lo, pts.min(axis=0), rtol=0, atol=1e-15)
+    assert_allclose(hi, pts.max(axis=0), rtol=0, atol=1e-15)
+
+
 def test_transformed_polygon_rotates_about_centroid():
     tgt = polygon_target(UNIT_SQUARE)
     moved = tgt.transformed(rotation=np.pi / 2, translation=[1.0, 0.0])

@@ -12,7 +12,14 @@ from shapetrack.ellipse import (
     ellipse_scaled_implicit,
     from_semi_axes,
 )
-from shapetrack.gaussian import GaussianState, joint_state, statistical_linearization_update
+from shapetrack.gaussian import (
+    DEGENERATE,
+    FAILED,
+    OK,
+    GaussianState,
+    joint_state,
+    statistical_linearization_update,
+)
 from shapetrack.starconvex import (
     FourierShapeParams,
     angle_point_estimate,
@@ -29,6 +36,8 @@ from shapetrack.tracker import (
     measurement_update,
     sc_pseudo_measurement,
     scaling_noise_gaussian,
+    stacked_time_update,
+    stacked_update,
     time_update,
 )
 
@@ -213,11 +222,12 @@ def _single_view(points, d, l):
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_ellipse_pseudo_stacked_columns_match_single(k):
     rng = np.random.default_rng(25 + k)
-    d = 7
-    points = rng.normal(size=(2 * (d + 3 * k) + 1, d + 3 * k))
-    points[:, 4:6] += 2.0
-    ys = rng.uniform(-3, 3, size=(k, 2))
-    offsets = rng.uniform(-1, 1, size=(k, 2))
+    d, n_runs = 7, 3
+    runs = rng.normal(size=(n_runs, 2 * (d + 3 * k) + 1, d + 3 * k))
+    runs[:, :, 4:6] += 2.0
+    all_ys = rng.uniform(-3, 3, size=(n_runs, k, 2))
+    all_offsets = rng.uniform(-1, 1, size=(n_runs, k, 2))
+    points, ys, offsets = runs[0], all_ys[0], all_offsets[0]
     for normalize in (True, False):
         stacked = ellipse_pseudo_measurement(points, ys, offsets, normalize)
         assert stacked.shape == (len(points), k)
@@ -226,20 +236,31 @@ def test_ellipse_pseudo_stacked_columns_match_single(k):
                 _single_view(points, d, l), ys[l], offsets[l], normalize
             )
             assert np.array_equal(stacked[:, l], single)
+        # a leading run axis: each run's block equals its own call
+        by_run = ellipse_pseudo_measurement(runs, all_ys, all_offsets, normalize)
+        assert by_run.shape == (n_runs, len(points), k)
+        for r in range(n_runs):
+            own = ellipse_pseudo_measurement(runs[r], all_ys[r], all_offsets[r], normalize)
+            assert np.array_equal(by_run[r], own)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_sc_pseudo_stacked_columns_match_single(k):
     rng = np.random.default_rng(35 + k)
-    d, n_coeffs = 17, 15
-    points = rng.normal(size=(2 * (d + 3 * k) + 1, d + 3 * k))
-    ys = rng.uniform(-3, 3, size=(k, 2))
-    phis = rng.uniform(-np.pi, np.pi, size=k)
+    d, n_coeffs, n_runs = 17, 15, 3
+    runs = rng.normal(size=(n_runs, 2 * (d + 3 * k) + 1, d + 3 * k))
+    all_ys = rng.uniform(-3, 3, size=(n_runs, k, 2))
+    all_phis = rng.uniform(-np.pi, np.pi, size=(n_runs, k))
+    points, ys, phis = runs[0], all_ys[0], all_phis[0]
     stacked = sc_pseudo_measurement(points, ys, phis, n_coeffs)
     assert stacked.shape == (len(points), k)
     for l in range(k):
         single = sc_pseudo_measurement(_single_view(points, d, l), ys[l], phis[l], n_coeffs)
         assert np.array_equal(stacked[:, l], single)
+    by_run = sc_pseudo_measurement(runs, all_ys, all_phis, n_coeffs)
+    assert by_run.shape == (n_runs, len(points), k)
+    for r in range(n_runs):
+        assert np.array_equal(by_run[r], sc_pseudo_measurement(runs[r], all_ys[r], all_phis[r], n_coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +403,43 @@ def test_batch_matches_closure_oracle(k):
             assert_allclose(got.cov, want.cov, rtol=0, atol=tol * (1 + np.abs(want.cov).max()))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_update_rows_equal_lone_updates(k):
+    rng = np.random.default_rng(80 + k)
+    for config, prior in [(ELL_CONFIG, ellipse_prior()), (SC_CONFIG, circle_prior())]:
+        n_runs = 4
+        means = prior.mean + rng.normal(0.0, 0.05, size=(n_runs, prior.dim))
+        covs = np.stack([prior.cov * s for s in rng.uniform(0.5, 2.0, n_runs)])
+        ys = rng.uniform(-2.5, 2.5, size=(n_runs, k, 2))
+        rs = np.stack([s * s * np.eye(2) for s in rng.uniform(0.1, 0.6, size=k)])
+        got_means, got_covs, status = stacked_update(means, covs, ys, rs, config)
+        assert np.array_equal(status, np.full(n_runs, OK))
+        for r in range(n_runs):
+            alone = batch_update(GaussianState(means[r], covs[r]), ys[r], rs, config)
+            assert np.array_equal(got_means[r], alone.mean)
+            assert np.array_equal(got_covs[r], alone.cov)
+
+
+def test_stacked_update_status_is_per_run():
+    config = TrackerConfig(
+        shape_family="ellipse", scaling=ScalingModel("squared_scale", 0.5, 1e-18)
+    )
+    prior = ellipse_prior()
+    means = np.stack([prior.mean, [0, 0, 1, 1, 0], [1e200, 0, 1, 1, 0]]).astype(float)
+    covs = np.stack([prior.cov, 1e-18 * np.eye(5), prior.cov])
+    ys = np.array([[[1.2, 0.3]], [[0.0, 0.0]], [[1.0, 0.0]]])
+    rs = 1e-18 * np.eye(2)[None]
+    with np.errstate(all="ignore"):
+        got_means, got_covs, status = stacked_update(means, covs, ys, rs, config)
+    assert status.tolist() == [OK, DEGENERATE, FAILED]
+    alone = batch_update(prior, ys[0], rs, config)
+    assert np.array_equal(got_means[0], alone.mean)
+    assert np.array_equal(got_covs[0], alone.cov)
+    # the degenerate and the failed run keep their priors
+    assert np.array_equal(got_means[1:], means[1:])
+    assert np.array_equal(got_covs[1:], covs[1:])
+
+
 def test_batch_empty_rejected():
     with pytest.raises(ValueError):
         batch_update(ellipse_prior(), [], [], ELL_CONFIG)
@@ -465,6 +523,23 @@ def test_time_update_cv_noise_blocks():
     assert_allclose(out.cov[2, 2], 0.5 * t)
     assert_allclose(out.cov[4:, 4:], 0.1 * np.eye(3))
     assert_allclose(out.cov[:4, 4:], 0.0)
+
+
+def test_stacked_time_update_rows_equal_lone_predictions():
+    dyn = DynamicsSpec("constant_velocity_plus_random_walk", step=0.5, q1=0.01, q2=0.2)
+    rng = np.random.default_rng(90)
+    means = rng.normal(size=(3, 7))
+    covs = np.stack([np.diag(rng.uniform(0.1, 1.0, 7)) for _ in range(3)])
+    covs[2, 0, 0] = 1e308  # overflows in A P A^T
+    with np.errstate(all="ignore"):
+        got_means, got_covs, ok = stacked_time_update(means, covs, dyn, 3)
+    assert ok.tolist() == [True, True, False]
+    for r in range(2):
+        alone = time_update(GaussianState(means[r], covs[r]), dyn, 3)
+        assert np.array_equal(got_means[r], alone.mean)
+        assert np.array_equal(got_covs[r], alone.cov)
+    with pytest.raises(ValueError, match="finite"), np.errstate(all="ignore"):
+        time_update(GaussianState(means[2], covs[2]), dyn, 3)
 
 
 def test_time_update_layout_mismatch():
