@@ -9,8 +9,8 @@ measurement function, and the linear Kalman time update.
 The numerical work runs in stacked kernels over a leading run axis: means
 (R, d), covariances (R, d, d) and sigma points (R, 2d+1, d), factorized
 with stacked `cholesky`/`eigvalsh`/`solve` (`stacked_predict`,
-`stacked_sigma_points`, `stacked_psd_repair`, `stacked_sl_update`). Each
-run's arithmetic is the same as a lone call's, bit for bit, and each
+`stacked_psd_repair`, `stacked_sl_update`, and the sigma-point draw they
+share). Each run's arithmetic is the same as a lone call's, bit for bit, and each
 kernel reports per run a status (`OK`, `DEGENERATE`, `FAILED`) rather
 than a warning or an exception, so one failing run leaves the others
 untouched. The `GaussianState` functions (`kalman_predict`,
@@ -43,10 +43,8 @@ __all__ = [
     "DEGENERATE",
     "FAILED",
     "stacked_psd_repair",
-    "stacked_sigma_points",
     "stacked_sl_update",
     "stacked_predict",
-    "single_posterior",
 ]
 
 
@@ -246,7 +244,7 @@ def _stacked_cholesky(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots, ok
 
 
-def stacked_sigma_points(
+def _stacked_sigma_points(
     means: np.ndarray, covs: np.ndarray, spread: UnscentedSpread = DEFAULT_SPREAD
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw the 2d+1 scaled symmetric sigma points of R Gaussians at once.
@@ -290,7 +288,7 @@ def draw_sigma_points(
 ) -> SigmaPointSet:
     """Draw the 2d+1 scaled symmetric sigma points of a Gaussian.
 
-    The R = 1 case of `stacked_sigma_points`.
+    The R = 1 case of `_stacked_sigma_points`.
 
     Args:
         state: source density, dimension d >= 1.
@@ -304,7 +302,7 @@ def draw_sigma_points(
         ValueError: spread yields d + lambda <= 0.
         ConditioningError: covariance cannot be factorized.
     """
-    points, w_mean, w_cov, ok = stacked_sigma_points(
+    points, w_mean, w_cov, ok = _stacked_sigma_points(
         state.mean[None], state.cov[None], spread
     )
     if not ok[0]:
@@ -351,7 +349,7 @@ def stacked_sl_update(
     aug_cov = np.zeros((n_runs, d + m0, d + m0))
     aug_cov[:, :d, :d] = covs
     aug_cov[:, d:, d:] = noise_cov
-    points, w_m, w_c, ok = stacked_sigma_points(aug_mean, aug_cov, spread)
+    points, w_m, w_c, ok = _stacked_sigma_points(aug_mean, aug_cov, spread)
     status = np.where(ok, OK, FAILED)
 
     values = np.asarray(h(points), dtype=float)
@@ -412,7 +410,7 @@ def _stacked_gain(cov_hh: np.ndarray, cov_xh: np.ndarray) -> tuple[np.ndarray, n
     return np.swapaxes(solved, -1, -2), ok
 
 
-def single_posterior(
+def _single_posterior(
     prior: GaussianState, means: np.ndarray, covs: np.ndarray, status: np.ndarray
 ) -> GaussianState:
     """The posterior of an R = 1 stacked update, as the single-state API reports it.
@@ -476,7 +474,7 @@ def statistical_linearization_update(
         noise_aug.cov,
         spread,
     )
-    return single_posterior(prior, means, covs, status)
+    return _single_posterior(prior, means, covs, status)
 
 
 def stacked_predict(

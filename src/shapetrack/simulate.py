@@ -9,7 +9,7 @@ Philox stream spawned from the master seed, and at every step each live
 run draws from its own stream, in this order: the measurement count, the
 sources, the noise levels, the noise. Then the live runs are predicted
 together and updated together as stacked arrays (`stacked_time_update`,
-`stacked_update`): in batch mode one update per group of runs with the
+`stacked_step`): in batch mode one update per group of runs with the
 same measurement count; in sequential mode one update per measurement
 index j, taken by the runs with more than j measurements. A run's draws
 and arithmetic do not depend on the other runs, so its results are the
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ellipse import EllipseParams, clamp_chol, clamp_chols
-from .gaussian import FAILED, GaussianState
+from .gaussian import GaussianState
 from .metrics import ellipse_ious, shape_iou
 from .starconvex import DegenerateAngleWarning, FourierShapeParams
 from .targets import (
@@ -37,7 +37,7 @@ from .targets import (
     psd_root,
     sample_measurement_sources,
 )
-from .tracker import TrackerConfig, stacked_time_update, stacked_update
+from .tracker import TrackerConfig, stacked_step, stacked_time_update
 
 __all__ = [
     "NoiseMixture",
@@ -303,25 +303,15 @@ def _filter_runs(config: ScenarioConfig, truths, seeds):
         ys = [_draw_measurements(config, truth, rngs[r], factors) for r in live]
         if live[0] == 0:
             example.append(ys[0])
-        counts = np.array([len(y) for y in ys])
         means, covs, predicted = stacked_time_update(
             means, covs, tracker.dynamics, tracker.shape_dim
         )
         failed = ~predicted
-        if tracker.batch_mode:
-            parts = [(counts == n, slice(None)) for n in np.unique(counts)]
-        else:
-            parts = [(counts > j, slice(j, j + 1)) for j in range(counts.max())]
-        for takes_part, cols in parts:
-            sel = np.flatnonzero(takes_part & ~failed)
-            if not sel.size:
-                continue
-            part_ys = np.stack([ys[i][cols] for i in sel])
-            noise_covs = np.broadcast_to(told_cov, (part_ys.shape[1], 2, 2))
-            means[sel], covs[sel], status = stacked_update(
-                means[sel], covs[sel], part_ys, noise_covs, tracker
-            )
-            failed[sel] |= status == FAILED
+        go = np.flatnonzero(predicted)
+        noise_covs = np.broadcast_to(told_cov, (max(map(len, ys)), 2, 2))
+        means[go], covs[go], failed[go], _ = stacked_step(
+            means[go], covs[go], [ys[i] for i in go], noise_covs, tracker
+        )
         centre = np.linalg.norm(means[:, :2], axis=1)
         bad = (
             failed

@@ -14,8 +14,14 @@ one source-estimate pass over the k measurements (one closest-point call
 on the clamped prior-mean ellipse, or one angle per measurement); then
 one pseudo-measurement evaluation covers all runs, sigma points and k
 columns, and `gaussian.stacked_sl_update` conditions all runs at once.
-Failures come back as a per-run status. `batch_update`,
-`measurement_update` (k = 1) and `Tracker.update` are its R = 1 cases.
+Failures come back as a per-run status. `batch_update` and
+`measurement_update` (k = 1) are its R = 1 cases.
+
+`stacked_step` applies one time step's measurements, which may differ in
+number between runs, as the config asks: in batch mode one
+`stacked_update` per group of runs with the same count, in sequential
+mode one per measurement index. The scenario loop and `Tracker.update`
+(its R = 1 case) both go through it.
 
 State layout is fixed as [center(2); velocity(2, only with the
 constant-velocity dynamics); shape parameters].
@@ -35,8 +41,8 @@ from .gaussian import (
     ConditioningError,
     GaussianState,
     UnscentedSpread,
+    _single_posterior,
     kalman_predict,
-    single_posterior,
     stacked_predict,
     stacked_sl_update,
 )
@@ -53,6 +59,7 @@ __all__ = [
     "measurement_update",
     "batch_update",
     "stacked_update",
+    "stacked_step",
     "time_update",
     "stacked_time_update",
 ]
@@ -343,6 +350,50 @@ def stacked_update(means, covs, measurements, noise_covs, config: TrackerConfig)
     return stacked_sl_update(means, covs, h, noise_mean, noise_cov, config.unscented)
 
 
+def stacked_step(means, covs, measurements, noise_covs, config: TrackerConfig):
+    """Apply one time step's measurements to R runs, batch or sequential per config.
+
+    Batch mode conditions each run on all its k_r measurements in one
+    update, with one `stacked_update` per group of runs that share k_r.
+    Sequential mode conditions on the measurements one at a time, in
+    order: update j takes measurement j of every run with k_r > j. A run
+    stops at its first failed update, and its later updates are skipped.
+
+    Args:
+        means: (R, d) prior means, finite.
+        covs: (R, d, d) symmetric prior covariances, finite.
+        measurements: R arrays (k_r, 2), run r's measurements; k_r may be 0.
+        noise_covs: (K, 2, 2) with K >= max k_r; noise_covs[j] is the noise
+            covariance of every run's measurement j.
+        config: tracker configuration.
+
+    Returns:
+        (means, covs, failed, degenerate), new arrays: the posterior
+        moments, whether each run had a failed update (then its moments
+        are those before that update), and how many of each run's updates
+        had a degenerate innovation and were skipped.
+    """
+    counts = np.array([len(y) for y in measurements], dtype=int)
+    if config.batch_mode:
+        parts = [(counts == k, slice(0, k)) for k in np.unique(counts[counts > 0])]
+    else:
+        parts = [(counts > j, slice(j, j + 1)) for j in range(counts.max(initial=0))]
+    means, covs = means.copy(), covs.copy()
+    failed = np.zeros(len(counts), dtype=bool)
+    degenerate = np.zeros(len(counts), dtype=int)
+    for takes_part, cols in parts:
+        sel = np.flatnonzero(takes_part & ~failed)
+        if not sel.size:
+            continue
+        ys = np.stack([measurements[i][cols] for i in sel])
+        means[sel], covs[sel], status = stacked_update(
+            means[sel], covs[sel], ys, noise_covs[cols], config
+        )
+        failed[sel] |= status == FAILED
+        degenerate[sel] += status == DEGENERATE
+    return means, covs, failed, degenerate
+
+
 def _measurement_arrays(measurements, noise_covs):
     """Measurements as (k, 2) and their noise covariances as (k, 2, 2)."""
     ys = np.array([np.asarray(y, dtype=float).reshape(2) for y in measurements])
@@ -379,7 +430,7 @@ def batch_update(
     means, cov, status = stacked_update(
         prior.mean[None], prior.cov[None], ys[None], covs, config
     )
-    return single_posterior(prior, means, cov, status)
+    return _single_posterior(prior, means, cov, status)
 
 
 def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
@@ -456,9 +507,9 @@ class Tracker:
     def update(self, measurements, noise_covs) -> None:
         """Apply one step's measurements (batch or sequential per config).
 
-        The R = 1 case of `stacked_update`: one update over all
-        measurements in batch mode, else one per measurement in order. A
-        degenerate update keeps the state and is counted.
+        The R = 1 case of `stacked_step`: one update over all measurements
+        in batch mode, else one per measurement in order. A degenerate
+        update keeps the state and is counted.
 
         Raises:
             ConditioningError: an update failed; the state is left as it
@@ -471,13 +522,12 @@ class Tracker:
         if self.config.shape_family == "ellipse":
             _, clamped = clamp_chol(self.state.mean[:2], self.state.mean[-3:])
             self.clamp_repairs += int(clamped)
-        parts = [slice(None)] if self.config.batch_mode else [slice(j, j + 1) for j in range(len(ys))]
-        means, cov = self.state.mean[None], self.state.cov[None]
-        for part in parts:
-            means, cov, status = stacked_update(means, cov, ys[None, part], covs[part], self.config)
-            if status[0] == FAILED:
-                raise ConditioningError("update failed; state left unchanged")
-            self.degenerate_updates += int(status[0] == DEGENERATE)
+        means, cov, failed, degenerate = stacked_step(
+            self.state.mean[None], self.state.cov[None], [ys], covs, self.config
+        )
+        self.degenerate_updates += int(degenerate[0])
+        if failed[0]:
+            raise ConditioningError("update failed; state left unchanged")
         self.state = GaussianState(means[0], cov[0])
 
     @property

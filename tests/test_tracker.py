@@ -36,6 +36,7 @@ from shapetrack.tracker import (
     measurement_update,
     sc_pseudo_measurement,
     scaling_noise_gaussian,
+    stacked_step,
     stacked_time_update,
     stacked_update,
     time_update,
@@ -438,6 +439,49 @@ def test_stacked_update_status_is_per_run():
     # the degenerate and the failed run keep their priors
     assert np.array_equal(got_means[1:], means[1:])
     assert np.array_equal(got_covs[1:], covs[1:])
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_stacked_step_rows_equal_lone_steps(batch):
+    rng = np.random.default_rng(95)
+    counts = [2, 0, 3, 1, 2]
+    for base, prior in [(ELL_CONFIG, ellipse_prior()), (SC_CONFIG, circle_prior())]:
+        config = TrackerConfig(
+            shape_family=base.shape_family, n_fourier=base.n_fourier, batch_mode=batch
+        )
+        means = prior.mean + rng.normal(0.0, 0.05, size=(len(counts), prior.dim))
+        covs = np.stack([prior.cov * s for s in rng.uniform(0.5, 2.0, len(counts))])
+        ys = [rng.uniform(-2.5, 2.5, size=(k, 2)) for k in counts]
+        rs = np.stack([s * s * np.eye(2) for s in rng.uniform(0.1, 0.6, size=max(counts))])
+        got_means, got_covs, failed, degenerate = stacked_step(means, covs, ys, rs, config)
+        assert not failed.any() and not degenerate.any()
+        for r, k in enumerate(counts):
+            alone = GaussianState(means[r], covs[r])
+            if k and batch:
+                alone = batch_update(alone, ys[r], rs[:k], config)
+            for j in range(0 if batch else k):
+                alone = measurement_update(alone, ys[r][j], rs[j], config)
+            assert np.array_equal(got_means[r], alone.mean)
+            assert np.array_equal(got_covs[r], alone.cov)
+
+
+def test_stacked_step_stops_a_run_at_its_failed_update():
+    config = TrackerConfig(shape_family="ellipse")
+    prior = ellipse_prior()
+    means = np.stack([prior.mean, [1e200, 0, 1, 1, 0]]).astype(float)
+    covs = np.stack([prior.cov, prior.cov])
+    ys = [np.array([[1.2, 0.3], [-0.4, 1.0]])] * 2
+    rs = np.stack([0.25 * np.eye(2)] * 2)
+    with np.errstate(all="ignore"):
+        got_means, got_covs, failed, degenerate = stacked_step(means, covs, ys, rs, config)
+    assert failed.tolist() == [False, True]
+    assert degenerate.tolist() == [0, 0]
+    assert np.array_equal(got_means[1], means[1]) and np.array_equal(got_covs[1], covs[1])
+    tracker = Tracker(config, prior)
+    tracker.update(ys[0], rs)
+    assert np.array_equal(got_means[0], tracker.state.mean)
+    # the inputs are not written to
+    assert np.array_equal(means[0], prior.mean) and np.array_equal(covs[0], prior.cov)
 
 
 def test_batch_empty_rejected():
