@@ -321,7 +321,10 @@ def build_scenario(mapping: dict, base_dir=None) -> ScenarioConfig:
             )
         if np.any(cov_diag <= 0):
             raise ConfigValidationError("prior.cov_diag entries must be positive")
-        prior = GaussianState(mean, np.diag(cov_diag))
+        try:
+            prior = GaussianState(mean, np.diag(cov_diag))
+        except ValueError as err:
+            raise ConfigValidationError(f"prior.mean, prior.cov_diag: {err}") from err
 
         n_steps = r.take("runs.n_steps", _as_int, required=True)
         n_runs = r.take("runs.n_runs", _as_int, required=True)
@@ -331,10 +334,13 @@ def build_scenario(mapping: dict, base_dir=None) -> ScenarioConfig:
         rotate = r.take("motion.rotate_with_heading", _as_bool)
         if r.has("motion.waypoints"):
             name = r.take("motion.waypoints", lambda k, v: v)
-            waypoints = load_waypoints(
-                _resolve_data_file("motion.waypoints", name, base_dir)
-            )
-            trajectory = Trajectory.from_waypoints(waypoints, n_steps)
+            path = _resolve_data_file("motion.waypoints", name, base_dir)
+            if n_steps < 1:
+                raise ConfigValidationError("runs.n_steps must be positive with motion.waypoints")
+            try:
+                trajectory = Trajectory.from_waypoints(load_waypoints(path), n_steps)
+            except ValueError as err:
+                raise ConfigValidationError(f"motion.waypoints: {name!r}: {err}") from err
         elif rotate is not None:
             raise ConfigValidationError(
                 "motion.rotate_with_heading needs motion.waypoints"

@@ -162,9 +162,11 @@ class GaussianState:
             raise ValueError(
                 f"cov shape {self.cov.shape} does not match mean dimension {d}"
             )
+        # checked after symmetrizing: (C + C^T) / 2 overflows for entries near the float max
+        with np.errstate(over="ignore"):
+            self.cov = symmetrize(self.cov)
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov))):
             raise ValueError("mean and cov must be finite")
-        self.cov = symmetrize(self.cov)
 
     @property
     def dim(self) -> int:
@@ -198,6 +200,11 @@ class UnscentedSpread:
     alpha: float = 1.0
     beta: float = 0.0
     kappa: float | None = None
+
+    def __post_init__(self):
+        values = (self.alpha, self.beta) + (() if self.kappa is None else (self.kappa,))
+        if not np.all(np.isfinite(values)):
+            raise ValueError("unscented alpha, beta and kappa must be finite")
 
     def resolved_kappa(self, dim: int) -> float:
         return 3.0 - dim if self.kappa is None else float(self.kappa)

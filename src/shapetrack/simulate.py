@@ -142,26 +142,154 @@ class Trajectory:
 
     @classmethod
     def from_waypoints(cls, waypoints, n_steps: int) -> "Trajectory":
-        """Constant-speed resampling of a spline through the waypoints."""
-        from scipy.interpolate import CubicSpline  # loaded only for moving scenarios
+        """Constant-speed resampling of a spline through the waypoints.
 
+        The curve is the not-a-knot cubic spline through the waypoints,
+        parametrized by cumulative chord length (de Boor, *A Practical
+        Guide to Splines*, 1978): a straight line for two waypoints, the
+        parabola for three. `_not_a_knot_spline` and `_eval_spline` do the
+        arithmetic of scipy's ``CubicSpline(chord, waypoints, axis=0)`` in
+        the same order, so positions and headings equal scipy's bit for bit
+        (three-waypoint parabolas to within rounding of the dense solve).
+
+        Raises:
+            ValueError: n_steps < 1, waypoints not of shape (n, 2), a
+                non-finite waypoint or path length, coincident waypoints,
+                or two consecutive waypoints that coincide.
+        """
         wp = np.asarray(waypoints, dtype=float)
         if n_steps < 1:
             raise ValueError("n_steps must be positive")
-        chord = np.r_[0.0, np.cumsum(np.linalg.norm(np.diff(wp, axis=0), axis=1))]
+        if wp.ndim != 2 or wp.shape[1] != 2:
+            raise ValueError("waypoints must have shape (n, 2)")
+        if not np.all(np.isfinite(wp)):
+            raise ValueError("waypoints must be finite")
+        with np.errstate(over="ignore"):  # an overflowing path is reported just below
+            chord = np.r_[0.0, np.cumsum(np.linalg.norm(np.diff(wp, axis=0), axis=1))]
+        if not np.isfinite(chord[-1]):
+            raise ValueError("waypoint path length is not finite")
         if chord[-1] <= 0:
             raise ValueError("waypoints are coincident")
-        spline = CubicSpline(chord, wp, axis=0)
+        repeats = np.flatnonzero(np.diff(chord) <= 0)
+        if repeats.size:
+            i = repeats[0] + 1  # counting waypoints from 1
+            raise ValueError(f"consecutive waypoints {i} and {i + 1} coincide")
+        coeffs = _not_a_knot_spline(chord, wp)
         # arc-length table on a fine parameter grid, then invert
         u = np.linspace(0.0, chord[-1], 4096)
-        pts = spline(u)
+        pts = _eval_spline(chord, coeffs, u)
         arc = np.r_[0.0, np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))]
         targets = np.linspace(0.0, arc[-1], n_steps)
         u_at = np.interp(targets, arc, u)
-        positions = spline(u_at)
-        deriv = spline(u_at, 1)
+        positions = _eval_spline(chord, coeffs, u_at)
+        deriv = _eval_spline(chord, coeffs, u_at, derivative=True)
         headings = np.arctan2(deriv[:, 1], deriv[:, 0])
         return cls(positions, headings)
+
+
+def _tridiagonal_solve(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve a tridiagonal system, as LAPACK dgtsv does it.
+
+    Gaussian elimination with partial pivoting (a row swap whenever the
+    sub-diagonal entry is larger in magnitude than the pivot; a swap fills
+    the second super-diagonal), then back-substitution, on every column of
+    rhs (n, k), n >= 2. lower and upper have n - 1 entries, diag n. The steps
+    follow dgtsv line by line, so the result is the one
+    ``scipy.linalg.solve_banded((1, 1), ...)`` returns.
+    """
+    dl, d, du = list(map(float, lower)), list(map(float, diag)), list(map(float, upper))
+    du2 = [0.0] * len(dl)
+    b = np.array(rhs, dtype=float)
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise ValueError("singular spline system")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du2[i]
+            du[i] = temp
+            temp = b[i].copy()
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise ValueError("singular spline system")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+    return b
+
+
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Piecewise-cubic coefficients (4, n - 1, m) of the not-a-knot spline.
+
+    x (n,) strictly increasing, y (n, m). Segment i is
+    ``c[0] s³ + c[1] s² + c[2] s + c[3]`` with ``s = u - x[i]``. The slopes
+    at the knots solve the tridiagonal system of de Boor's not-a-knot
+    spline (two waypoints: both end slopes are the chord slope, a straight
+    line; three: the parabola through them, a dense 3 × 3 solve). Every
+    expression keeps the operation order of scipy's CubicSpline and
+    CubicHermiteSpline, so the coefficients are the same floats.
+    """
+    n = x.shape[0]
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    if n == 2:
+        s = slope[[0, 0]]
+    elif n == 3:
+        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b = np.stack(
+            (2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]), 2 * slope[1])
+        )
+        s = np.linalg.solve(a, b)
+    else:
+        diag = np.empty(n)
+        upper = np.empty(n - 1)
+        lower = np.empty(n - 1)
+        b = np.empty(y.shape)
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        upper[1:] = dx[:-1]
+        lower[:-1] = dx[1:]
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+        d = x[2] - x[0]
+        diag[0] = dx[1]
+        upper[0] = d
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        diag[-1] = dx[-2]
+        lower[-1] = d
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        s = _tridiagonal_solve(lower, diag, upper, b)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _eval_spline(
+    x: np.ndarray, coeffs: np.ndarray, u: np.ndarray, derivative: bool = False
+) -> np.ndarray:
+    """Values (or first derivatives) (len(u), m) of a `_not_a_knot_spline`.
+
+    Each u falls in the segment i with x[i] <= u < x[i + 1], the last
+    segment also taking u = x[-1] and beyond; the terms are summed lowest
+    power first from 0.0, as scipy's PPoly evaluates them.
+    """
+    i = np.clip(np.searchsorted(x, u, "right") - 1, 0, x.shape[0] - 2)
+    s = (u - x[i])[:, None]
+    c = coeffs[:, i]
+    if derivative:
+        return 0.0 + c[2] + c[1] * s * 2.0 + c[0] * (s * s) * 3.0
+    return 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,8 @@ class ScalingModel:
     def __post_init__(self):
         if self.variable not in ("squared_scale", "scale"):
             raise ValueError(f"unknown scaling variable {self.variable!r}")
+        if not (np.isfinite(self.mean) and np.isfinite(self.variance)):
+            raise ValueError("scaling mean and variance must be finite")
         if not self.variance > 0:
             raise ValueError("scaling variance must be positive")
 

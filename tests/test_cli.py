@@ -146,10 +146,16 @@ def test_validation_error_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "override",
-    ["noise.std=inf", "noise.std=nan", "noise.std=1e160", "dynamics.q1=nan", "dynamics.q1=inf"],
+    [
+        "noise.std=inf", "noise.std=nan", "noise.std=1e160", "dynamics.q1=nan", "dynamics.q1=inf",
+        "scaling.mean=nan", "scaling.variance=inf", "tracker.ut_alpha=nan", "tracker.ut_beta=nan",
+        "tracker.ut_kappa=inf",
+        pytest.param("prior.cov_diag=" + " ".join(["1e308"] * 5), id="prior.cov_diag=1e308"),
+    ],
 )
 def test_non_finite_values_exit_3_without_outputs(tmp_path, capsys, override):
-    # these passed validation and then crashed the run with a traceback
+    # these passed validation and then crashed the run with a traceback, or
+    # made every run diverge (exit 4)
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         code = run_cli(
@@ -157,6 +163,23 @@ def test_non_finite_values_exit_3_without_outputs(tmp_path, capsys, override):
         )
     assert code == 3
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "waypoints",
+    ["0 0\n1 0\n1 0\n3 1\n", "0 0\nnan 1\n3 1\n", "0 0\n1 inf\n3 1\n"],
+    ids=["repeated", "nan", "inf"],
+)
+def test_bad_waypoints_exit_3_without_outputs(tmp_path, capsys, waypoints):
+    (tmp_path / "path.txt").write_text(waypoints)
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "moving_aircraft_ellipse.cfg", "--out", str(out),
+        "--set", f"motion.waypoints={tmp_path / 'path.txt'}", *REDUCED,
+    )
+    assert code == 3
+    assert "motion.waypoints" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -204,11 +227,36 @@ def test_overflowing_runs_exit_4_without_outputs(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_spatial_and_interpolate_unloaded():
-    # point-group hulls and waypoint splines import their scipy modules on use
+    # point-group hulls import scipy.spatial on use; nothing imports scipy.interpolate
     code = (
         "import sys, shapetrack.cli; "
         "print(sorted(m for m in sys.modules "
         "if m.startswith(('scipy.spatial', 'scipy.interpolate'))))"
+    )
+    src = str(Path(shapetrack.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_moving_scenario_runs_without_scipy():
+    # the waypoint spline is numpy only; scipy is loaded only for point-group hulls
+    code = (
+        "import sys\n"
+        "from shapetrack.cli import bundled_scenarios\n"
+        "from shapetrack.config import load_scenario_file\n"
+        "from shapetrack.simulate import run_scenario\n"
+        "cfg = load_scenario_file(bundled_scenarios()['moving_aircraft_ellipse.cfg'],"
+        " ['runs.n_steps=3', 'runs.n_runs=2'])\n"
+        "report = run_scenario(cfg)\n"
+        "assert report.estimates.shape[:2] == (2, 3)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     src = str(Path(shapetrack.__file__).resolve().parents[1])
     done = subprocess.run(

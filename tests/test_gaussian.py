@@ -51,6 +51,8 @@ def test_state_rejects_shape_mismatch():
 def test_state_rejects_non_finite():
     with pytest.raises(ValueError):
         GaussianState([np.nan], [[1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        GaussianState([0.0, 0.0], [[1e308, 1e308], [1e308, 1.0]])  # (C + C^T) / 2 overflows
 
 
 def test_joint_state_blocks():
@@ -110,6 +112,14 @@ def test_sigma_points_recombine_random_cov(dim):
     mean, cov = sp.recombine()
     assert_allclose(mean, state.mean, atol=1e-9 * (1 + np.abs(state.mean).max()))
     assert_allclose(cov, state.cov, rtol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "fields", [dict(alpha=np.nan), dict(beta=np.nan), dict(kappa=np.inf), dict(alpha=-np.inf)]
+)
+def test_spread_rejects_non_finite(fields):
+    with pytest.raises(ValueError, match="finite"):
+        UnscentedSpread(**fields)
 
 
 def test_sigma_points_reject_nonpositive_scale():

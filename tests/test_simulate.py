@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shapetrack import gaussian
+from shapetrack import gaussian, simulate
 from shapetrack.ellipse import from_semi_axes
 from shapetrack.gaussian import ConditioningError, GaussianState
 from shapetrack.simulate import (
@@ -19,8 +19,10 @@ from shapetrack.simulate import (
     run_scenario,
 )
 from shapetrack.targets import (
+    builtin_data_path,
     ellipse_target,
     group_target,
+    load_waypoints,
     psd_root,
     sample_measurement_sources,
 )
@@ -157,6 +159,100 @@ def test_trajectory_rejects_misaligned_fields():
 def test_trajectory_rejects_coincident_waypoints():
     with pytest.raises(ValueError):
         Trajectory.from_waypoints(np.zeros((3, 2)), 10)
+
+
+@pytest.mark.parametrize(
+    "waypoints, n_steps, message",
+    [
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 1.0]], 10, "waypoints 2 and 3 coincide"),
+        ([[0.0, 0.0], [1e20, 0.0], [1e20 + 1.0, 0.0]], 10, "waypoints 2 and 3 coincide"),
+        ([[0.0, 0.0], [np.nan, 0.0], [2.0, 1.0]], 10, "finite"),
+        ([[0.0, 0.0], [1.0, np.inf], [2.0, 1.0]], 10, "finite"),
+        ([[0.0, 0.0], [1e308, 1e308], [2.0, 1.0]], 10, "path length"),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 10, "shape"),
+        ([[0.0, 0.0], [1.0, 0.0]], 0, "n_steps"),
+    ],
+)
+def test_trajectory_rejects_bad_waypoints(waypoints, n_steps, message):
+    with pytest.raises(ValueError, match=message):
+        Trajectory.from_waypoints(np.array(waypoints), n_steps)
+
+
+def _oracle_from_waypoints(waypoints, n_steps):
+    """Positions and headings of the scipy CubicSpline construction, the reference."""
+    from scipy.interpolate import CubicSpline
+
+    wp = np.asarray(waypoints, dtype=float)
+    chord = np.r_[0.0, np.cumsum(np.linalg.norm(np.diff(wp, axis=0), axis=1))]
+    spline = CubicSpline(chord, wp, axis=0)
+    u = np.linspace(0.0, chord[-1], 4096)
+    pts = spline(u)
+    arc = np.r_[0.0, np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))]
+    targets = np.linspace(0.0, arc[-1], n_steps)
+    u_at = np.interp(targets, arc, u)
+    deriv = spline(u_at, 1)
+    return spline(u_at), np.arctan2(deriv[:, 1], deriv[:, 0])
+
+
+def _random_waypoints(rng, n):
+    """A path of n waypoints with uneven legs, sharp turns and reversals."""
+    legs = rng.uniform(0.05, 5.0, n - 1) * 10.0 ** rng.uniform(-2, 2)
+    turns = rng.uniform(-np.pi, np.pi, n - 1)  # up to a full reversal
+    heading = np.cumsum(turns)
+    steps = legs[:, None] * np.c_[np.cos(heading), np.sin(heading)]
+    return np.vstack([rng.uniform(-50, 50, (1, 2)), steps]).cumsum(axis=0)
+
+
+def _assert_matches_oracle(waypoints, n_steps, rtol=0.0):
+    traj = Trajectory.from_waypoints(waypoints, n_steps)
+    positions, headings = _oracle_from_waypoints(waypoints, n_steps)
+    if rtol == 0.0:
+        assert np.array_equal(traj.positions, positions)
+        assert np.array_equal(traj.headings, headings)
+    else:
+        assert_allclose(traj.positions, positions, rtol=rtol, atol=rtol)
+        assert_allclose(traj.headings, headings, rtol=rtol, atol=rtol)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 60, 140, 301])
+def test_trajectory_matches_scipy_spline_on_flight_path(n_steps):
+    waypoints = load_waypoints(builtin_data_path("flight_path.txt"))
+    _assert_matches_oracle(waypoints, n_steps)
+
+
+def test_trajectory_matches_scipy_spline_on_random_paths():
+    rng = np.random.default_rng(20130418)
+    for _ in range(240):
+        waypoints = _random_waypoints(rng, int(rng.integers(4, 31)))
+        _assert_matches_oracle(waypoints, int(rng.integers(2, 200)))
+    backtrack = np.array([[0.0, 0.0], [5.0, 0.0], [1.0, 0.1], [6.0, 0.2], [6.0, -3.0]])
+    _assert_matches_oracle(backtrack, 77)
+
+
+def test_trajectory_matches_scipy_spline_on_two_and_three_waypoints():
+    rng = np.random.default_rng(5084)
+    for _ in range(50):
+        _assert_matches_oracle(_random_waypoints(rng, 2), 33)
+        # the parabola comes from a dense 3 x 3 LAPACK solve in both
+        _assert_matches_oracle(_random_waypoints(rng, 3), 33, rtol=1e-12)
+
+
+def test_spline_matches_scipy_at_and_between_knots():
+    # the resampling grid almost never lands on a knot, where the segment choice matters
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(1304)
+    for n in [2] + list(range(4, 31)):
+        wp = _random_waypoints(rng, n)
+        chord = np.r_[0.0, np.cumsum(np.linalg.norm(np.diff(wp, axis=0), axis=1))]
+        reference = CubicSpline(chord, wp, axis=0)
+        coeffs = simulate._not_a_knot_spline(chord, wp)
+        assert np.array_equal(coeffs, reference.c)
+        u = np.sort(np.r_[chord, rng.uniform(0.0, chord[-1], 64)])
+        assert np.array_equal(simulate._eval_spline(chord, coeffs, u), reference(u))
+        assert np.array_equal(
+            simulate._eval_spline(chord, coeffs, u, derivative=True), reference(u, 1)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,12 @@ def test_scaling_model_rejects_zero_variance():
         ScalingModel("scale", 0.7, 0.0)
 
 
+@pytest.mark.parametrize("mean, variance", [(np.nan, 0.06), (np.inf, 0.06), (0.7, np.inf)])
+def test_scaling_model_rejects_non_finite(mean, variance):
+    with pytest.raises(ValueError, match="finite"):
+        ScalingModel("scale", mean, variance)
+
+
 def test_scaling_noise_gaussian():
     g = scaling_noise_gaussian(ScalingModel.squared_scale_uniform())
     assert_allclose(g.mean, [0.5])
