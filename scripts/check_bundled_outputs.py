@@ -1,9 +1,10 @@
-"""Fingerprint the CSV outputs of every bundled scenario.
+"""Fingerprint the outputs of every bundled scenario.
 
 Runs each bundled scenario through the CLI at a reduced size
 (``runs.n_runs=3``, ``runs.n_steps=40``; ``--full`` keeps each config's own
 sizes) into a temporary directory and prints one
-``<sha256>  <scenario>/<file>`` line per estimates.csv and summary.csv.
+``<sha256>  <scenario>/<file>`` line per estimates.csv and summary.csv, and
+one per SVG plot the run wrote, in name order.
 Saving the listing from one checkout and passing it to ``--against`` in
 another checks that a change keeps every output byte-identical:
 
@@ -14,7 +15,7 @@ another checks that a change keeps every output byte-identical:
 With ``--against``, every line that differs from the saved listing is
 reported and the exit status is 1.
 
-``--keep DIR`` saves the hashed CSVs as ``DIR/<scenario>/<file>``.
+``--keep DIR`` saves the hashed files as ``DIR/<scenario>/<file>``.
 ``--near DIR`` compares the current CSVs value by value with such a kept
 tree: it prints the largest ``|Δ|`` and ``|Δ|/(1 + |x|)`` per file and
 exits 1 when a relative difference exceeds 1e-12, when any ``iou`` or
@@ -53,7 +54,7 @@ def listing(
     near: Path | None = None,
     timed: bool = False,
 ):
-    """Hash lines of every bundled CSV, and the problems found against ``near``."""
+    """Hash lines of every bundled output, and the problems found against ``near``."""
     lines, problems = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for name in cli.bundled_scenarios():
@@ -65,16 +66,18 @@ def listing(
                 print(f"time {name}: {time.perf_counter() - t0:.3f} s", file=sys.stderr)
             if code != 0:
                 raise SystemExit(f"{name}: shapetrack run exited with {code}")
-            for fname in FILES:
+            hashed = [*FILES, *sorted(p.name for p in out.glob("*.svg"))]
+            for fname in hashed:
                 digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
                 lines.append(f"{digest}  {name}/{fname}")
-                if near is not None:
+            if near is not None:
+                for fname in FILES:
                     kept = near / Path(name).stem / fname
                     problems += compare(kept, out / fname, f"{name}/{fname}")
             if keep is not None:
                 dest = keep / Path(name).stem
                 dest.mkdir(parents=True, exist_ok=True)
-                for fname in FILES:
+                for fname in hashed:
                     shutil.copyfile(out / fname, dest / fname)
     return lines, problems
 

@@ -292,7 +292,27 @@ def _build_counts(r: _Reader) -> MeasurementCountModel:
         required=True,
     )
     value = r.take("counts.value", _as_float, required=True)
-    return MeasurementCountModel(kind, value)
+    try:
+        return MeasurementCountModel(kind, value)
+    except ValueError as err:
+        raise ConfigValidationError(f"counts.value: {err}") from err
+
+
+def _check_spread(tracker: TrackerConfig, counts: MeasurementCountModel) -> None:
+    """Reject a sigma-point spread that has no sigma points in some update.
+
+    d + lambda = alpha^2 (d + kappa) grows with the augmented dimension d,
+    so it is checked at the smallest d the tracker uses: one measurement,
+    or the fixed count when a batch update takes them all at once.
+    """
+    fixed_batch = tracker.batch_mode and counts.kind == "fixed_per_step"
+    d = tracker.augmented_dim(int(counts.value) if fixed_batch else 1)
+    scale, _ = tracker.unscented.scaling(d)
+    if not scale > 0:
+        raise ConfigValidationError(
+            f"tracker.ut_alpha, tracker.ut_kappa: the sigma-point spread gives "
+            f"d + lambda = {scale:g} at augmented dimension d = {d}; it must be positive"
+        )
 
 
 def build_scenario(mapping: dict, base_dir=None) -> ScenarioConfig:
@@ -312,6 +332,7 @@ def build_scenario(mapping: dict, base_dir=None) -> ScenarioConfig:
         tracker = _build_tracker(r)
         noise = _build_noise(r)
         counts = _build_counts(r)
+        _check_spread(tracker, counts)
 
         mean = r.take("prior.mean", _as_floats, required=True)
         cov_diag = r.take("prior.cov_diag", _as_floats, required=True)

@@ -209,6 +209,12 @@ class UnscentedSpread:
     def resolved_kappa(self, dim: int) -> float:
         return 3.0 - dim if self.kappa is None else float(self.kappa)
 
+    def scaling(self, dim: int) -> tuple[float, float]:
+        """(d + lambda, lambda) of the sigma points of a dim-dimensional
+        Gaussian; the points exist only where d + lambda > 0."""
+        lam = self.alpha**2 * (dim + self.resolved_kappa(dim)) - dim
+        return dim + lam, lam
+
 
 DEFAULT_SPREAD = UnscentedSpread()
 
@@ -270,9 +276,7 @@ def _stacked_sigma_points(
         ValueError: spread yields d + lambda <= 0.
     """
     n_runs, d = means.shape
-    kappa = spread.resolved_kappa(d)
-    lam = spread.alpha**2 * (d + kappa) - d
-    scale = d + lam
+    scale, lam = spread.scaling(d)
     if scale <= 0:
         raise ValueError(f"d + lambda = {scale} must be positive")
 

@@ -1,26 +1,31 @@
 """Shape-overlap scoring between estimates and ground truth.
 
-shape_iou scores both regions on a shared grid of row-centre scanlines
-spanning their joint bounding box, without building the grid. Each region
-yields the cell indices where its boundary crosses each row: ellipses from
-the exact quadratic roots; polygons, Fourier contours and group hulls from
-their boundary polyline under a half-open crossing rule, which keeps every
-row's count even. Cell ``i`` of a row is inside a region when an odd number
-of its crossings lie at or before ``i`` (even-odd fill), so non-convex
-star-shaped regions with several spans per row come out right. Both
-regions' crossings are swept together in one sorted pass, which counts the
-union and the intersection cells at O(rows + crossings log crossings) per
-call.
+A pair of regions is scored on a grid of row-centre scanlines spanning its
+joint bounding box, without building the grid. Each region yields the cell
+indices where its boundary crosses each row: ellipses from the exact
+quadratic roots; polygons, Fourier contours and group hulls from their
+boundary polyline under a half-open crossing rule, which keeps every row's
+count even. Cell ``i`` of a row is inside a region when an odd number of
+its crossings lie at or before ``i`` (even-odd fill), so non-convex
+star-shaped regions with several spans per row come out right.
 
-Two ellipses have one span per row each, so their counts come from a
-per-row min/max of the quadratic roots instead of the sweep.
-`ellipse_ious` counts many ellipse pairs at once, PAIRS_PER_CALL per
-stacked call, and the ellipse/ellipse case of `shape_iou` is its
-one-pair case.
+Scoring is stacked. `shape_ious` takes N estimates (ellipse Cholesky
+triples or Fourier coefficients) and the truths they are paired with. It
+traces each distinct truth once, a point group's convex hull included,
+and counts the pairs a chunk at a time, with ROWS_PER_CALL bounding the
+grid rows of a chunk. The crossing keys of a chunk are offset by pair, so
+one sorted sweep of both regions' keys counts every pair's union and
+intersection. An ellipse fills one span per row, so where one region of
+every pair in a chunk is an ellipse, the other region's sorted keys,
+taken two by two as spans, are clipped to it instead of swept, and two
+ellipses are counted from a per-row min/max of their roots. `shape_iou`
+is the one-pair case and `ellipse_ious` the ellipse/ellipse case of the
+same path.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,12 +34,13 @@ from .ellipse import EllipseParams
 from .starconvex import FourierShapeParams, fourier_basis
 from .targets import GroundTruthTarget
 
-__all__ = ["shape_iou", "ellipse_ious", "shape_polyline", "DEFAULT_RESOLUTION"]
+__all__ = ["shape_iou", "shape_ious", "ellipse_ious", "shape_polyline", "DEFAULT_RESOLUTION"]
 
 DEFAULT_RESOLUTION = 1024
 CONTOUR_SAMPLES = 2048
-# Ellipse pairs per stacked count: bounds the (pairs x resolution) row arrays.
-PAIRS_PER_CALL = 16
+# Grid rows per stacked count (16 pairs at resolution 256): bounds the
+# (pairs x resolution) row arrays and the traces of a chunk.
+ROWS_PER_CALL = 1 << 12
 
 
 def _group_hull(members: np.ndarray) -> np.ndarray:
@@ -57,10 +63,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _directions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample angles and unit directions of an n-point boundary trace."""
+    """Sample angles (n,) and unit directions (2, n) of an n-point boundary trace."""
     phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    return _read_only(phi), _read_only(e)
+    return _read_only(phi), _read_only(np.stack([np.cos(phi), np.sin(phi)]))
 
 
 @lru_cache(maxsize=16)
@@ -82,11 +87,11 @@ def shape_polyline(shape, n: int = CONTOUR_SAMPLES) -> np.ndarray:
             return _group_hull(shape.members)
         shape = shape.ellipse
     if isinstance(shape, EllipseParams):
-        e = _directions(n)[1]
+        e = _directions(n)[1].T
         quad = np.einsum("ni,ij,nj->n", e, shape.quad_form, e)
         return shape.center + e / np.sqrt(quad)[:, None]
     if isinstance(shape, FourierShapeParams):
-        e = _directions(n)[1]
+        e = _directions(n)[1].T
         r = np.clip(_radius_basis(n, shape.coeffs.shape[0]) @ shape.coeffs, 0.0, None)
         return shape.center + r[:, None] * e
     raise TypeError(f"cannot trace a boundary for {type(shape).__name__}")
@@ -100,32 +105,110 @@ def _quad_forms(chols: np.ndarray) -> np.ndarray:
     return low @ np.swapaxes(low, -1, -2)
 
 
-def _ellipse_boxes(centers: np.ndarray, quads: np.ndarray):
-    """Bounding boxes (lo, hi), each (N, 2): the extremes of w^T Q w = 1 are sqrt(diag(Q^-1))."""
-    half = np.sqrt(np.diagonal(np.linalg.inv(quads), axis1=-2, axis2=-1))
-    return centers - half, centers + half
+@dataclass(frozen=True)
+class _Outlines:
+    """N traced regions: their bounding boxes and scoring boundaries.
 
-
-def _boundary(shape, resolution: int):
-    """Bounding box and scoring boundary of one region.
-
-    Returns (lo, hi, boundary) where boundary is the EllipseParams itself
-    or a closed polyline. The box of a traced region comes from a
-    CONTOUR_SAMPLES trace; the scoring trace is coarser on coarse grids,
-    since boundary sampling finer than the grid adds nothing, and is
-    shared with the box trace otherwise.
+    Region i is the exact ellipse (centers[i], quads[i]) where ellipse[i]
+    is set, and otherwise the closed polyline with abscissae polys[i, 0]
+    and ordinates polys[i, 1]. Shorter polylines are padded with copies of
+    their last vertex, which add only empty edges.
     """
-    if isinstance(shape, EllipseParams):
-        lo, hi = _ellipse_boxes(shape.center[None], _quad_forms(shape.chol[None]))
-        return lo[0], hi[0], shape
-    pts = shape_polyline(shape)
-    # contiguous rows reduce ~10x faster than axis 0 of an (n, 2) array
-    xy = pts.T.copy()
-    lo, hi = xy.min(axis=1), xy.max(axis=1)
+
+    lo: np.ndarray  # (N, 2)
+    hi: np.ndarray  # (N, 2)
+    ellipse: np.ndarray  # (N,) bool
+    centers: np.ndarray  # (N, 2)
+    quads: np.ndarray  # (N, 2, 2)
+    polys: np.ndarray  # (N, 2, n)
+
+    def take(self, idx) -> "_Outlines":
+        return _Outlines(*(getattr(self, f)[idx] for f in self.__dataclass_fields__))
+
+
+def _ellipse_outlines(centers: np.ndarray, chols: np.ndarray) -> _Outlines:
+    quads = _quad_forms(chols)
+    # the extremes of w^T Q w = 1 are sqrt(diag(Q^-1))
+    half = np.sqrt(np.diagonal(np.linalg.inv(quads), axis1=-2, axis2=-1))
+    n = len(centers)
+    return _Outlines(
+        centers - half, centers + half, np.ones(n, bool), centers, quads, np.empty((n, 2, 0))
+    )
+
+
+def _polyline_outlines(polys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Outlines:
+    n = len(polys)
+    return _Outlines(
+        lo, hi, np.zeros(n, bool), np.full((n, 2), np.nan), np.full((n, 2, 2), np.nan), polys
+    )
+
+
+def _fourier_offsets(coeffs, n: int) -> np.ndarray:
+    """(N, 2, n) boundary points of N Fourier contours relative to their
+    centres; `shape_polyline` adds the centre to the same values."""
+    basis = _radius_basis(n, coeffs.shape[1])
+    # one product per contour: the same arithmetic as a single trace
+    radii = np.clip(np.array([basis @ c for c in coeffs]).reshape(-1, 1, n), 0.0, None)
+    return radii * _directions(n)[1]
+
+
+def _fourier_outlines(centers, coeffs, resolution: int) -> _Outlines:
+    """Fourier contours, boxed by a CONTOUR_SAMPLES trace and scored on one
+    that is coarser on coarse grids (boundary sampling finer than the grid
+    adds nothing)."""
+    offsets = _fourier_offsets(coeffs, CONTOUR_SAMPLES)
+    # adding the centre is monotone in the offset, so the trace's box is
+    # the centre plus the offsets' box; rows reduce fast
+    lo, hi = centers + offsets.min(axis=2), centers + offsets.max(axis=2)
     samples = min(CONTOUR_SAMPLES, max(256, 2 * resolution))
-    if samples != CONTOUR_SAMPLES and not isinstance(shape, GroundTruthTarget):
-        pts = shape_polyline(shape, samples)
-    return lo, hi, pts
+    if samples != CONTOUR_SAMPLES:
+        offsets = _fourier_offsets(coeffs, samples)
+    return _polyline_outlines(centers[:, :, None] + offsets, lo, hi)
+
+
+def _concat(parts: list) -> _Outlines:
+    """One stack of several; polylines padded to the longest."""
+    n = max(p.polys.shape[2] for p in parts)
+
+    def padded(polys):
+        if not polys.shape[2]:
+            return np.full((len(polys), 2, n), np.nan)  # ellipses: never read
+        last = np.repeat(polys[:, :, -1:], n - polys.shape[2], axis=2)
+        return np.concatenate([polys, last], axis=2)
+
+    fields = {
+        f: np.concatenate([padded(p.polys) if f == "polys" else getattr(p, f) for p in parts])
+        for f in _Outlines.__dataclass_fields__
+    }
+    return _Outlines(**fields)
+
+
+def _outline(shape, resolution: int, flat_groups: bool = False) -> _Outlines:
+    """One region: EllipseParams, FourierShapeParams or GroundTruthTarget.
+
+    A point group whose members span no area raises ValueError, or with
+    flat_groups is traced as an empty region: one vertex, no edge.
+    """
+    if isinstance(shape, GroundTruthTarget) and shape.kind == "ellipse":
+        shape = shape.ellipse
+    if isinstance(shape, EllipseParams):
+        return _ellipse_outlines(shape.center[None], shape.chol[None])
+    if isinstance(shape, FourierShapeParams):
+        return _fourier_outlines(shape.center[None], shape.coeffs[None], resolution)
+    if flat_groups and isinstance(shape, GroundTruthTarget) and shape.kind == "point_group":
+        try:
+            pts = _group_hull(shape.members)
+        except ValueError:  # the members span no area
+            pts = shape.members[:1]
+    else:
+        pts = shape_polyline(shape)
+    xy = pts.T.copy()
+    return _polyline_outlines(xy[None], xy.min(axis=1)[None], xy.max(axis=1)[None])
+
+
+def _row_centres(lo, dy, res):
+    """(N, res) row-centre ordinates of N grids with lowest ordinates lo[:, 1]."""
+    return lo[:, 1:2] + (np.arange(res) + 0.5) * dy[:, None]
 
 
 def _ellipse_row_cells(centers, quads, ys, xlo, dx, res):
@@ -151,29 +234,189 @@ def _ellipse_row_cells(centers, quads, ys, xlo, dx, res):
     return np.where(rows, i0, 0), np.where(rows, i1, 0)
 
 
-def _ellipse_pair_counts(centers_a, chols_a, centers_b, chols_b, res):
-    """(intersection, union) cell counts of N ellipse pairs, each on the grid
-    over its own joint bounding box."""
-    quads_a, quads_b = _quad_forms(chols_a), _quad_forms(chols_b)
-    lo_a, hi_a = _ellipse_boxes(centers_a, quads_a)
-    lo_b, hi_b = _ellipse_boxes(centers_b, quads_b)
-    lo = np.minimum(lo_a, lo_b)
-    hi = np.maximum(hi_a, hi_b)
+def _row_index(y, ylo, dy, res):
+    """np.searchsorted(ys, y) for each entry's own row centres
+    ys = ylo + (j + 0.5) dy, j < res, without building them.
+
+    The inverse of the grid formula gives the index up to rounding; it is
+    then moved to where the row centres, computed exactly as the grid
+    computes them, compare as searchsorted compares them.
+    """
+    guess = np.nan_to_num(np.ceil((y - ylo) / dy - 0.5), nan=res)  # NaN sorts last
+    j = np.clip(guess, 0, res).astype(int)
+    while True:
+        down = (j > 0) & (ylo + (j - 0.5) * dy >= y)
+        up = (j < res) & (ylo + (j + 0.5) * dy < y)
+        if not (down.any() or up.any()):
+            return j
+        j = j - down + up
+
+
+def _polyline_keys(polys, pairs, lo, dx, dy, res):
+    """Crossing keys (see `_crossing_keys`) of closed polylines (P, 2, n),
+    polyline i belonging to pair pairs[i]."""
+    x0, y0 = polys[:, 0].ravel(), polys[:, 1].ravel()
+    ends = np.roll(polys, -1, axis=2)
+    x1, y1 = ends[:, 0].ravel(), ends[:, 1].ravel()
+    edge_pair = np.repeat(pairs, polys.shape[2])
+    ylo, step = lo[edge_pair, 1], dy[edge_pair]
+    # half-open crossing rule keeps the parity even at shared vertices:
+    # an edge crosses the rows whose centre lies in [min(y0, y1), max(y0, y1))
+    r0 = _row_index(np.minimum(y0, y1), ylo, step, res)
+    counts = _row_index(np.maximum(y0, y1), ylo, step, res) - r0
+
+    def each(per_edge):  # the edge's value at each of its crossings
+        return np.repeat(per_edge, counts)
+
+    rows = np.arange(counts.sum()) + each(r0 - (np.cumsum(counts) - counts))
+    frac = (each(ylo) + (rows + 0.5) * each(step) - each(y0)) / each(y1 - y0)
+    xs = each(x0) + frac * each(x1 - x0)
+    cells = np.ceil((xs - each(lo[edge_pair, 0])) / each(dx[edge_pair]) - 0.5)
+    return (each(edge_pair * res) + rows) * (res + 1) + np.clip(cells.astype(int), 0, res)
+
+
+def _crossing_keys(outlines: _Outlines, lo, dx, dy, res) -> np.ndarray:
+    """Flat keys (pair * res + row) * (res + 1) + idx of every boundary
+    crossing of each pair's region, where idx in [0, res] is the first
+    cell centre at or beyond the crossing."""
+    keys = []
+    ell = np.flatnonzero(outlines.ellipse)
+    if ell.size:
+        i0, i1 = _ellipse_row_cells(
+            outlines.centers[ell],
+            outlines.quads[ell],
+            _row_centres(lo[ell], dy[ell], res),
+            lo[ell, 0],
+            dx[ell],
+            res,
+        )
+        base = (ell[:, None] * res + np.arange(res)) * (res + 1)
+        keys.append(np.stack([base + i0, base + i1], axis=-1)[i1 > i0].ravel())
+    poly = np.flatnonzero(~outlines.ellipse)
+    if poly.size:
+        keys.append(_polyline_keys(outlines.polys[poly], poly, lo, dx, dy, res))
+    return np.concatenate(keys)
+
+
+def _sweep_counts(keys_a: np.ndarray, keys_b: np.ndarray, n_pairs: int, res: int):
+    """(intersection, union) cell counts per pair of two even-odd filled key sets.
+
+    Sweeping the merged sorted keys, the running parity of each set's keys
+    says whether the cells up to the next key are inside that region.
+    Every row of every pair holds an even number of each set's keys, so
+    both parities are back to zero at each row end.
+    """
+    keys = np.concatenate([keys_a, keys_b])
+    # tied keys may come in any order (their gap is 0); the stable sort is
+    # chosen for speed, as it merges the keys' partly sorted runs
+    order = np.argsort(keys, kind="stable")
+    # bit 0 toggles on a's keys, bit 1 on b's
+    state = np.bitwise_xor.accumulate(np.where(order < keys_a.size, 1, 2))[:-1]
+    keys = keys[order]
+    gaps = np.diff(keys)
+    pair = keys[:-1] // (res * (res + 1))
+    inside, both = state != 0, state == 3
+    union = np.bincount(pair[inside], gaps[inside], minlength=n_pairs)
+    inter = np.bincount(pair[both], gaps[both], minlength=n_pairs)
+    return inter.astype(int), union.astype(int)
+
+
+def _pair_counts(a: _Outlines, b: _Outlines, res: int):
+    """(intersection, union) cell counts of the pairs (a[i], b[i]), each on
+    the grid over its own joint bounding box."""
+    lo = np.minimum(a.lo, b.lo)
+    hi = np.maximum(a.hi, b.hi)
     span = np.maximum(hi - lo, 1e-12)
     dx, dy = (span / res).T
-    ys = lo[:, 1:2] + (np.arange(res) + 0.5) * dy[:, None]
-    a0, a1 = _ellipse_row_cells(centers_a, quads_a, ys, lo[:, 0], dx, res)
-    b0, b1 = _ellipse_row_cells(centers_b, quads_b, ys, lo[:, 0], dx, res)
-    inter = np.sum(np.clip(np.minimum(a1, b1) - np.maximum(a0, b0), 0, None), axis=1)
-    union = np.sum(a1 - a0, axis=1) + np.sum(b1 - b0, axis=1) - inter
-    return inter, union
+    if not a.ellipse.all():
+        a, b = b, a  # both counts are symmetric in the pair
+    if not a.ellipse.all():
+        return _sweep_counts(
+            _crossing_keys(a, lo, dx, dy, res), _crossing_keys(b, lo, dx, dy, res), len(lo), res
+        )
+    # a fills one span [a0, a1) per row, so b's spans are clipped to it
+    # instead of sweeping both regions' keys
+    ys = _row_centres(lo, dy, res)
+    a0, a1 = _ellipse_row_cells(a.centers, a.quads, ys, lo[:, 0], dx, res)
+    if b.ellipse.all():
+        b0, b1 = _ellipse_row_cells(b.centers, b.quads, ys, lo[:, 0], dx, res)
+        inter = np.sum(np.clip(np.minimum(a1, b1) - np.maximum(a0, b0), 0, None), axis=1)
+        union = np.sum(a1 - a0, axis=1) + np.sum(b1 - b0, axis=1) - inter
+        return inter, union
+    # b's sorted keys, taken two by two, bound its filled spans [s, e) (even-odd fill)
+    keys = np.sort(_crossing_keys(b, lo, dx, dy, res))
+    row, start = np.divmod(keys[0::2], res + 1)
+    end = keys[1::2] % (res + 1)
+    pair = row // res
+    overlap = np.minimum(end, a1.ravel()[row]) - np.maximum(start, a0.ravel()[row])
+    overlap = np.clip(overlap, 0, None)
+    inter = np.bincount(pair, overlap, minlength=len(lo)).astype(int)
+    filled_b = np.bincount(pair, end - start, minlength=len(lo)).astype(int)
+    return inter, np.sum(a1 - a0, axis=1) + filled_b - inter
+
+
+def shape_ious(
+    centers,
+    params,
+    truths,
+    which=None,
+    family: str = "ellipse",
+    resolution: int = DEFAULT_RESOLUTION,
+) -> np.ndarray:
+    """IoU of N estimates against their truths, pair by pair.
+
+    Each pair is scored exactly as `shape_iou` scores it. Each distinct
+    truth object is traced once, and the pairs are counted a chunk of
+    ROWS_PER_CALL // resolution at a time.
+
+    Args:
+        centers: (N, 2) estimate centers.
+        params: (N, 3) Cholesky triples with positive diagonals, as
+            `clamp_chols` returns them, for family "ellipse"; (N, n_coeffs)
+            Fourier radius coefficients for family "star_convex".
+        truths: regions the estimates are scored against: GroundTruthTarget,
+            EllipseParams or FourierShapeParams. A point group whose
+            members span no area covers no cell, so its pairs score 0.
+        which: (N,) index into truths of each estimate's truth; None pairs
+            estimate i with truths[i].
+        family: "ellipse" or "star_convex", the kind of the estimates.
+        resolution: cells per axis of each pair's grid.
+
+    Returns:
+        (N,) IoUs in [0, 1]; a pair that covers no grid cell scores 0.
+    """
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    if family not in ("ellipse", "star_convex"):
+        raise ValueError(f"unknown estimate family {family!r}")
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    params = np.atleast_2d(np.asarray(params, dtype=float))
+    which = np.arange(len(truths)) if which is None else np.asarray(which, dtype=int)
+    if which.shape != (len(centers),) or len(params) != len(centers):
+        raise ValueError("one truth and one parameter row per estimate required")
+    out = np.zeros(len(centers))
+    if not len(out):
+        return out
+    slots, distinct = [], {}
+    for truth in truths:
+        slots.append(distinct.setdefault(id(truth), (len(distinct), truth))[0])
+    traced = _concat([_outline(t, resolution, flat_groups=True) for _, t in distinct.values()])
+    slot = np.asarray(slots)[which]
+    chunk = max(1, ROWS_PER_CALL // resolution)
+    for at in range(0, len(out), chunk):
+        part = slice(at, at + chunk)
+        if family == "ellipse":
+            est = _ellipse_outlines(centers[part], params[part])
+        else:
+            est = _fourier_outlines(centers[part], params[part], resolution)
+        inter, union = _pair_counts(est, traced.take(slot[part]), resolution)
+        out[part] = np.divide(inter, union, out=np.zeros(len(inter)), where=union > 0)
+    return out
 
 
 def ellipse_ious(centers, chols, truths, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
-    """IoU of N ellipse estimates against N ellipses, pair by pair.
-
-    Each pair is scored exactly as `shape_iou` scores it, and the pairs
-    are counted PAIRS_PER_CALL at a time.
+    """IoU of N ellipse estimates against N ellipses, pair by pair: the
+    ellipse/ellipse case of `shape_ious`.
 
     Args:
         centers: (N, 2) estimate centers.
@@ -185,69 +428,7 @@ def ellipse_ious(centers, chols, truths, resolution: int = DEFAULT_RESOLUTION) -
     Returns:
         (N,) IoUs in [0, 1]; a pair that covers no grid cell scores 0.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    chols = np.asarray(chols, dtype=float).reshape(-1, 3)
-    truth_centers = np.array([t.center for t in truths]).reshape(-1, 2)
-    truth_chols = np.array([t.chol for t in truths]).reshape(-1, 3)
-    out = np.zeros(len(centers))
-    for at in range(0, len(out), PAIRS_PER_CALL):
-        part = slice(at, at + PAIRS_PER_CALL)
-        inter, union = _ellipse_pair_counts(
-            centers[part], chols[part], truth_centers[part], truth_chols[part], resolution
-        )
-        out[part] = np.divide(inter, union, out=np.zeros(len(inter)), where=union > 0)
-    return out
-
-
-def _crossing_keys(boundary, ys, xlo, dx, res) -> np.ndarray:
-    """Flat keys row * (res + 1) + idx of every boundary crossing, where
-    idx in [0, res] is the first cell centre at or beyond the crossing."""
-    if isinstance(boundary, EllipseParams):
-        i0, i1 = _ellipse_row_cells(
-            boundary.center[None],
-            _quad_forms(boundary.chol[None]),
-            ys[None],
-            np.array([xlo]),
-            np.array([dx]),
-            res,
-        )
-        i0, i1 = i0[0], i1[0]
-        rows = np.flatnonzero(i1 > i0)
-        base = rows * (res + 1)
-        return np.concatenate([base + i0[rows], base + i1[rows]])
-    p0 = boundary
-    p1 = np.roll(boundary, -1, axis=0)
-    y0, y1 = p0[:, 1], p1[:, 1]
-    # half-open crossing rule keeps the parity even at shared vertices:
-    # an edge crosses the rows whose centre lies in [min(y0, y1), max(y0, y1))
-    r0 = np.searchsorted(ys, np.minimum(y0, y1))
-    counts = np.searchsorted(ys, np.maximum(y0, y1)) - r0
-    edges = np.repeat(np.arange(len(p0)), counts)
-    rows = np.arange(edges.size) + np.repeat(r0 - (np.cumsum(counts) - counts), counts)
-    frac = (ys[rows] - y0[edges]) / (y1[edges] - y0[edges])
-    xs = p0[edges, 0] + frac * (p1[edges, 0] - p0[edges, 0])
-    idx = np.clip(np.ceil((xs - xlo) / dx - 0.5).astype(int), 0, res)
-    return rows * (res + 1) + idx
-
-
-def _sweep_counts(keys_a: np.ndarray, keys_b: np.ndarray) -> tuple[int, int]:
-    """(intersection, union) cell counts of two even-odd filled key sets.
-
-    Sweeping the merged sorted keys, the running parity of each set's keys
-    says whether the cells up to the next key are inside that region.
-    Every row holds an even number of each set's keys, so both parities
-    are back to zero at each row end.
-    """
-    keys = np.concatenate([keys_a, keys_b])
-    # tied keys may come in any order (their gap is 0); the stable sort is
-    # chosen for speed, as it merges the keys' partly sorted runs
-    order = np.argsort(keys, kind="stable")
-    # bit 0 toggles on a's keys, bit 1 on b's
-    state = np.bitwise_xor.accumulate(np.where(order < keys_a.size, 1, 2))[:-1]
-    gaps = np.diff(keys[order])
-    return int(gaps[state == 3].sum()), int(gaps[state != 0].sum())
+    return shape_ious(centers, chols, list(truths), resolution=resolution)
 
 
 def shape_iou(a, b, resolution: int = DEFAULT_RESOLUTION) -> float:
@@ -265,28 +446,7 @@ def shape_iou(a, b, resolution: int = DEFAULT_RESOLUTION) -> float:
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    a, b = (
-        s.ellipse if isinstance(s, GroundTruthTarget) and s.kind == "ellipse" else s
-        for s in (a, b)
-    )
-    if isinstance(a, EllipseParams) and isinstance(b, EllipseParams):
-        # one span per row each: a per-row min/max is cheaper than the sweep
-        inter, union = _ellipse_pair_counts(
-            a.center[None], a.chol[None], b.center[None], b.chol[None], resolution
-        )
-        inter, union = inter[0], union[0]
-    else:
-        lo_a, hi_a, a = _boundary(a, resolution)
-        lo_b, hi_b, b = _boundary(b, resolution)
-        lo = np.minimum(lo_a, lo_b)
-        hi = np.maximum(hi_a, hi_b)
-        span = np.maximum(hi - lo, 1e-12)
-        dx, dy = span / resolution
-        ys = lo[1] + (np.arange(resolution) + 0.5) * dy
-        inter, union = _sweep_counts(
-            _crossing_keys(a, ys, lo[0], dx, resolution),
-            _crossing_keys(b, ys, lo[0], dx, resolution),
-        )
-    if union == 0:
+    inter, union = _pair_counts(_outline(a, resolution), _outline(b, resolution), resolution)
+    if union[0] == 0:
         raise ValueError("both regions rasterize to zero area")
-    return float(inter / union)
+    return float(inter[0] / union[0])

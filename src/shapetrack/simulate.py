@@ -7,13 +7,20 @@ over independent runs.
 All runs advance in lockstep, one time step at a time. Each run owns a
 Philox stream spawned from the master seed, and at every step each live
 run draws from its own stream, in this order: the measurement count, the
-sources, the noise levels, the noise. Then the live runs are predicted
-together and updated together as stacked arrays (`stacked_time_update`,
+sources, the noise levels, the noise. The sources of all live runs are
+rejection-sampled together (`stacked_sample_sources`): each run draws its
+box chunks from its own stream, and one inside-or-out test per round
+covers every run's chunk. Then the live runs are predicted together and
+updated together as stacked arrays (`stacked_time_update`,
 `stacked_step`): in batch mode one update per group of runs with the
 same measurement count; in sequential mode one update per measurement
 index j, taken by the runs with more than j measurements. A run's draws
 and arithmetic do not depend on the other runs, so its results are the
 same bit for bit whatever the number of runs.
+
+Scoring is stacked as well: every (run, step) pair is scored in one
+`shape_ious` call, which traces each step's truth once, and the
+run-averaged shapes in another.
 
 Divergence is a per-run mask. A run diverges at a step when its update
 fails (a covariance cannot be factorized or repaired), its mean or
@@ -28,15 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipse import EllipseParams, clamp_chol, clamp_chols
+from .ellipse import clamp_chol, clamp_chols
 from .gaussian import GaussianState
-from .metrics import ellipse_ious, shape_iou
+from .metrics import shape_ious
 from .starconvex import DegenerateAngleWarning, FourierShapeParams
-from .targets import (
-    GroundTruthTarget,
-    psd_root,
-    sample_measurement_sources,
-)
+from .targets import GroundTruthTarget, psd_root, stacked_sample_sources
 from .tracker import TrackerConfig, stacked_step, stacked_time_update
 
 __all__ = [
@@ -54,6 +57,14 @@ __all__ = [
 RUN_IOU_RESOLUTION = 256
 MEAN_IOU_RESOLUTION = 1024
 DIVERGENCE_CENTER_BOUND = 1e6
+# Bound on the fixed count and on the Poisson mean. A batch update on k
+# measurements augments each run's state to d = state_dim + 3k and holds
+# its (2d + 1, d) sigma points, its (d, d) covariance and the (2d + 1, k)
+# pseudo-measurements with their intermediates: a traced batch step at
+# k = 100 peaked at about 90 d^2 bytes a run. At the bound (d <= 320 for
+# the bundled layouts) that is under 10 MB a run and about 0.2 GB for 20
+# runs, with room for Poisson draws well above the mean.
+MAX_MEASUREMENTS_PER_STEP = 100
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,11 @@ class MeasurementCountModel:
                 raise ValueError("fixed count must be a positive integer")
         elif self.value < 0:
             raise ValueError("Poisson mean must be nonnegative")
+        if self.value > MAX_MEASUREMENTS_PER_STEP:
+            raise ValueError(
+                f"measurements per step must be at most {MAX_MEASUREMENTS_PER_STEP}, "
+                f"got {self.value:g}"
+            )
 
 
 def measurement_count(model: MeasurementCountModel, rng: np.random.Generator) -> int:
@@ -341,14 +357,6 @@ class ScenarioReport:
         return self.diverged_at < 0
 
 
-def _safe_iou(shape, truth, resolution) -> float:
-    """IoU that treats a degenerate (zero-union) estimate as zero overlap."""
-    try:
-        return shape_iou(shape, truth, resolution=resolution)
-    except ValueError:
-        return 0.0
-
-
 def posed_target(config: ScenarioConfig, step: int) -> GroundTruthTarget:
     """Ground truth at one step: the target moved/rotated along the trajectory."""
     if config.trajectory is None:
@@ -361,28 +369,16 @@ def posed_target(config: ScenarioConfig, step: int) -> GroundTruthTarget:
 
 
 def _score(config: ScenarioConfig, states, truths, steps, resolution) -> np.ndarray:
-    """IoU of each state's shape against the truth of its step; a pair with
-    an empty union scores 0.
+    """IoU of each state's shape against the truth of its step, all pairs
+    stacked (`metrics.shape_ious`); a pair with an empty union scores 0.
 
-    Ellipse triples are clamped together, and the ellipse/ellipse pairs
-    are counted together.
+    Ellipse triples are clamped together first.
     """
-    out = np.zeros(len(states))
-    shape_dim = config.tracker.shape_dim
-    if config.tracker.shape_family != "ellipse":
-        for i, k in enumerate(steps):
-            shape = FourierShapeParams(states[i, :2], states[i, -shape_dim:])
-            out[i] = _safe_iou(shape, truths[k], resolution)
-        return out
-    chols, _ = clamp_chols(states[:, -shape_dim:])
-    paired = np.array([truths[k].kind == "ellipse" for k in steps], dtype=bool)
-    if paired.any():
-        out[paired] = ellipse_ious(
-            states[paired, :2], chols[paired], [truths[k].ellipse for k in steps[paired]], resolution
-        )
-    for i in np.flatnonzero(~paired):
-        out[i] = _safe_iou(EllipseParams(states[i, :2], chols[i]), truths[steps[i]], resolution)
-    return out
+    family, shape_dim = config.tracker.shape_family, config.tracker.shape_dim
+    params = states[:, -shape_dim:]
+    if family == "ellipse":
+        params, _ = clamp_chols(params)
+    return shape_ious(states[:, :2], params, truths, steps, family, resolution)
 
 
 def mean_shape(report: "ScenarioReport", step: int):
@@ -393,18 +389,22 @@ def mean_shape(report: "ScenarioReport", step: int):
     return FourierShapeParams(mean[:2], mean[-shape_dim:])
 
 
-def _draw_measurements(config: ScenarioConfig, truth, rng: np.random.Generator, factors):
-    """One step's measurements of one run, drawn from its stream: count,
-    sources, noise levels, noise."""
+def _draw_measurements(config: ScenarioConfig, truth, rngs, factors) -> list:
+    """One step's measurements of several runs. Each run draws from its own
+    stream, in the order count, sources, noise levels, noise; the sources
+    of all the runs are rejection-sampled together."""
     mix = config.noise_mixture
-    n_k = measurement_count(config.meas_count_model, rng)
-    sources = sample_measurement_sources(truth, n_k, rng)
-    if len(mix.probabilities) == 1:
-        levels = np.zeros(n_k, dtype=int)
-    else:
-        levels = rng.choice(len(mix.probabilities), size=n_k, p=mix.probabilities)
-    noise = rng.standard_normal((n_k, 2))
-    return sources + np.einsum("lij,lj->li", factors[levels], noise)
+    counts = [measurement_count(config.meas_count_model, rng) for rng in rngs]
+    sources = stacked_sample_sources(truth, counts, rngs)
+    levels, noise = [], []
+    for rng, n_k in zip(rngs, counts):
+        if len(mix.probabilities) == 1:
+            levels.append(np.zeros(n_k, dtype=int))
+        else:
+            levels.append(rng.choice(len(mix.probabilities), size=n_k, p=mix.probabilities))
+        noise.append(rng.standard_normal((n_k, 2)))
+    offsets = np.einsum("lij,lj->li", factors[np.concatenate(levels)], np.concatenate(noise))
+    return np.split(np.concatenate(sources) + offsets, np.cumsum(counts)[:-1])
 
 
 def _filter_runs(config: ScenarioConfig, truths, seeds):
@@ -428,7 +428,7 @@ def _filter_runs(config: ScenarioConfig, truths, seeds):
     for k, truth in enumerate(truths):
         if not live.size:
             break
-        ys = [_draw_measurements(config, truth, rngs[r], factors) for r in live]
+        ys = _draw_measurements(config, truth, [rngs[r] for r in live], factors)
         if live[0] == 0:
             example.append(ys[0])
         means, covs, predicted = stacked_time_update(

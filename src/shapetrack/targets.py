@@ -30,6 +30,7 @@ __all__ = [
     "radial_fraction",
     "sample_measurement_source",
     "sample_measurement_sources",
+    "stacked_sample_sources",
     "generate_measurement",
     "psd_root",
     "load_geometry",
@@ -259,41 +260,74 @@ def radial_fraction(target: GroundTruthTarget, points) -> np.ndarray:
     return rho / boundary_radius(target, phi)
 
 
+def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
+    """Measurement sources of several runs, each drawn from its own generator.
+
+    Run r gets counts[r] sources from rngs[r], uniform over the extent or
+    among group members, with exactly the draws `sample_measurement_sources`
+    makes for it alone. Interior points come from rejection sampling in
+    the bounding box. In each round, every run still short of its count
+    draws its own box chunk, and all the chunks are tested inside-or-out
+    in one call. A run that burns through MAX_REJECTION_ATTEMPTS box draws
+    without filling its count raises RejectionBudgetError.
+
+    Args:
+        target: the truth sampled from.
+        counts: R non-negative source counts.
+        rngs: R generators, run r drawing from rngs[r] only.
+
+    Returns:
+        R arrays (counts[r], 2).
+    """
+    counts = list(counts)
+    if any(n < 0 for n in counts):
+        raise ValueError("n must be non-negative")
+    if target.kind == "point_group":
+        members = target.members
+        return [members[rng.integers(members.shape[0], size=n)] for n, rng in zip(counts, rngs)]
+
+    lo, hi = target.bounding_box
+    out = [np.empty((n, 2)) for n in counts]
+    filled = [0] * len(counts)
+    attempts = [0] * len(counts)
+    while True:
+        short = [r for r, n in enumerate(counts) if filled[r] < n]
+        if not short:
+            return out
+        chunks = []
+        for r in short:
+            n = counts[r]
+            if attempts[r] >= MAX_REJECTION_ATTEMPTS:
+                raise RejectionBudgetError(
+                    f"only {filled[r]} of {n} interior points found in {attempts[r]} draws"
+                )
+            size = min(max(4 * (n - filled[r]), 64), 1 << 17)
+            chunks.append(rngs[r].uniform(lo, hi, size=(size, 2)))
+            attempts[r] += size
+        draws = np.concatenate(chunks)
+        if target.kind == "ellipse":
+            inside = ellipse_implicit(target.ellipse, draws) <= 0.0
+        else:
+            inside = radial_fraction(target, draws) <= 1.0
+        ends = np.cumsum([len(c) for c in chunks])
+        for r, chunk, ok in zip(short, chunks, np.split(inside, ends[:-1])):
+            accepted = chunk[ok]
+            take = min(accepted.shape[0], counts[r] - filled[r])
+            out[r][filled[r] : filled[r] + take] = accepted[:take]
+            filled[r] += take
+
+
 def sample_measurement_sources(
     target: GroundTruthTarget, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """n measurement sources, uniform over the extent / among group members.
 
-    Interior points come from rejection sampling in the bounding box; a
-    call that burns through MAX_REJECTION_ATTEMPTS box draws without
-    filling its quota raises RejectionBudgetError.
+    The one-run case of `stacked_sample_sources`: interior points come
+    from rejection sampling in the bounding box, and a call that burns
+    through MAX_REJECTION_ATTEMPTS box draws without filling its quota
+    raises RejectionBudgetError.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if target.kind == "point_group":
-        return target.members[rng.integers(target.members.shape[0], size=n)].copy()
-
-    lo, hi = target.bounding_box
-    out = np.empty((n, 2))
-    filled = 0
-    attempts = 0
-    while filled < n:
-        if attempts >= MAX_REJECTION_ATTEMPTS:
-            raise RejectionBudgetError(
-                f"only {filled} of {n} interior points found in {attempts} draws"
-            )
-        chunk = min(max(4 * (n - filled), 64), 1 << 17)
-        draws = rng.uniform(lo, hi, size=(chunk, 2))
-        attempts += chunk
-        if target.kind == "ellipse":
-            inside = ellipse_implicit(target.ellipse, draws) <= 0.0
-        else:
-            inside = radial_fraction(target, draws) <= 1.0
-        accepted = draws[inside]
-        take = min(accepted.shape[0], n - filled)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
-    return out
+    return stacked_sample_sources(target, [n], [rng])[0]
 
 
 def sample_measurement_source(

@@ -169,6 +169,11 @@ class TrackerConfig:
     def state_dim(self) -> int:
         return 2 + (2 if self.dynamics.has_velocity else 0) + self.shape_dim
 
+    def augmented_dim(self, k: int) -> int:
+        """Dimension of an update on k measurements: the state, then a noise
+        2-vector and a scaling variable per measurement (`_noise_block`)."""
+        return self.state_dim() + 3 * k
+
     def check_layout(self, dim: int) -> None:
         if dim != self.state_dim():
             raise ValueError(

@@ -8,8 +8,10 @@ import pytest
 
 import shapetrack
 
+from shapetrack import cli
 from shapetrack.cli import bundled_scenarios, main
 from shapetrack.config import load_scenario_file
+from shapetrack.simulate import MAX_MEASUREMENTS_PER_STEP
 
 REDUCED = ["--set", "runs.n_steps=12", "--set", "runs.n_runs=2"]
 
@@ -163,6 +165,67 @@ def test_non_finite_values_exit_3_without_outputs(tmp_path, capsys, override):
         )
     assert code == 3
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override,key",
+    [
+        ("tracker.ut_alpha=0", "tracker.ut_alpha"),
+        ("tracker.ut_alpha=1e-200", "tracker.ut_alpha"),  # alpha^2 underflows to 0
+        ("tracker.ut_kappa=-20", "tracker.ut_kappa"),
+    ],
+)
+def test_spread_without_sigma_points_exits_3_without_outputs(tmp_path, capsys, override, key):
+    # these passed validation and then died in the sigma-point draw with
+    # "d + lambda = ... must be positive" and exit 1
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "stationary_ellipse_low.cfg", "--out", str(out), "--set", override, *REDUCED
+    )
+    assert code == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spread_is_checked_at_the_smallest_update(tmp_path, capsys):
+    # a batch update on a fixed 7 measurements augments the state to
+    # d = 5 + 21, where kappa = -20 still leaves d + lambda = 6 > 0
+    batch = ["--set", "tracker.batch=true", "--set", "counts.value=7"]
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "stationary_ellipse_low.cfg", "--out", str(out),
+        "--set", "tracker.ut_kappa=-20", *batch, *REDUCED,
+    )
+    assert code == 0
+    # Poisson counts reach a single measurement, d = 8, where it does not
+    code = run_cli(
+        "run", "stationary_ellipse_low.cfg", "--out", str(tmp_path / "poisson"),
+        "--set", "tracker.ut_kappa=-20", *batch, "--set", "counts.model=shifted_poisson",
+        *REDUCED,
+    )
+    assert code == 3
+    assert "d = 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["fixed_per_step", "shifted_poisson"])
+def test_too_many_measurements_per_step_exit_3_before_any_run(
+    tmp_path, capsys, monkeypatch, model
+):
+    # counts.value=1e9 passed validation and the first step asked for a
+    # 14.9 GiB array; the bound is tested one above it, without a run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "stationary_ellipse_low.cfg", "--out", str(out),
+        "--set", f"counts.model={model}",
+        "--set", f"counts.value={MAX_MEASUREMENTS_PER_STEP + 1}", *REDUCED,
+    )
+    assert code == 3
+    assert "counts.value" in capsys.readouterr().err
     assert not out.exists()
 
 

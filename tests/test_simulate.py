@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from shapetrack import gaussian, simulate
-from shapetrack.ellipse import from_semi_axes
+from shapetrack.ellipse import EllipseParams, from_semi_axes
 from shapetrack.gaussian import ConditioningError, GaussianState
+from shapetrack.metrics import shape_iou
 from shapetrack.simulate import (
     DIVERGENCE_CENTER_BOUND,
     MeasurementCountModel,
@@ -23,6 +24,7 @@ from shapetrack.targets import (
     ellipse_target,
     group_target,
     load_waypoints,
+    polygon_target,
     psd_root,
     sample_measurement_sources,
 )
@@ -129,6 +131,9 @@ def test_count_model_validation():
         MeasurementCountModel("fixed_per_step", 0)
     with pytest.raises(ValueError):
         MeasurementCountModel("shifted_poisson", -1.0)
+    for kind in ("fixed_per_step", "shifted_poisson"):
+        with pytest.raises(ValueError, match="at most"):
+            MeasurementCountModel(kind, simulate.MAX_MEASUREMENTS_PER_STEP + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -593,3 +598,16 @@ def test_state_constructions_do_not_grow_with_steps(monkeypatch):
         counts.append(0)
         run_scenario(replace(config, n_steps=n_steps))
     assert counts[0] == counts[1]
+
+
+def test_score_gives_an_empty_union_zero():
+    # an estimate speck and a truth speck in opposite corners of their box
+    # cover no cell; the pair scores 0 where shape_iou raises
+    config = ellipse_scenario()
+    speck = polygon_target([[5.0, 5.0], [5.001, 5.0], [5.0, 5.001]])
+    square = polygon_target([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    states = np.array([[0.0, 0.0, 1e4, 1e4, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0]])
+    got = simulate._score(config, states, [speck, square], np.array([0, 1]), 256)
+    assert got[0] == 0.0 and got[1] > 0.0
+    with pytest.raises(ValueError, match="zero area"):
+        shape_iou(EllipseParams(states[0, :2], states[0, 2:]), speck, resolution=256)

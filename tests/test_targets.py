@@ -1,11 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
+from shapetrack import targets
 from shapetrack.ellipse import EllipseParams, ellipse_implicit, from_semi_axes
 from shapetrack.targets import (
     GroundTruthTarget,
+    RejectionBudgetError,
     builtin_data_path,
     boundary_radius,
     ellipse_target,
@@ -19,6 +23,7 @@ from shapetrack.targets import (
     radial_fraction,
     sample_measurement_source,
     sample_measurement_sources,
+    stacked_sample_sources,
 )
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -324,3 +329,111 @@ def test_load_waypoints_rejects_single_point(tmp_path):
     path.write_text("0 0\n")
     with pytest.raises(ValueError):
         load_waypoints(path)
+
+
+# ---------------------------------------------------------------------------
+# stacked sampling against one run at a time
+
+
+def oracle_sample(target, n, rng):
+    """The one-run sampler that the stacked one replaced, kept verbatim
+    apart from returning its number of rejection rounds as well."""
+    if target.kind == "point_group":
+        return target.members[rng.integers(target.members.shape[0], size=n)].copy(), 0
+    lo, hi = target.bounding_box
+    out = np.empty((n, 2))
+    filled = 0
+    attempts = 0
+    rounds = 0
+    while filled < n:
+        if attempts >= targets.MAX_REJECTION_ATTEMPTS:
+            raise RejectionBudgetError(
+                f"only {filled} of {n} interior points found in {attempts} draws"
+            )
+        chunk = min(max(4 * (n - filled), 64), 1 << 17)
+        draws = rng.uniform(lo, hi, size=(chunk, 2))
+        attempts += chunk
+        rounds += 1
+        if target.kind == "ellipse":
+            inside = ellipse_implicit(target.ellipse, draws) <= 0.0
+        else:
+            inside = radial_fraction(target, draws) <= 1.0
+        accepted = draws[inside]
+        take = min(accepted.shape[0], n - filled)
+        out[filled : filled + take] = accepted[:take]
+        filled += take
+    return out, rounds
+
+
+def thin_sliver():
+    # a 1%-area diamond along the diagonal of a 20 x 20 box: runs need
+    # several rejection rounds, and different numbers of them
+    return polygon_target([[-10.0, -10.0], [0.1, -0.1], [10.0, 10.0], [-0.1, 0.1]])
+
+
+def stream_state(rng):
+    return repr(rng.bit_generator.state)  # Philox keeps arrays in its state dict
+
+
+def spawned_generators(n, seed=77):
+    seeds = np.random.SeedSequence(seed).spawn(n)
+    return [np.random.Generator(np.random.Philox(s)) for s in seeds]
+
+
+SAMPLED_TARGETS = {
+    "ellipse": lambda: ellipse_target(from_semi_axes([1.0, 2.0], [2.0, 0.7], 0.9)),
+    "aircraft": aircraft_target,
+    "thin_sliver": thin_sliver,
+    "group": lambda: group_target([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_TARGETS)
+def test_stacked_sampling_equals_one_run_at_a_time(name):
+    target = SAMPLED_TARGETS[name]()
+    counts = [3, 0, 40, 1, 17, 5, 2]
+    rngs = spawned_generators(len(counts))
+    oracle_rngs = copy.deepcopy(rngs)
+    single_rngs = copy.deepcopy(rngs)
+    got = stacked_sample_sources(target, counts, rngs)
+    assert len(got) == len(counts)
+    rounds = []
+    for r, n in enumerate(counts):
+        want, used = oracle_sample(target, n, oracle_rngs[r])
+        rounds.append(used)
+        assert got[r].shape == (n, 2)
+        assert_array_equal(got[r], want)
+        assert_array_equal(sample_measurement_sources(target, n, single_rngs[r]), want)
+        # each stream is left exactly where the run alone leaves it
+        assert stream_state(rngs[r]) == stream_state(oracle_rngs[r])
+        assert stream_state(single_rngs[r]) == stream_state(oracle_rngs[r])
+    if name == "thin_sliver":
+        assert max(rounds) > 2 and len(set(rounds)) > 2
+
+
+def test_stacked_sampling_with_no_runs_or_no_sources():
+    assert stacked_sample_sources(thin_sliver(), [], []) == []
+    rngs = spawned_generators(2)
+    before = [stream_state(g) for g in rngs]
+    got = stacked_sample_sources(thin_sliver(), [0, 0], rngs)
+    assert [a.shape for a in got] == [(0, 2), (0, 2)]
+    assert [stream_state(g) for g in rngs] == before
+    with pytest.raises(ValueError, match="non-negative"):
+        stacked_sample_sources(thin_sliver(), [1, -1], rngs)
+
+
+def test_rejection_budget_is_per_run(monkeypatch):
+    # run 1 cannot find 50 interior points of the sliver in 1000 draws; the
+    # error names its own counts, as the run alone reports them
+    monkeypatch.setattr(targets, "MAX_REJECTION_ATTEMPTS", 1000)
+    rngs = spawned_generators(2)
+    alone = copy.deepcopy(rngs[1])
+    with pytest.raises(RejectionBudgetError) as stacked:
+        stacked_sample_sources(thin_sliver(), [1, 50], rngs)
+    with pytest.raises(RejectionBudgetError) as single:
+        oracle_sample(thin_sliver(), 50, alone)
+    assert str(stacked.value) == str(single.value)
+    assert "of 50 interior points found in 1" in str(single.value)
+    # a run that stays under the budget is not stopped by another's count
+    got = stacked_sample_sources(thin_sliver(), [1, 1], spawned_generators(2))
+    assert [a.shape for a in got] == [(1, 2), (1, 2)]
