@@ -30,6 +30,7 @@ it then leaves the live set, and the others continue untouched.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -60,11 +61,16 @@ DIVERGENCE_CENTER_BOUND = 1e6
 # Bound on the fixed count and on the Poisson mean. A batch update on k
 # measurements augments each run's state to d = state_dim + 3k and holds
 # its (2d + 1, d) sigma points, its (d, d) covariance and the (2d + 1, k)
-# pseudo-measurements with their intermediates: a traced batch step at
-# k = 100 peaked at about 90 d^2 bytes a run. At the bound (d <= 320 for
-# the bundled layouts) that is under 10 MB a run and about 0.2 GB for 20
-# runs, with room for Poisson draws well above the mean.
+# pseudo-measurements with their intermediates. At the bound (d <= 320 for
+# the bundled layouts) that is about 10 MB a run; the total over the runs
+# stacked in one step is bounded by MAX_STEP_BYTES.
 MAX_MEASUREMENTS_PER_STEP = 100
+# Bound on the estimated peak memory of one update step over all runs,
+# STEP_BYTES_PER_D2 * d^2 a run at the augmented dimension d of the step.
+# Traced batch steps of 8 runs at k = 30 and k = 100, on the ellipse,
+# moving-ellipse and star-convex layouts, peaked at 62-82 d^2 bytes a run.
+MAX_STEP_BYTES = 1 << 30
+STEP_BYTES_PER_D2 = 96
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,15 @@ class MeasurementCountModel:
                 f"measurements per step must be at most {MAX_MEASUREMENTS_PER_STEP}, "
                 f"got {self.value:g}"
             )
+
+    def stacked_count(self) -> int:
+        """The largest count a batch step is sized for: the fixed count, or
+        1 + mean + 6 standard deviations for Poisson counts. A Poisson draw
+        exceeds that with probability below 2e-4 (1e-5 for a mean of at
+        least 0.5), and a count that rare comes to few runs at once."""
+        if self.kind == "fixed_per_step":
+            return int(self.value)
+        return 1 + math.ceil(self.value + 6.0 * math.sqrt(self.value))
 
 
 def measurement_count(model: MeasurementCountModel, rng: np.random.Generator) -> int:
@@ -327,6 +342,15 @@ class ScenarioConfig:
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
         self.tracker.check_layout(self.prior.dim)
+        k = self.meas_count_model.stacked_count() if self.tracker.batch_mode else 1
+        d = self.tracker.augmented_dim(k)
+        per_run = STEP_BYTES_PER_D2 * d * d
+        if self.n_runs * per_run > MAX_STEP_BYTES:
+            raise ValueError(
+                f"n_runs = {self.n_runs} needs about {self.n_runs * per_run / 2**30:.1f} GiB "
+                f"in one update step at augmented dimension d = {d}; at most "
+                f"{MAX_STEP_BYTES // per_run} runs fit in {MAX_STEP_BYTES / 2**30:g} GiB"
+            )
         if self.trajectory is not None and len(self.trajectory) != self.n_steps:
             raise ValueError(
                 f"trajectory has {len(self.trajectory)} poses for {self.n_steps} steps"

@@ -11,7 +11,7 @@ import shapetrack
 from shapetrack import cli
 from shapetrack.cli import bundled_scenarios, main
 from shapetrack.config import load_scenario_file
-from shapetrack.simulate import MAX_MEASUREMENTS_PER_STEP
+from shapetrack.simulate import MAX_MEASUREMENTS_PER_STEP, MAX_STEP_BYTES, STEP_BYTES_PER_D2
 
 REDUCED = ["--set", "runs.n_steps=12", "--set", "runs.n_runs=2"]
 
@@ -226,6 +226,39 @@ def test_too_many_measurements_per_step_exit_3_before_any_run(
     )
     assert code == 3
     assert "counts.value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, d",
+    [
+        # a fixed 100 per batch update: d = 5 + 3 * 100
+        (["tracker.batch=true", "counts.value=100"], 305),
+        # Poisson mean 100: sized for 1 + 100 + 6 * 10 = 161 measurements
+        (["tracker.batch=true", "counts.model=shifted_poisson", "counts.value=100"], 488),
+        # sequential updates take one measurement at a time: d = 5 + 3
+        (["counts.value=100"], 8),
+    ],
+    ids=["batch_fixed", "batch_poisson", "sequential"],
+)
+def test_too_many_runs_for_one_step_exit_3_before_any_run(tmp_path, capsys, monkeypatch, mode, d):
+    # runs.n_runs=2000 with 100 measurements per batch step passed
+    # validation and then asked for about 20 GB; the bound is tested at the
+    # last run count that fits and one above it, without a run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    sets = [f"runs.n_runs={MAX_STEP_BYTES // (STEP_BYTES_PER_D2 * d * d)}", *mode]
+    load_scenario_file(bundled_scenarios()["stationary_ellipse_low.cfg"], sets)
+    sets[0] = f"runs.n_runs={MAX_STEP_BYTES // (STEP_BYTES_PER_D2 * d * d) + 1}"
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "stationary_ellipse_low.cfg", "--out", str(out),
+        *[arg for s in sets for arg in ("--set", s)], "--set", "runs.n_steps=12",
+    )
+    assert code == 3
+    assert f"n_runs = {sets[0].split('=')[1]}" in capsys.readouterr().err
     assert not out.exists()
 
 

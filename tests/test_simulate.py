@@ -136,6 +136,13 @@ def test_count_model_validation():
             MeasurementCountModel(kind, simulate.MAX_MEASUREMENTS_PER_STEP + 1)
 
 
+
+def test_stacked_count_sizes_a_batch_step():
+    assert MeasurementCountModel("fixed_per_step", 7).stacked_count() == 7
+    # 1 + ceil(4 + 6 * 2): a draw above it has probability about 1e-6
+    assert MeasurementCountModel("shifted_poisson", 4.0).stacked_count() == 17
+    assert MeasurementCountModel("shifted_poisson", 0.0).stacked_count() == 1
+
 # ---------------------------------------------------------------------------
 # trajectories
 
