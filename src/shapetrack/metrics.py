@@ -335,7 +335,8 @@ def _pair_counts(a: _Outlines, b: _Outlines, res: int):
             _crossing_keys(a, lo, dx, dy, res), _crossing_keys(b, lo, dx, dy, res), len(lo), res
         )
     # a fills one span [a0, a1) per row, so b's spans are clipped to it
-    # instead of sweeping both regions' keys
+    # instead of sweeping both regions' keys: about half the time of the
+    # sweep for ellipse estimates against polygon and group truths
     ys = _row_centres(lo, dy, res)
     a0, a1 = _ellipse_row_cells(a.centers, a.quads, ys, lo[:, 0], dx, res)
     if b.ellipse.all():
