@@ -20,7 +20,9 @@ reported and the exit status is 1.
 tree: it prints the largest ``|Δ|`` and ``|Δ|/(1 + |x|)`` per file and
 exits 1 when a relative difference exceeds 1e-12, when any ``iou`` or
 ``mean_iou`` cell changed at all, or when the tables differ in shape or
-in a non-numeric cell.
+in a non-numeric cell. For a file over the tolerance or with a changed
+``iou``/``mean_iou`` cell it also prints the step (and run, where the
+file has one) of the first such row, where the change starts.
 
 ``--time`` prints each scenario's ``shapetrack run`` wall time to standard
 error, so the listing and ``--against`` work as without it.
@@ -95,6 +97,7 @@ def compare(kept: Path, current: Path, label: str) -> list[str]:
         return [f"{label}: header or row count differs"]
     header = old[0]
     problems, max_abs, max_rel, iou_changed = [], 0.0, 0.0, 0
+    first_bad = None  # the first row over the tolerance or with a changed iou cell
     for row_old, row_new in zip(old[1:], new[1:]):
         if len(row_old) != len(row_new):
             return [f"{label}: row length differs"]
@@ -113,6 +116,8 @@ def compare(kept: Path, current: Path, label: str) -> list[str]:
             max_abs = max(max_abs, delta)
             max_rel = max(max_rel, delta / (1.0 + abs(x)))
             iou_changed += col in EXACT_COLUMNS
+            if first_bad is None and (col in EXACT_COLUMNS or delta / (1.0 + abs(x)) > NEAR_TOL):
+                first_bad = row_old
     print(
         f"{label}: max |d| {max_abs:.3g}  max |d|/(1+|x|) {max_rel:.3g}"
         f"  changed iou cells {iou_changed}",
@@ -122,6 +127,10 @@ def compare(kept: Path, current: Path, label: str) -> list[str]:
         problems.append(f"{label}: relative difference {max_rel:.3g} above {NEAR_TOL:g}")
     if iou_changed:
         problems.append(f"{label}: {iou_changed} iou cells changed")
+    if first_bad is not None:
+        keys = [key for key in ("step", "run") if key in header]
+        where = "  ".join(f"{key} {first_bad[header.index(key)]}" for key in keys)
+        print(f"{label}: first offending row: {where}", file=sys.stderr)
     return problems
 
 

@@ -25,6 +25,7 @@ from .simulate import (
     NoiseMixture,
     ScenarioConfig,
     Trajectory,
+    check_report_size,
 )
 from .targets import (
     builtin_data_path,
@@ -350,6 +351,10 @@ def build_scenario(mapping: dict, base_dir=None) -> ScenarioConfig:
         n_steps = r.take("runs.n_steps", _as_int, required=True)
         n_runs = r.take("runs.n_runs", _as_int, required=True)
         seed = r.take("runs.seed", _as_int, required=True)
+        try:  # before a waypoint spline is built with n_steps poses
+            check_report_size(n_runs, n_steps, prior.dim)
+        except ValueError as err:
+            raise ConfigValidationError(f"runs.n_steps: {err}") from err
 
         trajectory = None
         rotate = r.take("motion.rotate_with_heading", _as_bool)

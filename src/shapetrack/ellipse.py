@@ -23,11 +23,11 @@ __all__ = [
     "ellipse_scaled_implicit",
     "ellipse_boundary_point",
     "ellipse_closest_point",
+    "ellipse_closest_points",
 ]
 
 CHOL_FLOOR = 1e-6
-# boundary angles of the closest-point scan guard
-_SCAN_ANGLES = np.linspace(0.0, 2 * np.pi, 16, endpoint=False).tolist()
+_ROOT_STEPS, _ROOT_TOL = 64, 1e-15  # step cap and tolerance of the closest-point root
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ class EllipseParams:
     chol: np.ndarray  # (a, b, c) with L = [[a, 0], [c, b]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "center", np.asarray(self.center, dtype=float).reshape(2)
-        )
+        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(2))
         object.__setattr__(self, "chol", np.asarray(self.chol, dtype=float).reshape(3))
         a, b, _ = self.chol
         if not np.all(np.isfinite(self.center)) or not np.all(np.isfinite(self.chol)):
@@ -68,20 +66,14 @@ class EllipseParams:
     @property
     def semi_axes(self) -> np.ndarray:
         """Semi-axis lengths, longest first."""
-        w = np.linalg.eigvalsh(self.quad_form)  # ascending
-        return 1.0 / np.sqrt(w)
+        s0, s1, _ = _principal_frame(*self.chol.tolist())
+        return np.array([1.0 / s0, 1.0 / s1])
 
     @property
     def orientation(self) -> float:
         """Angle of the major axis against the x-axis, in (-pi/2, pi/2]."""
-        w, v = np.linalg.eigh(self.quad_form)
-        major = v[:, 0]  # smallest eigenvalue of L L^T = longest axis
-        angle = np.arctan2(major[1], major[0])
-        if angle <= -np.pi / 2:
-            angle += np.pi
-        elif angle > np.pi / 2:
-            angle -= np.pi
-        return float(angle)
+        ux, uy = _principal_frame(*self.chol.tolist())[2]
+        return math.atan2(uy, ux) if ux > 0.0 or (ux == 0.0 and uy > 0.0) else math.atan2(-uy, -ux)
 
     @property
     def area(self) -> float:
@@ -126,20 +118,13 @@ def clamp_chols(chols, floor: float = CHOL_FLOOR) -> tuple[np.ndarray, np.ndarra
     """
     a, b, c = np.asarray(chols, dtype=float).reshape(-1, 3).T
     flip = a < 0
-    a = np.where(flip, -a, a)
-    c = np.where(flip, -c, c)
-    b = np.where(b < 0, -b, b)
+    a, b, c = np.where(flip, -a, a), np.abs(b), np.where(flip, -c, c)
     repaired = (a < floor) | (b < floor)
-    a = np.where(a < floor, floor, a)
-    b = np.where(b < floor, floor, b)
-    return np.stack([a, b, c], axis=1), repaired
+    return np.stack([np.maximum(a, floor), np.maximum(b, floor), c], axis=1), repaired
 
 
 def clamp_chol(center, chol, floor: float = CHOL_FLOOR) -> tuple[EllipseParams, bool]:
-    """The ellipse of one Cholesky triple, canonicalized by `clamp_chols`.
-
-    Returns the EllipseParams and whether a (non-exact) clamp was applied.
-    """
+    """The ellipse of one triple canonicalized by `clamp_chols`, and whether it was clamped."""
     chols, repaired = clamp_chols(np.asarray(chol, dtype=float).reshape(1, 3), floor)
     return EllipseParams(center, chols[0]), bool(repaired[0])
 
@@ -150,9 +135,7 @@ def ellipse_implicit(p: EllipseParams, z) -> float | np.ndarray:
     Negative inside, zero on the boundary, positive outside. Accepts a
     single point of shape (2,) or a batch (..., 2).
     """
-    w = np.asarray(z, dtype=float) - p.center
-    vals = np.einsum("...i,ij,...j->...", w, p.quad_form, w) - 1.0
-    return float(vals) if vals.ndim == 0 else vals
+    return ellipse_scaled_implicit(p, z, 1.0)
 
 
 def ellipse_scaled_implicit(p: EllipseParams, z, s) -> float | np.ndarray:
@@ -170,74 +153,91 @@ def ellipse_boundary_point(p: EllipseParams, theta) -> np.ndarray:
 
 
 def ellipse_closest_point(p: EllipseParams, query) -> np.ndarray:
-    """Point(s) on the ellipse boundary closest to a query (2,) or to k queries (k, 2).
-
-    Damped Newton iteration on the boundary angle minimizing squared
-    distance, initialized from the unit-circle pullback of the query. A
-    coarse 16-angle scan guards against convergence to a non-global
-    critical point; when a scan angle beats Newton's, Newton restarts from
-    it. The scan table is built once per call (one ellipse) and each
-    query's Newton runs in scalar float arithmetic on the entries of
-    L^{-T}. A query at the exact center returns the boundary point at
-    angle 0. The result has the shape of `query`.
-    """
+    """`ellipse_closest_points` of one ellipse, for a query (2,) or k queries (k, 2)."""
     q = np.asarray(query, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] != 2:
         raise ValueError(f"query must have shape (2,) or (k, 2), got {q.shape}")
-    a, b, c = p.chol.tolist()
-    cx, cy = p.center.tolist()
-    ell = (cx, cy, 1.0 / a, -c / (a * b), 1.0 / b)  # center; L^{-T} = [[m00, m01], [0, m11]]
-    scan = [(t, _boundary(ell, t)) for t in _SCAN_ANGLES]
-    out = []
-    for qx, qy in q.reshape(-1, 2).tolist():
-        wx, wy = qx - cx, qy - cy
-        theta = 0.0
-        if wx != 0.0 or wy != 0.0:
-            theta = _newton_angle(ell, qx, qy, math.atan2(b * wy, a * wx + c * wy))
-            best, t_best = min(((px - qx) ** 2 + (py - qy) ** 2, t) for t, (px, py) in scan)
-            if best < _sqdist(ell, qx, qy, theta) - 1e-12:
-                theta = _newton_angle(ell, qx, qy, t_best)
-        out.append(_boundary(ell, theta))
-    return np.array(out).reshape(q.shape)
+    return ellipse_closest_points(p.center, p.chol, q.reshape(1, -1, 2)).reshape(q.shape)
 
 
-def _boundary(ell, theta):
-    cx, cy, m00, m01, m11 = ell
-    co, si = math.cos(theta), math.sin(theta)
-    return cx + (m00 * co + m01 * si), cy + m11 * si
+def ellipse_closest_points(centers, chols, queries) -> np.ndarray:
+    """Boundary points of R ellipses (centers (R, 2), triples (R, 3)) closest
+    to their k queries each (R, k, 2), all in one call.
 
-
-def _sqdist(ell, qx, qy, theta):
-    px, py = _boundary(ell, theta)
-    return (px - qx) ** 2 + (py - qy) ** 2
-
-
-def _newton_angle(ell, qx, qy, theta, max_iter=50, res_tol=1e-13):
-    """Damped Newton on f(theta) = |m + L^{-T} e(theta) - q|^2.
-
-    Convergence is judged on the normalized first-order condition (the
-    residual vector must be orthogonal to the boundary tangent), not on
-    the step size.
+    In the principal frame of L L^T (eigenvalues l0 <= l1), a query y with
+    z_i = |y_i| sqrt(l_i) and r0 = l1 / l0 has the closest point
+    (r0 y_0 / (u + r0 - 1), y_1 / u), u the root that `_secular_root` finds
+    (Eberly, "Distance from a Point to an Ellipse, an Ellipsoid, or a
+    Hyperellipsoid", Geometric Tools 2013). On the major axis (z_1 = 0) it
+    is the vertex, or inside the evolute the point on the positive minor
+    side; at the exact center, the angle-0 point center + (1/a, 0). Queries
+    are solved in scalar float arithmetic; an ellipse whose arithmetic
+    overflows gets NaN rows.
     """
-    cx, cy, m00, m01, m11 = ell
-    for _ in range(max_iter):
-        co, si = math.cos(theta), math.sin(theta)
-        ex, ey = m00 * co + m01 * si, m11 * si  # L^{-T} e, which is -u''
-        ux, uy = cx + ex - qx, cy + ey - qy
-        dux, duy = m01 * co - m00 * si, m11 * co  # L^{-T} e'
-        uu, dd, ud = ux * ux + uy * uy, dux * dux + duy * duy, ux * dux + uy * duy
-        denom = math.sqrt(uu * dd)
-        if denom < 1e-28 or abs(ud) < res_tol * denom:
-            break
-        hess = 2.0 * (dd - (ux * ex + uy * ey))
-        # walk downhill out of concave stretches
-        step = math.copysign(0.1, -ud) if hess <= 0 else -2.0 * ud / hess
-        # Accept steps that do not increase f beyond evaluation noise;
-        # near the optimum true decreases are smaller than machine eps.
-        slack = 1e-14 * (1.0 + uu)
-        while abs(step) > 1e-15 and _sqdist(ell, qx, qy, theta + step) > uu + slack:
-            step *= 0.5
-        theta += step
-        if abs(step) < 1e-15:
-            break
-    return theta
+    queries = np.asarray(queries, dtype=float)
+    rows = zip(np.reshape(centers, (-1, 2)).tolist(), np.reshape(chols, (-1, 3)).tolist())
+    flat = []
+    for ((cx, cy), (a, b, c)), qs in zip(rows, queries.tolist()):
+        try:
+            flat += _closest_on_ellipse(cx, cy, a, b, c, qs)
+        except ArithmeticError:  # an overflow or a division by an underflowed 0
+            flat += [(math.nan, math.nan)] * len(qs)
+    out = np.array(flat, dtype=float).reshape(queries.shape)
+    out[~np.isfinite(out).all(axis=(1, 2))] = np.nan
+    return out
+
+
+def _principal_frame(a, b, c):
+    """sqrt(l0), sqrt(l1) for the eigenvalues l0 <= l1 of L L^T and the unit major
+    axis, in forms free of cancellation (an axis-aligned ellipse keeps an exact frame)."""
+    p, q, s = a * a, a * c, b * b + c * c  # L L^T = [[p, q], [q, s]]
+    h = 0.5 * (p - s)
+    d = math.hypot(h, q)
+    s1 = math.sqrt(0.5 * (p + s) + d)
+    vx, vy = (d - h, -q) if h <= 0.0 else (-q, h + d)
+    n = math.hypot(vx, vy)
+    return a * b / s1, s1, ((vx / n, vy / n) if n > 0.0 else (1.0, 0.0))  # a circle: any
+
+
+def _closest_on_ellipse(cx, cy, a, b, c, queries) -> list:
+    """Closest boundary points of one ellipse to a list of (x, y) queries."""
+    s0, s1, (ux, uy) = _principal_frame(a, b, c)
+    r0 = max((s1 / s0) * (s1 / s0), 1.0)
+    out = []
+    for qx, qy in queries:
+        wx, wy = qx - cx, qy - cy
+        if wx == 0.0 and wy == 0.0:
+            out.append((cx + 1.0 / a, cy + 0.0))
+            continue
+        y0, y1 = ux * wx + uy * wy, ux * wy - uy * wx
+        z0, z1 = abs(y0) * s0, abs(y1) * s1
+        if z1 != 0.0:
+            u = _secular_root(r0 * z0, r0 - 1.0, z1)[0]
+            x0, x1 = r0 * y0 / (u + r0 - 1.0), y1 / u
+        elif r0 * z0 < r0 - 1.0:  # on the major axis, inside the evolute
+            x0 = r0 * y0 / (r0 - 1.0)
+            x1 = math.sqrt(max((1.0 - x0 * s0) * (1.0 + x0 * s0), 0.0)) / s1
+        else:  # on the major axis, beyond the evolute: the vertex
+            x0, x1 = math.copysign(1.0 / s0, y0), 0.0
+        out.append((cx + ux * x0 - uy * x1, cy + uy * x0 + ux * x1))
+    return out
+
+
+def _secular_root(g0, alpha, z1):
+    """Root u in [z1, hypot(g0, z1)] of (g0 / (u + alpha))^2 + (z1 / u)^2 = 1
+    (g0, alpha >= 0, z1 > 0) and the steps taken. The left side to the power
+    -1/2 is concave in u, so Newton from z1 climbs to the root without
+    overshooting; a step that leaves the bracket bisects it instead."""
+    lo, hi, u = z1, math.hypot(g0, z1), z1
+    for step in range(1, _ROOT_STEPS + 1):
+        t0, t1 = g0 / (u + alpha), z1 / u
+        phi = t0 * t0 + t1 * t1
+        if abs(phi - 1.0) <= _ROOT_TOL:
+            return u, step
+        lo, hi = (u, hi) if phi > 1.0 else (lo, u)
+        nxt = u + phi * (math.sqrt(phi) - 1.0) / (t0 * t0 / (u + alpha) + t1 * t1 / u)
+        nxt = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        if abs(nxt - u) <= _ROOT_TOL * u:
+            return nxt, step
+        u = nxt
+    return u, _ROOT_STEPS

@@ -71,6 +71,12 @@ MAX_MEASUREMENTS_PER_STEP = 100
 # moving-ellipse and star-convex layouts, peaked at 62-82 d^2 bytes a run.
 MAX_STEP_BYTES = 1 << 30
 STEP_BYTES_PER_D2 = 96
+# Bound on the estimated size of a scenario report: its per-run arrays hold
+# dim + 2 floats a run and step (the estimate, its IoU and centre error).
+# It admits the config's own 300 steps at the largest run count one
+# sequential update step allows. The CSV text written from a report takes
+# more memory than the report.
+MAX_REPORT_BYTES = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -351,6 +357,7 @@ class ScenarioConfig:
                 f"in one update step at augmented dimension d = {d}; at most "
                 f"{MAX_STEP_BYTES // per_run} runs fit in {MAX_STEP_BYTES / 2**30:g} GiB"
             )
+        check_report_size(self.n_runs, self.n_steps, self.prior.dim)
         if self.trajectory is not None and len(self.trajectory) != self.n_steps:
             raise ValueError(
                 f"trajectory has {len(self.trajectory)} poses for {self.n_steps} steps"
@@ -379,6 +386,18 @@ class ScenarioReport:
     @property
     def completed(self) -> np.ndarray:
         return self.diverged_at < 0
+
+
+def check_report_size(n_runs: int, n_steps: int, dim: int) -> None:
+    """Raise ValueError when the report of n_runs x n_steps filter states of
+    dimension dim would exceed MAX_REPORT_BYTES."""
+    per_step = 8 * n_runs * (dim + 2)
+    if n_steps * per_step > MAX_REPORT_BYTES:
+        raise ValueError(
+            f"n_steps = {n_steps} with n_runs = {n_runs} needs about "
+            f"{n_steps * per_step / 2**30:.1f} GiB for the report; at most "
+            f"{MAX_REPORT_BYTES // per_step} steps fit in {MAX_REPORT_BYTES / 2**30:g} GiB"
+        )
 
 
 def posed_target(config: ScenarioConfig, step: int) -> GroundTruthTarget:

@@ -55,17 +55,16 @@ class _Frame:
 
 
 def _path(frame: _Frame, points: np.ndarray, style: str, close: bool) -> str:
-    px = frame.to_px(points)
-    coords = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in px)
+    coords = " L ".join(f"{x:.2f} {y:.2f}" for x, y in frame.to_px(points).tolist())
     tail = " Z" if close else ""
     return f'<path d="M {coords}{tail}" {style}/>'
 
 
 def _dots(frame: _Frame, points: np.ndarray, radius: float = 2.0) -> list:
-    px = frame.to_px(points)
+    r = _fmt(radius)
     return [
-        f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" {MEASUREMENT_STYLE}/>'
-        for x, y in px
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" {MEASUREMENT_STYLE}/>'
+        for x, y in frame.to_px(points).tolist()
     ]
 
 

@@ -9,11 +9,13 @@ statistical linearization gives the measurement update. Both the elliptic
 (Cholesky triple) and star-convex (Fourier radius) families are handled.
 
 Every update runs one kernel, `stacked_update`, over a leading run axis:
-R states, each conditioned on its own k measurements. Per run it makes
-one source-estimate pass over the k measurements (one closest-point call
-on the clamped prior-mean ellipse, or one angle per measurement); then
-one pseudo-measurement evaluation covers all runs, sigma points and k
-columns, and `gaussian.stacked_sl_update` conditions all runs at once.
+R states, each conditioned on its own k measurements. The source
+estimates of all R * k measurements come from one call: the closest
+points on the clamped prior-mean ellipses (`ellipse_closest_points`, a
+bracketed secular-equation root per measurement), or one arctan2 over the
+(R, k) offsets from the prior centers. Then one pseudo-measurement
+evaluation covers all runs, sigma points and k columns, and
+`gaussian.stacked_sl_update` conditions all runs at once.
 Failures come back as a per-run status. `batch_update` and
 `measurement_update` (k = 1) are its R = 1 cases.
 
@@ -29,11 +31,12 @@ constant-velocity dynamics); shape parameters].
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipse import EllipseParams, clamp_chol, clamp_chols, ellipse_closest_point
+from .ellipse import EllipseParams, clamp_chol, clamp_chols, ellipse_closest_points
 from .gaussian import (
     DEFAULT_SPREAD,
     DEGENERATE,
@@ -46,7 +49,7 @@ from .gaussian import (
     stacked_predict,
     stacked_sl_update,
 )
-from .starconvex import FourierShapeParams, angle_point_estimate, fourier_basis
+from .starconvex import DegenerateAngleWarning, FourierShapeParams, fourier_basis
 
 __all__ = [
     "ScalingModel",
@@ -307,13 +310,29 @@ def _noise_block(noise_covs: np.ndarray, scaling: ScalingModel):
     return np.tile([0.0, 0.0, scaling.mean], k), cov
 
 
+def _source_angles(measurements, centers) -> np.ndarray:
+    """`angle_point_estimate` of every measurement (R, k, 2) from its run's
+    center (R, 2), in one pass: (R, k) angles in (-pi, pi], 0 at the center."""
+    w = measurements - centers[:, None]
+    at_center = (w[..., 0] == 0.0) & (w[..., 1] == 0.0)
+    if at_center.any():
+        warnings.warn(
+            "measurement coincides with the center estimate; angle set to 0",
+            DegenerateAngleWarning,
+            stacklevel=3,
+        )
+    phis = np.where(at_center, 0.0, np.arctan2(w[..., 1], w[..., 0]))
+    phis[phis <= -np.pi] = np.pi
+    return phis
+
+
 def stacked_update(means, covs, measurements, noise_covs, config: TrackerConfig):
     """Condition R states, each on its own k measurements, in one stacked update.
 
     Each run's augmented density [prior_r; v_1; scaling_1; ...; v_k;
     scaling_k] carries an independent noise block per measurement. The
-    source estimates (closest boundary points or angles) are computed per
-    run from its prior mean and held fixed; the family's
+    source estimates (closest boundary points or angles) are computed for
+    all runs in one call from their prior means and held fixed; the family's
     pseudo-measurement is evaluated for all runs and all k at once and
     linearized statistically against the target 0
     (`gaussian.stacked_sl_update`).
@@ -336,12 +355,9 @@ def stacked_update(means, covs, measurements, noise_covs, config: TrackerConfig)
     centers = means[:, :2]
     if config.shape_family == "ellipse":
         chols, _ = clamp_chols(means[:, -3:])
-        offsets = np.full(measurements.shape, np.nan)
-        for r, (c, t, ys) in enumerate(zip(centers, chols, measurements)):
-            try:
-                offsets[r] = ellipse_closest_point(EllipseParams(c, t), ys) - c
-            except OverflowError:
-                pass  # NaN offsets make the run's pseudo-measurements NaN: FAILED
+        # an overflowing run gets NaN offsets, so its pseudo-measurements are
+        # NaN and only that run is FAILED
+        offsets = ellipse_closest_points(centers, chols, measurements) - centers[:, None]
 
         def h(points):
             return ellipse_pseudo_measurement(
@@ -349,7 +365,7 @@ def stacked_update(means, covs, measurements, noise_covs, config: TrackerConfig)
             )
 
     else:
-        phis = [[angle_point_estimate(y, c) for y in ys] for c, ys in zip(centers, measurements)]
+        phis = _source_angles(measurements, centers)
 
         def h(points):
             return sc_pseudo_measurement(points, measurements, phis, config.shape_dim)

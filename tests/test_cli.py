@@ -11,7 +11,13 @@ import shapetrack
 from shapetrack import cli
 from shapetrack.cli import bundled_scenarios, main
 from shapetrack.config import load_scenario_file
-from shapetrack.simulate import MAX_MEASUREMENTS_PER_STEP, MAX_STEP_BYTES, STEP_BYTES_PER_D2
+from shapetrack.simulate import (
+    MAX_MEASUREMENTS_PER_STEP,
+    MAX_REPORT_BYTES,
+    MAX_STEP_BYTES,
+    STEP_BYTES_PER_D2,
+    Trajectory,
+)
 
 REDUCED = ["--set", "runs.n_steps=12", "--set", "runs.n_runs=2"]
 
@@ -259,6 +265,34 @@ def test_too_many_runs_for_one_step_exit_3_before_any_run(tmp_path, capsys, monk
     )
     assert code == 3
     assert f"n_runs = {sets[0].split('=')[1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, dim",
+    [("stationary_ellipse_low.cfg", 5), ("moving_aircraft_ellipse.cfg", 7)],
+    ids=["stationary", "waypoints"],
+)
+def test_too_many_steps_exit_3_before_any_run(tmp_path, capsys, monkeypatch, name, dim):
+    # runs.n_steps=1000000000 passed validation and then asked for hundreds of
+    # GB; the bound is tested one step above it, and the waypoint spline of
+    # that many poses must not be built
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    def no_spline(cls, *args, **kwargs):
+        raise AssertionError("the waypoint spline was built")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr(Trajectory, "from_waypoints", classmethod(no_spline))
+    n_steps = MAX_REPORT_BYTES // (8 * 2 * (dim + 2)) + 1
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", name, "--out", str(out),
+        "--set", "runs.n_runs=2", "--set", f"runs.n_steps={n_steps}",
+    )
+    assert code == 3
+    assert f"runs.n_steps: n_steps = {n_steps}" in capsys.readouterr().err
     assert not out.exists()
 
 

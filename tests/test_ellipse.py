@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from shapetrack import ellipse as ellipse_module
 from shapetrack.ellipse import (
     EllipseParams,
     clamp_chol,
     clamp_chols,
     ellipse_boundary_point,
     ellipse_closest_point,
+    ellipse_closest_points,
     ellipse_implicit,
     ellipse_scaled_implicit,
     from_semi_axes,
@@ -300,17 +302,99 @@ def _oracle_cases(seed=2024, n_ellipses=60):
         yield p, queries
 
 
+def _dense_min_distance(p: EllipseParams, queries, n=4096, rounds=60) -> np.ndarray:
+    """Distance from each query (m, 2) to the boundary by brute force.
+
+    A dense sampling of the boundary angle, then a golden-section search in
+    the two-sample bracket of every sampled local minimum.
+    """
+    queries = np.asarray(queries, dtype=float).reshape(-1, 2)
+    theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    dist = np.linalg.norm(ellipse_boundary_point(p, theta)[None] - queries[:, None], axis=2)
+    local = (dist <= np.roll(dist, 1, axis=1)) & (dist <= np.roll(dist, -1, axis=1))
+    rows, cols = np.nonzero(local)
+    lo, hi = theta[cols] - 2 * np.pi / n, theta[cols] + 2 * np.pi / n
+
+    def at(t):
+        return np.linalg.norm(ellipse_boundary_point(p, t) - queries[rows], axis=1)
+
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(rounds):
+        left, right = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        closer = at(left) < at(right)
+        hi, lo = np.where(closer, right, hi), np.where(closer, lo, left)
+    best = dist.min(axis=1)
+    np.minimum.at(best, rows, at(0.5 * (lo + hi)))
+    return best
+
+
 def test_closest_point_matches_oracle():
+    # The oracle's scan guard misses the global minimum at some inside
+    # queries; the bracketed root finds it there and agrees elsewhere.
+    oracle_misses = 0
     for p, queries in _oracle_cases():
-        for query in queries:
+        queries = queries[:-1]  # the exact center follows the angle-0 convention
+        truth = _dense_min_distance(p, queries)
+        for query, d_true in zip(queries, truth):
             got = ellipse_closest_point(p, query)
             want = _oracle_closest_point(p, query)
-            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
-            # never farther than the reference beyond one rounding of the
-            # coordinates (a boundary query's distance is 0 or a few ulps)
             d_got = np.linalg.norm(got - query)
             d_want = np.linalg.norm(want - query)
+            # never farther than the oracle beyond one rounding of the
+            # coordinates (a boundary query's distance is 0 or a few ulps)
             assert d_got <= d_want + 1e-15 * (1.0 + np.max(np.abs(query)))
+            if d_want <= d_true + 1e-12:
+                assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(got)))
+            else:
+                assert d_got < d_want
+                oracle_misses += 1
+    assert oracle_misses == 30
+
+
+@pytest.mark.parametrize(
+    "center, chol, query, d_oracle, d_true",
+    [
+        (
+            [0.6644843060018201, 0.13327559209175563],
+            [0.6101799105043216, 0.9332408444671242, -1.2102987297779657],
+            [-0.36753852286959954, -0.24941762642512666],
+            0.60615,
+            0.53468,
+        ),
+        (
+            [-0.14774070114205423, -0.03738736227845443],
+            [0.715526580001417, 0.753417418963187, -0.7632390339337025],
+            [-0.19943585004177333, -0.08439002885537616],
+            0.84118,
+            0.81112,
+        ),
+        (
+            [0.9944016461595149, -0.11289017636773147],
+            [0.6958700957743738, 0.702265766055984, -0.13156805337633254],
+            [0.7612235815818551, -0.315676831397913],
+            1.21956,
+            1.21874,
+        ),
+        (
+            [8.72645366797231, 6.979700216479165],
+            [0.2934965617469543, 0.6389441321490723, -0.11024119708656559],
+            [7.599726092042756, 6.8629129180005],
+            1.43972,
+            1.42267,
+        ),
+    ],
+)
+def test_closest_point_finds_the_minimum_the_oracle_missed(center, chol, query, d_oracle, d_true):
+    # inside queries from the bundled ellipse scenarios where Newton kept
+    # the farther of two local minima and no scan angle beat it
+    p = EllipseParams(center, chol)
+    query = np.asarray(query)
+    assert np.linalg.norm(_oracle_closest_point(p, query) - query) == pytest.approx(
+        d_oracle, abs=1e-5
+    )
+    d_got = np.linalg.norm(ellipse_closest_point(p, query) - query)
+    assert d_got == pytest.approx(d_true, abs=1e-5)
+    assert abs(d_got - _dense_min_distance(p, query)[0]) <= 1e-12
 
 
 def test_closest_point_stacked_equals_single_calls():
@@ -336,6 +420,70 @@ def test_closest_point_scan_restart_matches_oracle():
     want = _oracle_closest_point(p, query)
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
     assert abs(abs(got[1]) - 0.2) < 0.05  # the minor-axis side, not the vertex
+
+
+def test_closest_points_runs_equal_single_ellipse_calls():
+    cases = list(_oracle_cases(seed=9, n_ellipses=12))
+    centers = np.array([p.center for p, _ in cases])
+    chols = np.array([p.chol for p, _ in cases])
+    queries = np.stack([q for _, q in cases])
+    got = ellipse_closest_points(centers, chols, queries)
+    assert got.shape == queries.shape
+    for (p, q), row in zip(cases, got):
+        assert np.array_equal(row, ellipse_closest_point(p, q))
+
+
+def test_closest_points_overflowing_run_gets_nan_rows():
+    centers = np.zeros((4, 2))
+    chols = np.array([[1.0, 0.5, 0.2], [1e200, 1e200, 0.0], [1e-170, 1e-170, 0.0], [2.0, 1.0, -0.3]])
+    queries = np.tile([[0.3, -1.2], [2.0, 0.5]], (4, 1, 1))
+    got = ellipse_closest_points(centers, chols, queries)
+    assert np.isnan(got[1:3]).all()
+    for r in (0, 3):
+        alone = ellipse_closest_point(EllipseParams(centers[r], chols[r]), queries[r])
+        assert np.array_equal(got[r], alone)
+
+
+def test_closest_point_root_steps_stay_under_the_cap_at_aspect_1e6(monkeypatch):
+    steps = []
+    root = ellipse_module._secular_root
+
+    def counted(*args):
+        u, n = root(*args)
+        steps.append(n)
+        return u, n
+
+    monkeypatch.setattr(ellipse_module, "_secular_root", counted)
+    rng = np.random.default_rng(12)
+    for angle in (0.0, 0.3, -1.1):
+        p = from_semi_axes([1.0, -2.0], [1.0, 1e-6], angle=angle)
+        spokes = ellipse_boundary_point(p, rng.uniform(0, 2 * np.pi, size=40)) - p.center
+        scale = np.concatenate([rng.uniform(0.0, 0.999, 20), rng.uniform(1.001, 1e3, 20)])
+        queries = p.center + scale[:, None] * spokes
+        got = ellipse_closest_point(p, queries)
+        # on the boundary |L^T (x - m)| = 1; the implicit function would
+        # carry rounding near 1e-4 from the 1e12 entries of L L^T
+        radius = np.linalg.norm((got - p.center) @ p.matrix_l, axis=1)
+        assert np.max(np.abs(radius - 1.0)) < 1e-8
+        d_got = np.linalg.norm(got - queries, axis=1)
+        assert np.all(d_got <= _dense_min_distance(p, queries) + 1e-12)
+    assert len(steps) == 120
+    assert max(steps) < ellipse_module._ROOT_STEPS
+
+
+def test_closest_point_near_the_major_axis_of_a_rotated_ellipse():
+    # 1e-17 off the axis the root sits near its lower bracket end; it must
+    # keep full precision there, inside and beyond the evolute
+    p = from_semi_axes([0.5, -1.5], [3.0, 0.2], angle=0.7)
+    major, minor = np.array([np.cos(0.7), np.sin(0.7)]), np.array([-np.sin(0.7), np.cos(0.7)])
+    along = np.array([-4.0, -2.9, -1.0, 0.3, 2.0, 2.95, 5.0])
+    queries = np.array(
+        [p.center + t * major + off * minor for off in (1e-17, -1e-17) for t in along]
+    )
+    got = ellipse_closest_point(p, queries)
+    assert np.max(np.abs(ellipse_implicit(p, got))) < 1e-12
+    d_got = np.linalg.norm(got - queries, axis=1)
+    assert np.all(np.abs(d_got - _dense_min_distance(p, queries)) <= 1e-12)
 
 
 def test_closest_point_rejects_malformed_queries():

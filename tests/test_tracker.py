@@ -1,9 +1,12 @@
 """Tests for the pseudo-measurement functions and the recursive tracker."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from shapetrack import tracker as tracker_module
 from shapetrack.ellipse import (
     EllipseParams,
     clamp_chol,
@@ -21,6 +24,7 @@ from shapetrack.gaussian import (
     statistical_linearization_update,
 )
 from shapetrack.starconvex import (
+    DegenerateAngleWarning,
     FourierShapeParams,
     angle_point_estimate,
     fourier_basis,
@@ -31,6 +35,7 @@ from shapetrack.tracker import (
     ScalingModel,
     Tracker,
     TrackerConfig,
+    _source_angles,
     batch_update,
     ellipse_pseudo_measurement,
     measurement_update,
@@ -425,6 +430,43 @@ def test_stacked_update_rows_equal_lone_updates(k):
             alone = batch_update(GaussianState(means[r], covs[r]), ys[r], rs, config)
             assert np.array_equal(got_means[r], alone.mean)
             assert np.array_equal(got_covs[r], alone.cov)
+
+
+def test_source_angles_equal_angle_point_estimate():
+    # signed zeros included: -pi maps to pi, and an exact-center
+    # measurement (either sign of zero) gets 0 with a warning
+    values = [0.0, -0.0, 1.0, -1.0, 2.5e-300]
+    zero_offsets = [[x, y] for x in values for y in values]
+    rng = np.random.default_rng(31)
+    measurements = np.stack([zero_offsets, rng.normal(size=(25, 2)) * 3.0])
+    centers = np.array([[0.0, 0.0], [0.4, -1.3]])
+    measurements[1] += centers[1]
+    with pytest.warns(DegenerateAngleWarning):
+        got = _source_angles(measurements, centers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateAngleWarning)
+        want = [[angle_point_estimate(y, c) for y in ys] for c, ys in zip(centers, measurements)]
+    assert got.shape == (2, 25)
+    assert np.array_equal(got, want)
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+def test_stacked_update_solves_all_closest_points_in_one_call(monkeypatch):
+    calls = []
+    kernel = tracker_module.ellipse_closest_points
+
+    def counted(centers, chols, queries):
+        calls.append(queries.shape)
+        return kernel(centers, chols, queries)
+
+    monkeypatch.setattr(tracker_module, "ellipse_closest_points", counted)
+    rng = np.random.default_rng(32)
+    prior = ellipse_prior()
+    means = prior.mean + rng.normal(0.0, 0.05, size=(5, prior.dim))
+    covs = np.stack([prior.cov] * 5)
+    ys = rng.uniform(-2.5, 2.5, size=(5, 3, 2))
+    stacked_update(means, covs, ys, np.stack([0.25 * np.eye(2)] * 3), ELL_CONFIG)
+    assert calls == [(5, 3, 2)]
 
 
 def test_stacked_update_status_is_per_run():
