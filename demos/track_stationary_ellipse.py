@@ -19,7 +19,7 @@ from shapetrack import (
     ellipse_target,
     from_semi_axes,
     generate_measurement,
-    sample_measurement_source,
+    sample_measurement_sources,
     shape_iou,
 )
 
@@ -42,11 +42,11 @@ def main(seed: int = 11) -> None:
     print("truth: center (1.00, 1.00), semi-axes 2.00 / 1.00, angle 0.50 rad")
     print(f"{'step':>5} {'center err':>11} {'semi-axes':>13} {'angle':>7} {'IoU':>6}")
     for step in range(1, 301):
-        source = sample_measurement_source(target, rng)
+        source = sample_measurement_sources(target, 1, rng)[0]
         y = generate_measurement(source, NOISE_COV, rng)
         tracker.update([y], [NOISE_COV])
         if step in REPORT_AT:
-            est = tracker.ellipse_estimate()
+            est = tracker.shape_estimate()
             err = np.linalg.norm(est.center - TRUTH.center)
             axes = est.semi_axes
             print(

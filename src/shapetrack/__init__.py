@@ -19,9 +19,7 @@ from .config import (
 )
 from .ellipse import (
     EllipseParams,
-    clamp_chol,
     ellipse_boundary_point,
-    ellipse_closest_point,
     ellipse_implicit,
     ellipse_scaled_implicit,
     from_semi_axes,
@@ -35,8 +33,6 @@ from .gaussian import (
     DEFAULT_SPREAD,
     cholesky_factor,
     draw_sigma_points,
-    joint_state,
-    kalman_predict,
     psd_repair,
     statistical_linearization_update,
     symmetrize,
@@ -48,7 +44,6 @@ from .simulate import (
     ScenarioConfig,
     ScenarioReport,
     Trajectory,
-    mean_shape,
     measurement_count,
     posed_target,
     run_scenario,
@@ -80,7 +75,6 @@ from .targets import (
     polygon_radius,
     psd_root,
     radial_fraction,
-    sample_measurement_source,
     sample_measurement_sources,
 )
 from .tracker import (
@@ -88,12 +82,8 @@ from .tracker import (
     ScalingModel,
     Tracker,
     TrackerConfig,
-    batch_update,
     ellipse_pseudo_measurement,
-    measurement_update,
     sc_pseudo_measurement,
-    scaling_noise_gaussian,
-    time_update,
 )
 
 __version__ = "0.1.0"
@@ -109,16 +99,12 @@ __all__ = [
     "DEFAULT_SPREAD",
     "cholesky_factor",
     "draw_sigma_points",
-    "joint_state",
-    "kalman_predict",
     "psd_repair",
     "statistical_linearization_update",
     "symmetrize",
     # shape families
     "EllipseParams",
-    "clamp_chol",
     "ellipse_boundary_point",
-    "ellipse_closest_point",
     "ellipse_implicit",
     "ellipse_scaled_implicit",
     "from_semi_axes",
@@ -137,12 +123,8 @@ __all__ = [
     "ScalingModel",
     "Tracker",
     "TrackerConfig",
-    "batch_update",
     "ellipse_pseudo_measurement",
-    "measurement_update",
     "sc_pseudo_measurement",
-    "scaling_noise_gaussian",
-    "time_update",
     # ground truth and measurements
     "GroundTruthTarget",
     "RejectionBudgetError",
@@ -157,7 +139,6 @@ __all__ = [
     "polygon_radius",
     "psd_root",
     "radial_fraction",
-    "sample_measurement_source",
     "sample_measurement_sources",
     # metrics
     "DEFAULT_RESOLUTION",
@@ -169,7 +150,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioReport",
     "Trajectory",
-    "mean_shape",
     "measurement_count",
     "posed_target",
     "run_scenario",

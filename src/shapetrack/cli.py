@@ -80,10 +80,11 @@ def _cell(value) -> str:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    """Write the header and then each row as it comes, so a generator of
+    rows is never held in memory whole."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def write_outputs(report: ScenarioReport, out_dir: Path) -> list:
@@ -93,25 +94,23 @@ def write_outputs(report: ScenarioReport, out_dir: Path) -> list:
     state_cols = _state_columns(config)
     created = []
 
-    est_rows = []
-    for k in range(config.n_steps):
-        for r in range(config.n_runs):
-            est_rows.append(
-                [str(k), str(r)]
-                + [_cell(v) for v in report.estimates[r, k]]
-                + [_cell(report.run_iou[r, k]), _cell(report.run_center_error[r, k])]
-            )
+    est_rows = (
+        [str(k), str(r)]
+        + [_cell(v) for v in report.estimates[r, k]]
+        + [_cell(report.run_iou[r, k]), _cell(report.run_center_error[r, k])]
+        for k in range(config.n_steps)
+        for r in range(config.n_runs)
+    )
     path = out_dir / "estimates.csv"
     _write_csv(path, ["step", "run"] + state_cols + ["iou", "center_error"], est_rows)
     created.append(path)
 
-    sum_rows = []
-    for k in range(config.n_steps):
-        sum_rows.append(
-            [str(k)]
-            + [_cell(v) for v in report.mean_estimates[k]]
-            + [_cell(report.mean_iou[k]), _cell(report.center_rmse[k])]
-        )
+    sum_rows = (
+        [str(k)]
+        + [_cell(v) for v in report.mean_estimates[k]]
+        + [_cell(report.mean_iou[k]), _cell(report.center_rmse[k])]
+        for k in range(config.n_steps)
+    )
     path = out_dir / "summary.csv"
     _write_csv(path, ["step"] + state_cols + ["mean_iou", "center_rmse"], sum_rows)
     created.append(path)

@@ -351,6 +351,8 @@ def build_scenario(mapping: dict, base_dir=None) -> ScenarioConfig:
         n_steps = r.take("runs.n_steps", _as_int, required=True)
         n_runs = r.take("runs.n_runs", _as_int, required=True)
         seed = r.take("runs.seed", _as_int, required=True)
+        if seed < 0:
+            raise _bad("runs.seed", str(seed), "a nonnegative integer")
         try:  # before a waypoint spline is built with n_steps poses
             check_report_size(n_runs, n_steps, prior.dim)
         except ValueError as err:

@@ -17,12 +17,10 @@ import numpy as np
 __all__ = [
     "EllipseParams",
     "from_semi_axes",
-    "clamp_chol",
     "clamp_chols",
     "ellipse_implicit",
     "ellipse_scaled_implicit",
     "ellipse_boundary_point",
-    "ellipse_closest_point",
     "ellipse_closest_points",
 ]
 
@@ -99,15 +97,15 @@ def from_semi_axes(center, semi_axes, angle: float = 0.0) -> EllipseParams:
     return EllipseParams(center, [low[0, 0], low[1, 1], low[1, 0]])
 
 
-def clamp_chols(chols, floor: float = CHOL_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+def clamp_chols(chols) -> tuple[np.ndarray, np.ndarray]:
     """Canonicalize a stack of Cholesky triples that drifted mid-filter.
 
     The quadratic form L L^T is invariant under b -> -b and under jointly
     flipping the signs of (a, c), so estimators (whose measurement models
     only see L L^T) may settle in a mirrored sign mode. Such triples are
     mapped to the positive-diagonal representative of the same matrix,
-    which is exact. Diagonal magnitudes below `floor` describe a genuinely
-    degenerate ellipse and are clamped to `floor`.
+    which is exact. Diagonal magnitudes below CHOL_FLOOR describe a
+    genuinely degenerate ellipse and are clamped to CHOL_FLOOR.
 
     Args:
         chols: (N, 3) triples (a, b, c).
@@ -119,14 +117,8 @@ def clamp_chols(chols, floor: float = CHOL_FLOOR) -> tuple[np.ndarray, np.ndarra
     a, b, c = np.asarray(chols, dtype=float).reshape(-1, 3).T
     flip = a < 0
     a, b, c = np.where(flip, -a, a), np.abs(b), np.where(flip, -c, c)
-    repaired = (a < floor) | (b < floor)
-    return np.stack([np.maximum(a, floor), np.maximum(b, floor), c], axis=1), repaired
-
-
-def clamp_chol(center, chol, floor: float = CHOL_FLOOR) -> tuple[EllipseParams, bool]:
-    """The ellipse of one triple canonicalized by `clamp_chols`, and whether it was clamped."""
-    chols, repaired = clamp_chols(np.asarray(chol, dtype=float).reshape(1, 3), floor)
-    return EllipseParams(center, chols[0]), bool(repaired[0])
+    clamped = np.stack([np.maximum(a, CHOL_FLOOR), np.maximum(b, CHOL_FLOOR), c], axis=1)
+    return clamped, (a < CHOL_FLOOR) | (b < CHOL_FLOOR)
 
 
 def ellipse_implicit(p: EllipseParams, z) -> float | np.ndarray:
@@ -150,14 +142,6 @@ def ellipse_boundary_point(p: EllipseParams, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     circ = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     return p.center + circ @ p.inv_l_t.T
-
-
-def ellipse_closest_point(p: EllipseParams, query) -> np.ndarray:
-    """`ellipse_closest_points` of one ellipse, for a query (2,) or k queries (k, 2)."""
-    q = np.asarray(query, dtype=float)
-    if q.ndim not in (1, 2) or q.shape[-1] != 2:
-        raise ValueError(f"query must have shape (2,) or (k, 2), got {q.shape}")
-    return ellipse_closest_points(p.center, p.chol, q.reshape(1, -1, 2)).reshape(q.shape)
 
 
 def ellipse_closest_points(centers, chols, queries) -> np.ndarray:

@@ -13,16 +13,15 @@ with stacked `cholesky`/`eigvalsh`/`solve` (`stacked_predict`,
 share). Each run's arithmetic is the same as a lone call's, bit for bit, and each
 kernel reports per run a status (`OK`, `DEGENERATE`, `FAILED`) rather
 than a warning or an exception, so one failing run leaves the others
-untouched. The `GaussianState` functions (`kalman_predict`,
-`draw_sigma_points`, `psd_repair`, `statistical_linearization_update`)
-are their R = 1 cases; they turn the status back into the warning or the
-`ConditioningError` of the single-state API.
+untouched. `psd_repair`, `draw_sigma_points` and
+`statistical_linearization_update` work on one state and turn the status
+back into the warning or the `ConditioningError` of the single-state API.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "cholesky_factor",
     "draw_sigma_points",
     "statistical_linearization_update",
-    "kalman_predict",
     "OK",
     "DEGENERATE",
     "FAILED",
@@ -174,18 +172,6 @@ class GaussianState:
 
     def copy(self) -> "GaussianState":
         return GaussianState(self.mean.copy(), self.cov.copy())
-
-
-def joint_state(*parts: GaussianState) -> GaussianState:
-    """Stack independent Gaussians into one block-diagonal joint state."""
-    means = [p.mean for p in parts]
-    dims = [p.dim for p in parts]
-    cov = np.zeros((sum(dims), sum(dims)))
-    at = 0
-    for p in parts:
-        cov[at : at + p.dim, at : at + p.dim] = p.cov
-        at += p.dim
-    return GaussianState(np.concatenate(means), cov)
 
 
 @dataclass(frozen=True)
@@ -507,16 +493,3 @@ def stacked_predict(
     out_covs = symmetrize(a @ covs @ a.T + q)
     return out_means, out_covs, _finite_rows(out_means) & _finite_rows(out_covs)
 
-
-def kalman_predict(
-    state: GaussianState, system_matrix: np.ndarray, process_noise_cov: np.ndarray
-) -> GaussianState:
-    """Linear time update: mean -> A mean, cov -> A cov A^T + Q.
-
-    The R = 1 case of `stacked_predict`; a non-finite prediction raises
-    ValueError from the GaussianState it would become.
-    """
-    means, covs, _ = stacked_predict(
-        state.mean[None], state.cov[None], system_matrix, process_noise_cov
-    )
-    return GaussianState(means[0], covs[0])

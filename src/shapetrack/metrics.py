@@ -19,8 +19,7 @@ intersection. An ellipse fills one span per row, so where one region of
 every pair in a chunk is an ellipse, the other region's sorted keys,
 taken two by two as spans, are clipped to it instead of swept, and two
 ellipses are counted from a per-row min/max of their roots. `shape_iou`
-is the one-pair case and `ellipse_ious` the ellipse/ellipse case of the
-same path.
+is the one-pair case of the same path.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .ellipse import EllipseParams
 from .starconvex import FourierShapeParams, fourier_basis
 from .targets import GroundTruthTarget
 
-__all__ = ["shape_iou", "shape_ious", "ellipse_ious", "shape_polyline", "DEFAULT_RESOLUTION"]
+__all__ = ["shape_iou", "shape_ious", "shape_polyline", "DEFAULT_RESOLUTION"]
 
 DEFAULT_RESOLUTION = 1024
 CONTOUR_SAMPLES = 2048
@@ -413,23 +412,6 @@ def shape_ious(
         inter, union = _pair_counts(est, traced.take(slot[part]), resolution)
         out[part] = np.divide(inter, union, out=np.zeros(len(inter)), where=union > 0)
     return out
-
-
-def ellipse_ious(centers, chols, truths, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
-    """IoU of N ellipse estimates against N ellipses, pair by pair: the
-    ellipse/ellipse case of `shape_ious`.
-
-    Args:
-        centers: (N, 2) estimate centers.
-        chols: (N, 3) estimate Cholesky triples with positive diagonals,
-            as `clamp_chols` returns them.
-        truths: N EllipseParams, the second region of each pair.
-        resolution: cells per axis of each pair's grid.
-
-    Returns:
-        (N,) IoUs in [0, 1]; a pair that covers no grid cell scores 0.
-    """
-    return shape_ious(centers, chols, list(truths), resolution=resolution)
 
 
 def shape_iou(a, b, resolution: int = DEFAULT_RESOLUTION) -> float:

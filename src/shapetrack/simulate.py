@@ -36,12 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipse import clamp_chol, clamp_chols
 from .gaussian import GaussianState
 from .metrics import shape_ious
-from .starconvex import DegenerateAngleWarning, FourierShapeParams
+from .starconvex import DegenerateAngleWarning
 from .targets import GroundTruthTarget, psd_root, stacked_sample_sources
-from .tracker import TrackerConfig, stacked_step, stacked_time_update
+from .tracker import TrackerConfig, shape_params, stacked_step, stacked_time_update
 
 __all__ = [
     "NoiseMixture",
@@ -50,7 +49,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioReport",
     "measurement_count",
-    "mean_shape",
     "posed_target",
     "run_scenario",
 ]
@@ -129,6 +127,8 @@ class MeasurementCountModel:
     value: float
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"count value must be finite, got {self.value}")
         if self.kind not in ("fixed_per_step", "shifted_poisson"):
             raise ValueError(f"unknown count model {self.kind!r}")
         if self.kind == "fixed_per_step":
@@ -347,6 +347,8 @@ class ScenarioConfig:
             raise ValueError("n_runs must be at least 1")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
         self.tracker.check_layout(self.prior.dim)
         k = self.meas_count_model.stacked_count() if self.tracker.batch_mode else 1
         d = self.tracker.augmented_dim(k)
@@ -412,24 +414,11 @@ def posed_target(config: ScenarioConfig, step: int) -> GroundTruthTarget:
 
 
 def _score(config: ScenarioConfig, states, truths, steps, resolution) -> np.ndarray:
-    """IoU of each state's shape against the truth of its step, all pairs
-    stacked (`metrics.shape_ious`); a pair with an empty union scores 0.
-
-    Ellipse triples are clamped together first.
-    """
-    family, shape_dim = config.tracker.shape_family, config.tracker.shape_dim
-    params = states[:, -shape_dim:]
-    if family == "ellipse":
-        params, _ = clamp_chols(params)
-    return shape_ious(states[:, :2], params, truths, steps, family, resolution)
-
-
-def mean_shape(report: "ScenarioReport", step: int):
-    """Shape value of the run-averaged state at one step."""
-    mean, shape_dim = report.mean_estimates[step], report.config.tracker.shape_dim
-    if report.config.tracker.shape_family == "ellipse":
-        return clamp_chol(mean[:2], mean[-shape_dim:])[0]
-    return FourierShapeParams(mean[:2], mean[-shape_dim:])
+    """IoU of each state's shape (`tracker.shape_params`) against the truth
+    of its step, all pairs stacked (`metrics.shape_ious`); a pair with an
+    empty union scores 0."""
+    centers, params, _ = shape_params(states, config.tracker)
+    return shape_ious(centers, params, truths, steps, config.tracker.shape_family, resolution)
 
 
 def _draw_measurements(config: ScenarioConfig, truth, rngs, factors) -> list:

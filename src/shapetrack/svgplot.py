@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .metrics import shape_polyline
-from .simulate import ScenarioReport, mean_shape, posed_target
+from .simulate import ScenarioReport, posed_target
+from .tracker import shape_estimate
 
 __all__ = ["overlay_svg", "snippet_svg", "scenario_plots"]
 
@@ -105,7 +106,7 @@ def overlay_svg(report: ScenarioReport) -> str:
     est = None
     finite = _finite_steps(report, range(cfg.n_steps))
     if finite:
-        est = shape_polyline(mean_shape(report, finite[-1]))
+        est = shape_polyline(shape_estimate(report.mean_estimates[finite[-1]], cfg.tracker))
         pieces.append(est)
     meas = (
         np.vstack(report.example_measurements)
@@ -140,7 +141,7 @@ def snippet_svg(report: ScenarioReport, steps) -> str:
     steps = list(steps)
     shown = _finite_steps(report, steps)
     truths = [shape_polyline(posed_target(cfg, k)) for k in steps]
-    ests = [shape_polyline(mean_shape(report, k)) for k in shown]
+    ests = [shape_polyline(shape_estimate(report.mean_estimates[k], cfg.tracker)) for k in shown]
     lo, hi = steps[0], steps[-1]
     meas = [ys for k, ys in enumerate(report.example_measurements) if lo <= k <= hi]
     meas = np.vstack(meas) if meas else np.empty((0, 2))

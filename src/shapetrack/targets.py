@@ -28,7 +28,6 @@ __all__ = [
     "polygon_centroid",
     "boundary_radius",
     "radial_fraction",
-    "sample_measurement_source",
     "sample_measurement_sources",
     "stacked_sample_sources",
     "generate_measurement",
@@ -328,13 +327,6 @@ def sample_measurement_sources(
     raises RejectionBudgetError.
     """
     return stacked_sample_sources(target, [n], [rng])[0]
-
-
-def sample_measurement_source(
-    target: GroundTruthTarget, rng: np.random.Generator
-) -> np.ndarray:
-    """One measurement source (see sample_measurement_sources)."""
-    return sample_measurement_sources(target, 1, rng)[0]
 
 
 def psd_root(cov) -> np.ndarray:

@@ -16,8 +16,7 @@ bracketed secular-equation root per measurement), or one arctan2 over the
 (R, k) offsets from the prior centers. Then one pseudo-measurement
 evaluation covers all runs, sigma points and k columns, and
 `gaussian.stacked_sl_update` conditions all runs at once.
-Failures come back as a per-run status. `batch_update` and
-`measurement_update` (k = 1) are its R = 1 cases.
+Failures come back as a per-run status.
 
 `stacked_step` applies one time step's measurements, which may differ in
 number between runs, as the config asks: in batch mode one
@@ -26,7 +25,9 @@ mode one per measurement index. The scenario loop and `Tracker.update`
 (its R = 1 case) both go through it.
 
 State layout is fixed as [center(2); velocity(2, only with the
-constant-velocity dynamics); shape parameters].
+constant-velocity dynamics); shape parameters]. `shape_params` turns
+states into shapes (centers, clamped Cholesky triples or Fourier
+coefficients) for every caller: the tracker, the scoring and the plots.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipse import EllipseParams, clamp_chol, clamp_chols, ellipse_closest_points
+from .ellipse import EllipseParams, clamp_chols, ellipse_closest_points
 from .gaussian import (
     DEFAULT_SPREAD,
     DEGENERATE,
@@ -44,8 +45,6 @@ from .gaussian import (
     ConditioningError,
     GaussianState,
     UnscentedSpread,
-    _single_posterior,
-    kalman_predict,
     stacked_predict,
     stacked_sl_update,
 )
@@ -56,14 +55,12 @@ __all__ = [
     "DynamicsSpec",
     "TrackerConfig",
     "Tracker",
-    "scaling_noise_gaussian",
+    "shape_params",
+    "shape_estimate",
     "ellipse_pseudo_measurement",
     "sc_pseudo_measurement",
-    "measurement_update",
-    "batch_update",
     "stacked_update",
     "stacked_step",
-    "time_update",
     "stacked_time_update",
 ]
 
@@ -101,11 +98,6 @@ class ScalingModel:
     def scale_default(cls) -> "ScalingModel":
         """Default Gaussian scale for star-convex boundaries."""
         return cls("scale", 0.7, 0.06)
-
-
-def scaling_noise_gaussian(model: ScalingModel) -> GaussianState:
-    """Scalar Gaussian of the scaling variable, ready for state augmentation."""
-    return GaussianState([model.mean], [[model.variance]])
 
 
 @dataclass(frozen=True)
@@ -184,6 +176,31 @@ class TrackerConfig:
                 f"[center(2); velocity({2 if self.dynamics.has_velocity else 0}); "
                 f"shape({self.shape_dim})]"
             )
+
+
+def shape_params(states, config: TrackerConfig):
+    """The shapes of N states (N, d) laid out as config says.
+
+    Returns (centers (N, 2), params, clamped (N,)). For ellipses, params
+    are the (N, 3) Cholesky triples canonicalized by `clamp_chols`, and
+    clamped marks the rows that needed a real clamp. For star-convex
+    shapes, params are the (N, shape_dim) Fourier coefficients, and no row
+    is clamped.
+    """
+    params = states[:, -config.shape_dim :]
+    if config.shape_family == "ellipse":
+        params, clamped = clamp_chols(params)
+    else:
+        clamped = np.zeros(len(states), dtype=bool)
+    return states[:, :2], params, clamped
+
+
+def shape_estimate(mean, config: TrackerConfig) -> EllipseParams | FourierShapeParams:
+    """The shape of one state vector (d,): the one-row case of `shape_params`."""
+    centers, params, _ = shape_params(np.asarray(mean, dtype=float)[None], config)
+    if config.shape_family == "ellipse":
+        return EllipseParams(centers[0], params[0])
+    return FourierShapeParams(centers[0], params[0])
 
 
 # ---------------------------------------------------------------------------
@@ -426,38 +443,8 @@ def _measurement_arrays(measurements, noise_covs):
     return ys.reshape(-1, 2), covs.reshape(-1, 2, 2)
 
 
-def measurement_update(
-    prior: GaussianState, measurement, noise_cov, config: TrackerConfig
-) -> GaussianState:
-    """Condition the state on one measurement: `batch_update` with k = 1."""
-    return batch_update(prior, [measurement], [noise_cov], config)
-
-
-def batch_update(
-    prior: GaussianState, measurements, noise_covs, config: TrackerConfig
-) -> GaussianState:
-    """Condition the state on k measurements in one stacked update.
-
-    The R = 1 case of `stacked_update`. Returns the posterior; on a
-    degenerate innovation the prior is returned unchanged and a
-    DegenerateInnovationWarning is emitted.
-
-    Raises:
-        ValueError: no measurements, malformed ones, or a noise covariance
-            count that does not match.
-        ConditioningError: the update failed (see `stacked_update`).
-    """
-    ys, covs = _measurement_arrays(measurements, noise_covs)
-    if len(ys) == 0:
-        raise ValueError("batch_update needs at least one measurement")
-    means, cov, status = stacked_update(
-        prior.mean[None], prior.cov[None], ys[None], covs, config
-    )
-    return _single_posterior(prior, means, cov, status)
-
-
 def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
-    """System matrix A and process noise Q of one step (see `time_update`)."""
+    """System matrix A and process noise Q of one step (see `stacked_time_update`)."""
     if not dyn.has_velocity:
         if dim != 2 + shape_dim:
             raise ValueError(
@@ -485,24 +472,17 @@ def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
 
 
 def stacked_time_update(means, covs, dyn: DynamicsSpec, shape_dim: int):
-    """Predict R states forward one step (see `time_update`).
+    """Predict R states (R, d) forward one step.
+
+    Static mode applies a pure random walk (A = I, Q = q1 I) to the
+    [center; shape] state. Constant-velocity mode applies the standard CV
+    block to [center; velocity] with white-acceleration noise of intensity
+    q2, and a q1 random walk to the shape block.
 
     Returns (means, covs, ok) as `gaussian.stacked_predict` returns them;
     ok is False where the prediction is not finite.
     """
     return stacked_predict(means, covs, *_transition(dyn, means.shape[1], shape_dim))
-
-
-def time_update(state: GaussianState, dyn: DynamicsSpec, shape_dim: int) -> GaussianState:
-    """Predict the state forward one step.
-
-    Static mode applies a pure random walk (A = I, Q = q1 I) to the
-    [center; shape] state. Constant-velocity mode applies the standard CV
-    block to [center; velocity] with white-acceleration noise of intensity
-    q2, and a q1 random walk to the shape block. The R = 1 case of
-    `stacked_time_update`.
-    """
-    return kalman_predict(state, *_transition(dyn, state.dim, shape_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +505,16 @@ class Tracker:
         self.degenerate_updates = 0
 
     def predict(self) -> None:
-        self.state = time_update(self.state, self.config.dynamics, self.config.shape_dim)
+        """Predict one step ahead (`stacked_time_update` on one run).
+
+        Raises:
+            ValueError: the prediction is not finite.
+        """
+        dyn, shape_dim = self.config.dynamics, self.config.shape_dim
+        means, covs, _ = stacked_time_update(
+            self.state.mean[None], self.state.cov[None], dyn, shape_dim
+        )
+        self.state = GaussianState(means[0], covs[0])
 
     def update(self, measurements, noise_covs) -> None:
         """Apply one step's measurements (batch or sequential per config).
@@ -542,9 +531,7 @@ class Tracker:
         if not measurements:
             return
         ys, covs = _measurement_arrays(measurements, noise_covs)
-        if self.config.shape_family == "ellipse":
-            _, clamped = clamp_chol(self.state.mean[:2], self.state.mean[-3:])
-            self.clamp_repairs += int(clamped)
+        self.clamp_repairs += int(shape_params(self.state.mean[None], self.config)[2][0])
         means, cov, failed, degenerate = stacked_step(
             self.state.mean[None], self.state.cov[None], [ys], covs, self.config
         )
@@ -557,15 +544,6 @@ class Tracker:
     def center(self) -> np.ndarray:
         return self.state.mean[:2]
 
-    def ellipse_estimate(self) -> EllipseParams:
-        if self.config.shape_family != "ellipse":
-            raise ValueError("not an ellipse tracker")
-        ell, _ = clamp_chol(self.state.mean[:2], self.state.mean[-3:])
-        return ell
-
-    def contour_estimate(self) -> FourierShapeParams:
-        if self.config.shape_family != "star_convex":
-            raise ValueError("not a star-convex tracker")
-        return FourierShapeParams(
-            self.state.mean[:2], self.state.mean[-self.config.shape_dim :]
-        )
+    def shape_estimate(self) -> EllipseParams | FourierShapeParams:
+        """The shape of the current mean (see `shape_estimate`)."""
+        return shape_estimate(self.state.mean, self.config)

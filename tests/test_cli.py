@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from shapetrack.simulate import (
     MAX_STEP_BYTES,
     STEP_BYTES_PER_D2,
     Trajectory,
+    run_scenario,
 )
 
 REDUCED = ["--set", "runs.n_steps=12", "--set", "runs.n_runs=2"]
@@ -157,7 +160,7 @@ def test_validation_error_exits_3(tmp_path, capsys):
     [
         "noise.std=inf", "noise.std=nan", "noise.std=1e160", "dynamics.q1=nan", "dynamics.q1=inf",
         "scaling.mean=nan", "scaling.variance=inf", "tracker.ut_alpha=nan", "tracker.ut_beta=nan",
-        "tracker.ut_kappa=inf",
+        "tracker.ut_kappa=inf", "counts.value=inf",
         pytest.param("prior.cov_diag=" + " ".join(["1e308"] * 5), id="prior.cov_diag=1e308"),
     ],
 )
@@ -171,6 +174,30 @@ def test_non_finite_values_exit_3_without_outputs(tmp_path, capsys, override):
         )
     assert code == 3
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("batch", ["false", "true"])
+def test_non_finite_poisson_mean_exits_3_naming_the_key(tmp_path, capsys, batch):
+    # passed validation, then failed in the first Poisson draw with exit 1
+    # (sequential) or exited 3 with a message naming no key (batch)
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "stationary_ellipse_low.cfg", "--out", str(out), "--set", f"tracker.batch={batch}",
+        "--set", "counts.model=shifted_poisson", "--set", "counts.value=nan", *REDUCED,
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "counts.value" in err and "finite" in err
+    assert not out.exists()
+
+
+def test_negative_seed_exits_3_naming_the_key(tmp_path, capsys):
+    # passed validation, then SeedSequence raised inside the run with exit 1
+    out = tmp_path / "out"
+    code = run_cli("run", "stationary_ellipse_low.cfg", "--out", str(out), "--seed", "-1", *REDUCED)
+    assert code == 3
+    assert "runs.seed" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -398,3 +425,28 @@ def test_moving_scenario_runs_without_scipy():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_write_outputs_memory_does_not_grow_with_the_runs(tmp_path):
+    # the CSV rows are streamed to the files; building them all first took
+    # 6x the memory for 10x the runs
+    path = bundled_scenarios()["stationary_ellipse_low.cfg"]
+    report = run_scenario(load_scenario_file(path, ["runs.n_runs=2"]))
+    tiled = dataclasses.replace(
+        report,
+        config=dataclasses.replace(report.config, n_runs=20),
+        estimates=np.tile(report.estimates, (10, 1, 1)),
+        diverged_at=np.tile(report.diverged_at, 10),
+        run_iou=np.tile(report.run_iou, (10, 1)),
+        run_center_error=np.tile(report.run_center_error, (10, 1)),
+    )
+    peaks = []
+    for name, rep in (("few", report), ("many", tiled)):
+        tracemalloc.start()
+        try:
+            cli.write_outputs(rep, tmp_path / name)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "many" / "estimates.csv").read_text().count("\n") == 1 + 20 * 300
+    assert peaks[1] < 2 * peaks[0]

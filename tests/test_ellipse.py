@@ -7,10 +7,8 @@ from numpy.testing import assert_allclose
 from shapetrack import ellipse as ellipse_module
 from shapetrack.ellipse import (
     EllipseParams,
-    clamp_chol,
     clamp_chols,
     ellipse_boundary_point,
-    ellipse_closest_point,
     ellipse_closest_points,
     ellipse_implicit,
     ellipse_scaled_implicit,
@@ -35,6 +33,13 @@ def boundary_oracle(p, query, n=3600):
     theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     pts = ellipse_boundary_point(p, theta)
     return np.min(np.linalg.norm(pts - query, axis=1))
+
+
+def _closest(p, query):
+    """`ellipse_closest_points` of one ellipse, for a query (2,) or k queries (k, 2)."""
+    q = np.asarray(query, dtype=float)
+    out = ellipse_closest_points(p.center[None], p.chol[None], q.reshape(1, -1, 2))
+    return out.reshape(q.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +75,12 @@ def test_clamp_chol_canonicalizes_signs_exactly():
         ([-0.7, -0.9, -0.1], [0.7, 0.9, 0.1]),
     ]
     for chol, expected in cases:
-        p, clamped = clamp_chol([0.0, 0.0], chol)
+        (row,), (clamped,) = clamp_chols([chol])
         assert not clamped
-        assert np.array_equal(p.chol, expected)
+        assert np.array_equal(row, expected)
         a, b, c = chol
         direct = np.array([[a * a, a * c], [a * c, b * b + c * c]])
-        assert_allclose(p.quad_form, direct, rtol=1e-15, atol=0.0)
+        assert_allclose(EllipseParams([0.0, 0.0], row).quad_form, direct, rtol=1e-15, atol=0.0)
 
 
 def test_clamp_chols_rows_equal_clamp_chol():
@@ -85,15 +90,15 @@ def test_clamp_chols_rows_equal_clamp_chol():
     chols[::11, 0] = -0.0
     clamped, repaired = clamp_chols(chols)
     for row, flag, chol in zip(clamped, repaired, chols):
-        p, one = clamp_chol([0.0, 0.0], chol)
-        assert np.array_equal(row, p.chol) and flag == one
+        (alone,), (one,) = clamp_chols(chol[None])
+        assert np.array_equal(row, alone) and flag == one
 
 
 def test_clamp_chol_floors_degenerate_diagonal():
-    p, clamped = clamp_chol([0.0, 0.0], [1e-9, 1.0, 0.3])
+    (row,), (clamped,) = clamp_chols([[1e-9, 1.0, 0.3]])
     assert clamped
-    assert p.chol[0] == pytest.approx(1e-6)
-    _, untouched = clamp_chol([0.0, 0.0], [1.0, 1.0, 0.0])
+    assert row[0] == pytest.approx(1e-6)
+    _, (untouched,) = clamp_chols([[1.0, 1.0, 0.0]])
     assert not untouched
 
 
@@ -162,18 +167,18 @@ def test_implicit_sign_trichotomy(p):
 
 
 def test_closest_point_circle_radial():
-    assert_allclose(ellipse_closest_point(UNIT_CIRCLE, [2.0, 0.0]), [1.0, 0.0], atol=1e-12)
+    assert_allclose(_closest(UNIT_CIRCLE, [2.0, 0.0]), [1.0, 0.0], atol=1e-12)
 
 
 def test_closest_point_major_axis():
-    assert_allclose(ellipse_closest_point(NARROW, [1.0, 0.0]), [0.5, 0.0], atol=1e-12)
+    assert_allclose(_closest(NARROW, [1.0, 0.0]), [0.5, 0.0], atol=1e-12)
 
 
 def test_closest_point_on_boundary_query():
     # (0.3, 0.8) lies exactly on the boundary of NARROW, so the answer is
     # the query itself and beats a dense boundary sampling.
     query = np.array([0.3, 0.8])
-    out = ellipse_closest_point(NARROW, query)
+    out = _closest(NARROW, query)
     dist = np.linalg.norm(out - query)
     assert dist <= boundary_oracle(NARROW, query) + 1e-12
     assert_allclose(out, query, atol=1e-8)
@@ -182,7 +187,7 @@ def test_closest_point_on_boundary_query():
 def test_closest_point_center_tiebreak():
     p = RANDOM_PARAMS[0]
     assert_allclose(
-        ellipse_closest_point(p, p.center), ellipse_boundary_point(p, 0.0), atol=0
+        _closest(p, p.center), ellipse_boundary_point(p, 0.0), atol=0
     )
 
 
@@ -190,7 +195,7 @@ def test_closest_point_center_tiebreak():
 def test_closest_point_beats_dense_sampling(p):
     rng = np.random.default_rng(hash(tuple(p.chol)) % 2**32)
     for query in p.center + rng.uniform(-4, 4, size=(10, 2)):
-        out = ellipse_closest_point(p, query)
+        out = _closest(p, query)
         assert abs(ellipse_implicit(p, out)) < 1e-10
         assert np.linalg.norm(out - query) <= boundary_oracle(p, query) + 1e-9
 
@@ -199,7 +204,7 @@ def test_closest_point_beats_dense_sampling(p):
 def test_closest_point_first_order_optimality(p):
     rng = np.random.default_rng(11)
     for query in p.center + rng.uniform(-4, 4, size=(10, 2)):
-        out = ellipse_closest_point(p, query)
+        out = _closest(p, query)
         offset = query - out
         if np.linalg.norm(offset) < 1e-9:
             continue  # query on the boundary: optimality is trivial
@@ -336,7 +341,7 @@ def test_closest_point_matches_oracle():
         queries = queries[:-1]  # the exact center follows the angle-0 convention
         truth = _dense_min_distance(p, queries)
         for query, d_true in zip(queries, truth):
-            got = ellipse_closest_point(p, query)
+            got = _closest(p, query)
             want = _oracle_closest_point(p, query)
             d_got = np.linalg.norm(got - query)
             d_want = np.linalg.norm(want - query)
@@ -392,16 +397,16 @@ def test_closest_point_finds_the_minimum_the_oracle_missed(center, chol, query, 
     assert np.linalg.norm(_oracle_closest_point(p, query) - query) == pytest.approx(
         d_oracle, abs=1e-5
     )
-    d_got = np.linalg.norm(ellipse_closest_point(p, query) - query)
+    d_got = np.linalg.norm(_closest(p, query) - query)
     assert d_got == pytest.approx(d_true, abs=1e-5)
     assert abs(d_got - _dense_min_distance(p, query)[0]) <= 1e-12
 
 
 def test_closest_point_stacked_equals_single_calls():
     for p, queries in _oracle_cases(seed=7, n_ellipses=20):
-        stacked = ellipse_closest_point(p, queries)
+        stacked = _closest(p, queries)
         assert stacked.shape == queries.shape
-        singles = np.array([ellipse_closest_point(p, q) for q in queries])
+        singles = np.array([_closest(p, q) for q in queries])
         assert np.array_equal(stacked, singles)
 
 
@@ -416,7 +421,7 @@ def test_closest_point_scan_restart_matches_oracle():
     assert np.min(np.sum((scan - query) ** 2, axis=1)) < _oracle_sqdist(
         p.center, p.inv_l_t, query, first
     ) - 1e-12
-    got = ellipse_closest_point(p, query)
+    got = _closest(p, query)
     want = _oracle_closest_point(p, query)
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
     assert abs(abs(got[1]) - 0.2) < 0.05  # the minor-axis side, not the vertex
@@ -430,7 +435,7 @@ def test_closest_points_runs_equal_single_ellipse_calls():
     got = ellipse_closest_points(centers, chols, queries)
     assert got.shape == queries.shape
     for (p, q), row in zip(cases, got):
-        assert np.array_equal(row, ellipse_closest_point(p, q))
+        assert np.array_equal(row, _closest(p, q))
 
 
 def test_closest_points_overflowing_run_gets_nan_rows():
@@ -440,7 +445,7 @@ def test_closest_points_overflowing_run_gets_nan_rows():
     got = ellipse_closest_points(centers, chols, queries)
     assert np.isnan(got[1:3]).all()
     for r in (0, 3):
-        alone = ellipse_closest_point(EllipseParams(centers[r], chols[r]), queries[r])
+        alone = _closest(EllipseParams(centers[r], chols[r]), queries[r])
         assert np.array_equal(got[r], alone)
 
 
@@ -460,7 +465,7 @@ def test_closest_point_root_steps_stay_under_the_cap_at_aspect_1e6(monkeypatch):
         spokes = ellipse_boundary_point(p, rng.uniform(0, 2 * np.pi, size=40)) - p.center
         scale = np.concatenate([rng.uniform(0.0, 0.999, 20), rng.uniform(1.001, 1e3, 20)])
         queries = p.center + scale[:, None] * spokes
-        got = ellipse_closest_point(p, queries)
+        got = _closest(p, queries)
         # on the boundary |L^T (x - m)| = 1; the implicit function would
         # carry rounding near 1e-4 from the 1e12 entries of L L^T
         radius = np.linalg.norm((got - p.center) @ p.matrix_l, axis=1)
@@ -480,13 +485,7 @@ def test_closest_point_near_the_major_axis_of_a_rotated_ellipse():
     queries = np.array(
         [p.center + t * major + off * minor for off in (1e-17, -1e-17) for t in along]
     )
-    got = ellipse_closest_point(p, queries)
+    got = _closest(p, queries)
     assert np.max(np.abs(ellipse_implicit(p, got))) < 1e-12
     d_got = np.linalg.norm(got - queries, axis=1)
     assert np.all(np.abs(d_got - _dense_min_distance(p, queries)) <= 1e-12)
-
-
-def test_closest_point_rejects_malformed_queries():
-    for bad in ([1.0, 2.0, 3.0], np.zeros((2, 3)), np.zeros((2, 2, 2)), 1.0):
-        with pytest.raises(ValueError):
-            ellipse_closest_point(UNIT_CIRCLE, bad)

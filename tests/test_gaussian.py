@@ -11,9 +11,8 @@ from shapetrack.gaussian import (
     UnscentedSpread,
     cholesky_factor,
     draw_sigma_points,
-    joint_state,
-    kalman_predict,
     psd_repair,
+    stacked_predict,
     stacked_psd_repair,
     stacked_sl_update,
     statistical_linearization_update,
@@ -53,14 +52,6 @@ def test_state_rejects_non_finite():
         GaussianState([np.nan], [[1.0]])
     with pytest.raises(ValueError, match="finite"):
         GaussianState([0.0, 0.0], [[1e308, 1e308], [1e308, 1.0]])  # (C + C^T) / 2 overflows
-
-
-def test_joint_state_blocks():
-    a = GaussianState([1.0], [[2.0]])
-    b = GaussianState([3.0, 4.0], np.diag([5.0, 6.0]))
-    j = joint_state(a, b)
-    assert_allclose(j.mean, [1.0, 3.0, 4.0])
-    assert_allclose(j.cov, np.diag([2.0, 5.0, 6.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +238,25 @@ def test_stacked_psd_repair_flags_rows():
 
 
 # ---------------------------------------------------------------------------
-# Time update
+# Time update (stacked_predict on one run)
+
+
+def _predict(state, a, q):
+    means, covs, ok = stacked_predict(state.mean[None], state.cov[None], a, q)
+    assert ok[0]
+    return GaussianState(means[0], covs[0])
 
 
 def test_predict_identity_noise_free():
     state = GaussianState([1.0, 2.0], np.diag([3.0, 4.0]))
-    out = kalman_predict(state, np.eye(2), np.zeros((2, 2)))
+    out = _predict(state, np.eye(2), np.zeros((2, 2)))
     assert_allclose(out.mean, state.mean)
     assert_allclose(out.cov, state.cov)
 
 
 def test_predict_additive_noise():
     state = GaussianState([0.0, 0.0], np.eye(2))
-    out = kalman_predict(state, np.eye(2), 0.3 * np.eye(2))
+    out = _predict(state, np.eye(2), 0.3 * np.eye(2))
     assert_allclose(out.cov, 1.3 * np.eye(2))
 
 
@@ -268,11 +265,11 @@ def test_predict_constant_velocity_step():
         [[np.eye(2), np.eye(2)], [np.zeros((2, 2)), np.eye(2)]]
     )
     state = GaussianState([0.0, 0.0, 1.0, 1.0], np.eye(4))
-    out = kalman_predict(state, a, np.zeros((4, 4)))
+    out = _predict(state, a, np.zeros((4, 4)))
     assert_allclose(out.mean[:2], [1.0, 1.0])
 
 
 def test_predict_rejects_mismatched_shapes():
     state = GaussianState([0.0, 0.0], np.eye(2))
     with pytest.raises(ValueError):
-        kalman_predict(state, np.eye(3), np.zeros((3, 3)))
+        _predict(state, np.eye(3), np.zeros((3, 3)))

@@ -136,6 +136,18 @@ def test_count_model_validation():
             MeasurementCountModel(kind, simulate.MAX_MEASUREMENTS_PER_STEP + 1)
 
 
+@pytest.mark.parametrize("kind", ["fixed_per_step", "shifted_poisson"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_count_model_rejects_non_finite_value(kind, value):
+    # int(inf) raised OverflowError, and a NaN Poisson mean failed at the first draw
+    with pytest.raises(ValueError, match="finite"):
+        MeasurementCountModel(kind, value)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="rng_seed"):
+        ellipse_scenario(rng_seed=-1)
+
 
 def test_stacked_count_sizes_a_batch_step():
     assert MeasurementCountModel("fixed_per_step", 7).stacked_count() == 7

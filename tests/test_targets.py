@@ -21,7 +21,6 @@ from shapetrack.targets import (
     polygon_radius,
     polygon_target,
     radial_fraction,
-    sample_measurement_source,
     sample_measurement_sources,
     stacked_sample_sources,
 )
@@ -229,7 +228,7 @@ def test_group_sampling_uniform_over_members():
 def test_single_member_group_sampling():
     tgt = group_target([[4.0, -1.0]])
     rng = np.random.Generator(np.random.Philox(6))
-    assert_allclose(sample_measurement_source(tgt, rng), [4.0, -1.0])
+    assert_allclose(sample_measurement_sources(tgt, 1, rng)[0], [4.0, -1.0])
 
 
 def test_sampling_deterministic_given_generator_state():

@@ -1,17 +1,19 @@
 """Tests for the pseudo-measurement functions and the recursive tracker."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import block_diag
 
 from shapetrack import tracker as tracker_module
 from shapetrack.ellipse import (
     EllipseParams,
-    clamp_chol,
+    clamp_chols,
     ellipse_boundary_point,
-    ellipse_closest_point,
+    ellipse_closest_points,
     ellipse_scaled_implicit,
     from_semi_axes,
 )
@@ -20,7 +22,6 @@ from shapetrack.gaussian import (
     FAILED,
     OK,
     GaussianState,
-    joint_state,
     statistical_linearization_update,
 )
 from shapetrack.starconvex import (
@@ -36,15 +37,12 @@ from shapetrack.tracker import (
     Tracker,
     TrackerConfig,
     _source_angles,
-    batch_update,
     ellipse_pseudo_measurement,
-    measurement_update,
     sc_pseudo_measurement,
-    scaling_noise_gaussian,
+    shape_params,
     stacked_step,
     stacked_time_update,
     stacked_update,
-    time_update,
 )
 
 ELL_CONFIG = TrackerConfig(shape_family="ellipse")
@@ -60,6 +58,20 @@ def circle_prior(radius=1.5, n_coeffs=15):
     mean[2] = 2.0 * radius
     cov = np.diag([0.7, 0.7] + [0.1] * n_coeffs)
     return GaussianState(mean, cov)
+
+
+def _update(prior, ys, rs, config):
+    """`stacked_update` of one run on its k measurements ys (k, 2), noise rs (k, 2, 2)."""
+    ys, rs = np.reshape(ys, (1, -1, 2)), np.reshape(rs, (-1, 2, 2))
+    means, covs, status = stacked_update(prior.mean[None], prior.cov[None], ys, rs, config)
+    assert status[0] == OK
+    return GaussianState(means[0], covs[0])
+
+
+def _predict(state, dyn, shape_dim):
+    """`stacked_time_update` of one run."""
+    means, covs, _ = stacked_time_update(state.mean[None], state.cov[None], dyn, shape_dim)
+    return GaussianState(means[0], covs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +97,12 @@ def test_scaling_model_rejects_non_finite(mean, variance):
 
 
 def test_scaling_noise_gaussian():
-    g = scaling_noise_gaussian(ScalingModel.squared_scale_uniform())
-    assert_allclose(g.mean, [0.5])
-    assert_allclose(g.cov, [[1 / 12]])
+    # each measurement's noise block carries the scaling variable's Gaussian
+    mean, cov = tracker_module._noise_block(
+        np.stack([np.eye(2), 2.0 * np.eye(2)]), ScalingModel.squared_scale_uniform()
+    )
+    assert_allclose(mean, [0.0, 0.0, 0.5, 0.0, 0.0, 0.5])
+    assert_allclose(cov, np.diag([1.0, 1.0, 1 / 12, 2.0, 2.0, 1 / 12]))
 
 
 def test_config_family_scaling_consistency():
@@ -281,18 +296,18 @@ def test_sc_pseudo_stacked_columns_match_single(k):
 
 def test_update_layout_mismatch_rejected():
     with pytest.raises(ValueError):
-        measurement_update(circle_prior(), [0.0, 0.0], np.eye(2), ELL_CONFIG)
+        _update(circle_prior(), [0.0, 0.0], np.eye(2), ELL_CONFIG)
 
 
 def test_update_center_measurement_moves_little():
     prior = GaussianState([0, 0, 1, 1, 0], np.diag([0.01, 0.01, 1e-4, 1e-4, 1e-4]))
-    post = measurement_update(prior, [0.0, 0.0], 0.04 * np.eye(2), ELL_CONFIG)
+    post = _update(prior, [0.0, 0.0], 0.04 * np.eye(2), ELL_CONFIG)
     assert np.linalg.norm(post.mean[:2]) < 0.2
 
 
 def test_update_posterior_is_valid_gaussian():
     prior = ellipse_prior()
-    post = measurement_update(prior, [1.0, 0.5], np.eye(2), ELL_CONFIG)
+    post = _update(prior, [1.0, 0.5], np.eye(2), ELL_CONFIG)
     assert_allclose(post.cov, post.cov.T, atol=0)
     assert np.linalg.eigvalsh(post.cov)[0] >= -1e-9
     assert np.all(np.isfinite(post.mean))
@@ -306,7 +321,7 @@ def test_update_small_noise_innovation_reduction_ellipse():
     )
     prior = GaussianState([0, 0, 1, 1, 0], np.diag([0.5, 0.5, 0.3, 0.3, 0.3]))
     y = np.array([2.0, 0.0])
-    post = measurement_update(prior, y, 1e-12 * np.eye(2), config)
+    post = _update(prior, y, 1e-12 * np.eye(2), config)
     s_bar = np.sqrt(0.5)
     before = ellipse_scaled_implicit(EllipseParams([0, 0], [1, 1, 0]), y, s_bar)
     p_post = EllipseParams(post.mean[:2], post.mean[-3:])
@@ -320,7 +335,7 @@ def test_update_small_noise_innovation_reduction_sc():
     )
     prior = circle_prior()
     y = np.array([2.5, 0.0])
-    post = measurement_update(prior, y, 1e-12 * np.eye(2), config)
+    post = _update(prior, y, 1e-12 * np.eye(2), config)
     before = sc_scaled_implicit(FourierShapeParams(prior.mean[:2], prior.mean[2:]), y, 0.7)
     after = sc_scaled_implicit(FourierShapeParams(post.mean[:2], post.mean[2:]), y, 0.7)
     assert abs(after) < abs(before)
@@ -340,7 +355,7 @@ def test_update_repeated_shrinks_shape_covariance():
         z = truth.center + s * (ellipse_boundary_point(truth, theta) - truth.center)
         y = z + rng.multivariate_normal(np.zeros(2), noise_cov)
         before = np.trace(state.cov[-3:, -3:])
-        state = measurement_update(state, y, noise_cov, ELL_CONFIG)
+        state = _update(state, y, noise_cov, ELL_CONFIG)
         drops += np.trace(state.cov[-3:, -3:]) < before
     assert drops >= 0.95 * 300
 
@@ -354,27 +369,32 @@ def test_batch_single_equals_sequential_exactly():
         (ELL_CONFIG, ellipse_prior(), [1.2, 0.3], 0.5 * np.eye(2)),
         (SC_CONFIG, circle_prior(), [1.4, -0.6], 0.09 * np.eye(2)),
     ]:
-        a = measurement_update(prior, y, r, config)
-        b = batch_update(prior, [y], [r], config)
-        assert_allclose(a.mean, b.mean, rtol=0, atol=0)
-        assert_allclose(a.cov, b.cov, rtol=0, atol=0)
+        (a_mean, a_cov, *_), (b_mean, b_cov, *_) = [
+            stacked_step(
+                prior.mean[None], prior.cov[None], [np.array([y])], r[None],
+                dataclasses.replace(config, batch_mode=batch),
+            )
+            for batch in (False, True)
+        ]
+        assert_allclose(a_mean, b_mean, rtol=0, atol=0)
+        assert_allclose(a_cov, b_cov, rtol=0, atol=0)
 
 
 def _oracle_batch_update(prior, ys, rs, config):
-    """Per-measurement closures stacked column by column, noise by joint_state.
+    """Per-measurement closures stacked column by column, with a block-diagonal noise.
 
     The reference form of the stacked update; the source estimates are the
     same closest points / angles the update under test computes.
     """
     d = prior.dim
-    parts, hs = [], []
+    noise_blocks, hs = [], []
     for y, r in zip(ys, rs):
         y = np.asarray(y, dtype=float)
-        parts.append(GaussianState(np.zeros(2), r))
-        parts.append(scaling_noise_gaussian(config.scaling))
+        noise_blocks += [r, [[config.scaling.variance]]]
         if config.shape_family == "ellipse":
-            ell, _ = clamp_chol(prior.mean[:2], prior.mean[-3:])
-            offset = ellipse_closest_point(ell, y) - prior.mean[:2]
+            chols, _ = clamp_chols(prior.mean[None, -3:])
+            closest = ellipse_closest_points(prior.mean[None, :2], chols, y.reshape(1, 1, 2))
+            offset = closest.reshape(2) - prior.mean[:2]
             hs.append(
                 lambda pts, y=y, o=offset: ellipse_pseudo_measurement(
                     pts, y, o, config.trace_normalize
@@ -389,8 +409,10 @@ def _oracle_batch_update(prior, ys, rs, config):
     def h(points, _y):
         return np.column_stack([hl(_single_view(points, d, l)) for l, hl in enumerate(hs)])
 
+    noise_mean = np.tile([0.0, 0.0, config.scaling.mean], len(hs))
+    noise = GaussianState(noise_mean, block_diag(*noise_blocks))
     return statistical_linearization_update(
-        prior, h, joint_state(*parts), measurement=None, spread=config.unscented
+        prior, h, noise, measurement=None, spread=config.unscented
     )
 
 
@@ -405,7 +427,7 @@ def test_batch_matches_closure_oracle(k):
     for config, prior, tol in cases:
         ys = rng.uniform(-2.5, 2.5, size=(k, 2))
         rs = [s * s * np.eye(2) for s in rng.uniform(0.1, 0.6, size=k)]
-        got = batch_update(prior, ys, rs, config)
+        got = _update(prior, ys, rs, config)
         want = _oracle_batch_update(prior, ys, rs, config)
         if tol == 0.0:
             assert np.array_equal(got.mean, want.mean)
@@ -427,7 +449,7 @@ def test_stacked_update_rows_equal_lone_updates(k):
         got_means, got_covs, status = stacked_update(means, covs, ys, rs, config)
         assert np.array_equal(status, np.full(n_runs, OK))
         for r in range(n_runs):
-            alone = batch_update(GaussianState(means[r], covs[r]), ys[r], rs, config)
+            alone = _update(GaussianState(means[r], covs[r]), ys[r], rs, config)
             assert np.array_equal(got_means[r], alone.mean)
             assert np.array_equal(got_covs[r], alone.cov)
 
@@ -481,7 +503,7 @@ def test_stacked_update_status_is_per_run():
     with np.errstate(all="ignore"):
         got_means, got_covs, status = stacked_update(means, covs, ys, rs, config)
     assert status.tolist() == [OK, DEGENERATE, FAILED]
-    alone = batch_update(prior, ys[0], rs, config)
+    alone = _update(prior, ys[0], rs, config)
     assert np.array_equal(got_means[0], alone.mean)
     assert np.array_equal(got_covs[0], alone.cov)
     # the degenerate and the failed run keep their priors
@@ -506,9 +528,9 @@ def test_stacked_step_rows_equal_lone_steps(batch):
         for r, k in enumerate(counts):
             alone = GaussianState(means[r], covs[r])
             if k and batch:
-                alone = batch_update(alone, ys[r], rs[:k], config)
+                alone = _update(alone, ys[r], rs[:k], config)
             for j in range(0 if batch else k):
-                alone = measurement_update(alone, ys[r][j], rs[j], config)
+                alone = _update(alone, ys[r][j], rs[j], config)
             assert np.array_equal(got_means[r], alone.mean)
             assert np.array_equal(got_covs[r], alone.cov)
 
@@ -532,21 +554,16 @@ def test_stacked_step_stops_a_run_at_its_failed_update():
     assert np.array_equal(means[0], prior.mean) and np.array_equal(covs[0], prior.cov)
 
 
-def test_batch_empty_rejected():
-    with pytest.raises(ValueError):
-        batch_update(ellipse_prior(), [], [], ELL_CONFIG)
-    with pytest.raises(ValueError):
-        batch_update(ellipse_prior(), [[1.0, 0.0]], [], ELL_CONFIG)
-
-
 def test_batch_malformed_measurement_rejected():
+    tracker = Tracker(TrackerConfig(shape_family="ellipse", batch_mode=True), ellipse_prior())
     for ys in ([[1.0, 0.0, 2.0]], [[1.0, 0.0], [1.0]], [[[1.0, 0.0]] * 2]):
         with pytest.raises(ValueError):
-            batch_update(ellipse_prior(), ys, [np.eye(2)] * len(ys), ELL_CONFIG)
+            tracker.update(ys, [np.eye(2)] * len(ys))
     with pytest.raises(ValueError):
-        measurement_update(ellipse_prior(), [1.0, 0.0, 0.0], np.eye(2), ELL_CONFIG)
+        tracker.update([[1.0, 0.0]], [])
     with pytest.raises(ValueError):
-        batch_update(ellipse_prior(), [[1.0, 0.0]], [np.eye(3)], ELL_CONFIG)
+        tracker.update([[1.0, 0.0]], [np.eye(3)])
+    assert np.array_equal(tracker.state.mean, ellipse_prior().mean)
 
 
 def test_batch_order_insensitive_sanity():
@@ -555,13 +572,9 @@ def test_batch_order_insensitive_sanity():
     prior = ellipse_prior()
     ys = [np.array([1.0, 0.2]), np.array([-0.3, 1.1])]
     r = 0.5 * np.eye(2)
-    stacked = batch_update(prior, ys, [r, r], ELL_CONFIG)
-    fwd = measurement_update(
-        measurement_update(prior, ys[0], r, ELL_CONFIG), ys[1], r, ELL_CONFIG
-    )
-    rev = measurement_update(
-        measurement_update(prior, ys[1], r, ELL_CONFIG), ys[0], r, ELL_CONFIG
-    )
+    stacked = _update(prior, ys, [r, r], ELL_CONFIG)
+    fwd = _update(_update(prior, ys[0], r, ELL_CONFIG), ys[1], r, ELL_CONFIG)
+    rev = _update(_update(prior, ys[1], r, ELL_CONFIG), ys[0], r, ELL_CONFIG)
     scale = np.sqrt(np.diag(stacked.cov))
     assert np.all(np.abs(fwd.mean - rev.mean) < scale)
     assert np.all(np.abs(stacked.mean - fwd.mean) < scale)
@@ -571,7 +584,7 @@ def test_batch_runs_with_three_measurements():
     prior = circle_prior()
     ys = [[1.5, 0.0], [0.0, 1.4], [-1.2, 0.1]]
     rs = [0.09 * np.eye(2)] * 3
-    post = batch_update(prior, ys, rs, SC_CONFIG)
+    post = _update(prior, ys, rs, SC_CONFIG)
     assert post.dim == prior.dim
     assert not np.allclose(post.mean, prior.mean)
 
@@ -582,14 +595,14 @@ def test_batch_runs_with_three_measurements():
 
 def test_time_update_static_random_walk():
     state = GaussianState([0, 0, 1, 1, 0], np.eye(5))
-    out = time_update(state, DynamicsSpec(model="static_random_walk", q1=0.1), 3)
+    out = _predict(state, DynamicsSpec(model="static_random_walk", q1=0.1), 3)
     assert_allclose(out.mean, state.mean)
     assert_allclose(out.cov, np.eye(5) + 0.1 * np.eye(5))
 
 
 def test_time_update_static_noise_free_identity():
     state = GaussianState([0, 0, 1, 1, 0], np.diag([1, 2, 3, 4, 5.0]))
-    out = time_update(state, DynamicsSpec(), 3)
+    out = _predict(state, DynamicsSpec(), 3)
     assert_allclose(out.mean, state.mean)
     assert_allclose(out.cov, state.cov)
 
@@ -598,7 +611,7 @@ def test_time_update_constant_velocity_moves_center():
     dyn = DynamicsSpec(model="constant_velocity_plus_random_walk", step=1.0)
     mean = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
     state = GaussianState(mean, np.eye(7))
-    out = time_update(state, dyn, 3)
+    out = _predict(state, dyn, 3)
     assert_allclose(out.mean[:2], [1.0, 0.0])
     assert_allclose(out.mean[2:], mean[2:])
 
@@ -608,7 +621,7 @@ def test_time_update_cv_noise_blocks():
         model="constant_velocity_plus_random_walk", step=2.0, q1=0.1, q2=0.5
     )
     state = GaussianState(np.zeros(7), np.zeros((7, 7)))
-    out = time_update(state, dyn, 3)
+    out = _predict(state, dyn, 3)
     t = 2.0
     assert_allclose(out.cov[0, 0], 0.5 * t**3 / 3)
     assert_allclose(out.cov[0, 2], 0.5 * t**2 / 2)
@@ -626,20 +639,22 @@ def test_stacked_time_update_rows_equal_lone_predictions():
     with np.errstate(all="ignore"):
         got_means, got_covs, ok = stacked_time_update(means, covs, dyn, 3)
     assert ok.tolist() == [True, True, False]
+    config = TrackerConfig(dynamics=dyn)
     for r in range(2):
-        alone = time_update(GaussianState(means[r], covs[r]), dyn, 3)
-        assert np.array_equal(got_means[r], alone.mean)
-        assert np.array_equal(got_covs[r], alone.cov)
+        alone = Tracker(config, GaussianState(means[r], covs[r]))
+        alone.predict()
+        assert np.array_equal(got_means[r], alone.state.mean)
+        assert np.array_equal(got_covs[r], alone.state.cov)
     with pytest.raises(ValueError, match="finite"), np.errstate(all="ignore"):
-        time_update(GaussianState(means[2], covs[2]), dyn, 3)
+        Tracker(config, GaussianState(means[2], covs[2])).predict()
 
 
 def test_time_update_layout_mismatch():
     with pytest.raises(ValueError):
-        time_update(GaussianState(np.zeros(5), np.eye(5)),
-                    DynamicsSpec(model="constant_velocity_plus_random_walk"), 3)
+        _predict(GaussianState(np.zeros(5), np.eye(5)),
+                 DynamicsSpec(model="constant_velocity_plus_random_walk"), 3)
     with pytest.raises(ValueError):
-        time_update(GaussianState(np.zeros(7), np.eye(7)), DynamicsSpec(), 3)
+        _predict(GaussianState(np.zeros(7), np.eye(7)), DynamicsSpec(), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +673,7 @@ def test_tracker_runs_and_estimates():
         s = np.sqrt(rng.uniform(0, 1))
         z = truth.center + s * (ellipse_boundary_point(truth, theta) - truth.center)
         tracker.update([z + rng.normal(0, 0.6, size=2)], [0.36 * np.eye(2)])
-    est = tracker.ellipse_estimate()
+    est = tracker.shape_estimate()
     assert np.linalg.norm(est.center - truth.center) < 0.3
     assert_allclose(est.semi_axes, truth.semi_axes, atol=0.5)
     assert tracker.degenerate_updates == 0
@@ -690,7 +705,25 @@ def test_tracker_counts_degenerate_updates():
     assert_allclose(tracker.state.mean, prior.mean)
 
 
+def test_shape_params_clamp_ellipse_triples_only():
+    states = np.array([[0.5, -1.0, -0.2, 1.0, 0.3], [2.0, 1.0, 1e-9, 1.0, 0.3]])
+    centers, params, clamped = shape_params(states, ELL_CONFIG)
+    want, repaired = clamp_chols(states[:, -3:])
+    assert np.array_equal(centers, states[:, :2])
+    assert np.array_equal(params, want) and np.array_equal(clamped, repaired)
+    assert clamped.tolist() == [False, True]
+    sc_states = np.stack([circle_prior().mean, -circle_prior().mean])
+    centers, params, clamped = shape_params(sc_states, SC_CONFIG)
+    assert np.array_equal(centers, sc_states[:, :2])
+    assert np.array_equal(params, sc_states[:, 2:]) and not clamped.any()
+
+
 def test_tracker_estimate_family_guard():
-    tracker = Tracker(ELL_CONFIG, ellipse_prior())
-    with pytest.raises(ValueError):
-        tracker.contour_estimate()
+    # the one shape estimate takes its type from the configured family
+    ell = Tracker(ELL_CONFIG, GaussianState([0, 0, -1.0, 1.0, 0.2], np.eye(5))).shape_estimate()
+    assert isinstance(ell, EllipseParams)
+    assert np.array_equal(ell.chol, [1.0, 1.0, -0.2])
+    prior = circle_prior()
+    contour = Tracker(SC_CONFIG, prior).shape_estimate()
+    assert isinstance(contour, FourierShapeParams)
+    assert np.array_equal(contour.coeffs, prior.mean[2:])
