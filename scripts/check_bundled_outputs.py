@@ -24,8 +24,9 @@ in a non-numeric cell. For a file over the tolerance or with a changed
 ``iou``/``mean_iou`` cell it also prints the step (and run, where the
 file has one) of the first such row, where the change starts.
 
-``--time`` prints each scenario's ``shapetrack run`` wall time to standard
-error, so the listing and ``--against`` work as without it.
+``--time`` prints each scenario's ``shapetrack run`` wall time, and then
+their total as ``time total: ... s``, to standard error, so the listing
+and ``--against`` work as without it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def listing(
     timed: bool = False,
 ):
     """Hash lines of every bundled output, and the problems found against ``near``."""
-    lines, problems = [], []
+    lines, problems, total = [], [], 0.0
     with tempfile.TemporaryDirectory() as tmp:
         for name in cli.bundled_scenarios():
             out = Path(tmp) / Path(name).stem
@@ -65,7 +66,9 @@ def listing(
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(["run", name, "--out", str(out), *([] if full else REDUCED)])
             if timed:
-                print(f"time {name}: {time.perf_counter() - t0:.3f} s", file=sys.stderr)
+                elapsed = time.perf_counter() - t0
+                total += elapsed
+                print(f"time {name}: {elapsed:.3f} s", file=sys.stderr)
             if code != 0:
                 raise SystemExit(f"{name}: shapetrack run exited with {code}")
             hashed = [*FILES, *sorted(p.name for p in out.glob("*.svg"))]
@@ -81,6 +84,8 @@ def listing(
                 dest.mkdir(parents=True, exist_ok=True)
                 for fname in hashed:
                     shutil.copyfile(out / fname, dest / fname)
+    if timed:
+        print(f"time total: {total:.3f} s", file=sys.stderr)
     return lines, problems
 
 

@@ -351,6 +351,10 @@ def build_scenario(mapping: dict, base_dir=None) -> ScenarioConfig:
         n_steps = r.take("runs.n_steps", _as_int, required=True)
         n_runs = r.take("runs.n_runs", _as_int, required=True)
         seed = r.take("runs.seed", _as_int, required=True)
+        if n_steps < 0:
+            raise _bad("runs.n_steps", str(n_steps), "a nonnegative integer")
+        if n_runs < 1:
+            raise _bad("runs.n_runs", str(n_runs), "a positive integer")
         if seed < 0:
             raise _bad("runs.seed", str(seed), "a nonnegative integer")
         try:  # before a waypoint spline is built with n_steps poses

@@ -13,13 +13,17 @@ with stacked `cholesky`/`eigvalsh`/`solve` (`stacked_predict`,
 share). Each run's arithmetic is the same as a lone call's, bit for bit, and each
 kernel reports per run a status (`OK`, `DEGENERATE`, `FAILED`) rather
 than a warning or an exception, so one failing run leaves the others
-untouched. `psd_repair`, `draw_sigma_points` and
+untouched. The sigma-point weights are computed once per dimension and
+spread (`_unscented_weights`, cached and read-only), and a scalar
+innovation variance is its own smallest eigenvalue, so a sequential
+update runs no eigenvalue solver on it. `psd_repair`, `draw_sigma_points` and
 `statistical_linearization_update` work on one state and turn the status
 back into the warning or the `ConditioningError` of the single-state API.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -262,22 +266,35 @@ def _stacked_sigma_points(
         ValueError: spread yields d + lambda <= 0.
     """
     n_runs, d = means.shape
-    scale, lam = spread.scaling(d)
-    if scale <= 0:
-        raise ValueError(f"d + lambda = {scale} must be positive")
-
+    root_scale, w_mean, w_cov = _unscented_weights(d, spread)
     roots, ok = _stacked_cholesky(covs)
-    root_t = np.swapaxes(roots * np.sqrt(scale), -1, -2)
+    root_t = np.swapaxes(roots * root_scale, -1, -2)
     points = np.empty((n_runs, 2 * d + 1, d))
     points[:, 0] = means
     points[:, 1 : d + 1] = means[:, None, :] + root_t
     points[:, d + 1 :] = means[:, None, :] - root_t
+    return points, w_mean, w_cov, ok
 
+
+@functools.lru_cache(maxsize=64)
+def _unscented_weights(d: int, spread: UnscentedSpread):
+    """(sqrt(d + lambda), mean weights, covariance weights) of the 2d+1
+    sigma points, computed once per dimension and spread; the weight
+    arrays are read-only because every caller shares them.
+
+    Raises:
+        ValueError: spread yields d + lambda <= 0.
+    """
+    scale, lam = spread.scaling(d)
+    if scale <= 0:
+        raise ValueError(f"d + lambda = {scale} must be positive")
     w_mean = np.full(2 * d + 1, 1.0 / (2.0 * scale))
     w_mean[0] = lam / scale
     w_cov = w_mean.copy()
     w_cov[0] += 1.0 - spread.alpha**2 + spread.beta
-    return points, w_mean, w_cov, ok
+    w_mean.flags.writeable = False
+    w_cov.flags.writeable = False
+    return np.sqrt(scale), w_mean, w_cov
 
 
 def draw_sigma_points(
@@ -368,7 +385,12 @@ def stacked_sl_update(
     ok &= _finite_rows(cov_hh) & _finite_rows(cov_xh)
     status[~ok] = FAILED
     live = np.flatnonzero(ok)
-    degenerate = np.linalg.eigvalsh(cov_hh[live])[:, 0] < INNOVATION_TOL
+    if cov_hh.shape[-1] == 1:
+        # the eigenvalue of a 1 x 1 matrix is its entry (LAPACK returns it as is)
+        smallest = cov_hh[live, 0, 0]
+    else:
+        smallest = np.linalg.eigvalsh(cov_hh[live])[:, 0]
+    degenerate = smallest < INNOVATION_TOL
     status[live[degenerate]] = DEGENERATE
     go = live[~degenerate]
 

@@ -5,18 +5,30 @@ trajectory), feeds noisy point measurements to a tracker, and repeats
 over independent runs.
 
 All runs advance in lockstep, one time step at a time. Each run owns a
-Philox stream spawned from the master seed, and at every step each live
-run draws from its own stream, in this order: the measurement count, the
-sources, the noise levels, the noise. The sources of all live runs are
-rejection-sampled together (`stacked_sample_sources`): each run draws its
-box chunks from its own stream, and one inside-or-out test per round
-covers every run's chunk. Then the live runs are predicted together and
-updated together as stacked arrays (`stacked_time_update`,
-`stacked_step`): in batch mode one update per group of runs with the
-same measurement count; in sequential mode one update per measurement
-index j, taken by the runs with more than j measurements. A run's draws
-and arithmetic do not depend on the other runs, so its results are the
-same bit for bit whatever the number of runs.
+Philox stream spawned from the master seed, and for every step it draws
+from its own stream, in this order: the measurement count, the sources,
+the noise levels, the noise. These draws do not depend on the filter, so
+they are made a block of steps ahead (`_draw_block`; DRAW_AHEAD_STEPS and
+DRAW_AHEAD_POINTS bound a block). For each live run and step of a block
+the sources first come from one rejection round: one box chunk, or the
+member picks of a group. One inside-or-out test per distinct truth then
+covers all the block's chunks: one test per block for a stationary
+target, one per step for a moving one. A run that any step of the block
+leaves short is redrawn. Its generator goes back to its state at the
+start of the block, and the steps are drawn again one at a time, the
+sources by the multi-round `sample_measurement_sources`. So each run
+makes exactly the draws it would make stepping alone. A
+RejectionBudgetError from a redraw is held back, and raised only when the
+filter reaches that step with the run still live. The measurements of a
+block are assembled in one pass.
+
+The live runs are predicted together and updated together as stacked
+arrays (`stacked_time_update`, `stacked_step`): in batch mode one update
+per group of runs with the same measurement count; in sequential mode
+one update per measurement index j, taken by the runs with more than j
+measurements. A run's draws and arithmetic do not depend on the other
+runs, so its results are the same bit for bit whatever the number of
+runs.
 
 Scoring is stacked as well: every (run, step) pair is scored in one
 `shape_ious` call, which traces each step's truth once, and the
@@ -30,6 +42,7 @@ it then leaves the live set, and the others continue untouched.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -39,7 +52,15 @@ import numpy as np
 from .gaussian import GaussianState
 from .metrics import shape_ious
 from .starconvex import DegenerateAngleWarning
-from .targets import GroundTruthTarget, psd_root, stacked_sample_sources
+from .targets import (
+    GroundTruthTarget,
+    RejectionBudgetError,
+    _box_chunk_size,
+    _box_draws,
+    _inside_extent,
+    psd_root,
+    sample_measurement_sources,
+)
 from .tracker import TrackerConfig, shape_params, stacked_step, stacked_time_update
 
 __all__ = [
@@ -75,6 +96,17 @@ STEP_BYTES_PER_D2 = 96
 # sequential update step allows. The CSV text written from a report takes
 # more memory than the report.
 MAX_REPORT_BYTES = 1 << 32
+# Measurements are drawn a block of steps ahead of the filter
+# (`_draw_block`). A block covers at most DRAW_AHEAD_STEPS steps, which
+# bounds the draws a run that diverges early in a block wastes. It also
+# covers at most as many steps as keep the first-round box draws of the
+# live runs within DRAW_AHEAD_POINTS points, taking a run's step at the
+# box chunk of `stacked_count` measurements, but always one step. So a
+# block's memory does not grow with n_steps, and falls to one step's when
+# many runs are live. The inside-or-out test of the bundled 12-edge
+# polygon holds about 560 bytes a point, about 4.6 MB at the bound.
+DRAW_AHEAD_STEPS = 64
+DRAW_AHEAD_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -421,26 +453,109 @@ def _score(config: ScenarioConfig, states, truths, steps, resolution) -> np.ndar
     return shape_ious(centers, params, truths, steps, config.tracker.shape_family, resolution)
 
 
-def _draw_measurements(config: ScenarioConfig, truth, rngs, factors) -> list:
-    """One step's measurements of several runs. Each run draws from its own
-    stream, in the order count, sources, noise levels, noise; the sources
-    of all the runs are rejection-sampled together."""
-    mix = config.noise_mixture
-    counts = [measurement_count(config.meas_count_model, rng) for rng in rngs]
-    sources = stacked_sample_sources(truth, counts, rngs)
-    levels, noise = [], []
-    for rng, n_k in zip(rngs, counts):
-        if len(mix.probabilities) == 1:
-            levels.append(np.zeros(n_k, dtype=int))
-        else:
-            levels.append(rng.choice(len(mix.probabilities), size=n_k, p=mix.probabilities))
-        noise.append(rng.standard_normal((n_k, 2)))
-    offsets = np.einsum("lij,lj->li", factors[np.concatenate(levels)], np.concatenate(noise))
-    return np.split(np.concatenate(sources) + offsets, np.cumsum(counts)[:-1])
+def _block_steps(config: ScenarioConfig, n_live: int) -> int:
+    """Steps in a block drawn ahead for n_live runs (see DRAW_AHEAD_POINTS)."""
+    points = n_live * _box_chunk_size(config.meas_count_model.stacked_count())
+    return max(1, min(DRAW_AHEAD_STEPS, DRAW_AHEAD_POINTS // points))
+
+
+def _run_draws(rng, truths, model: MeasurementCountModel, cdf, sources):
+    """Yield one run's (sources, noise levels, noise) for each truth (step),
+    drawn from rng in the run's stream order. sources(truth, n, rng) draws
+    the sources; cdf is the cumulative level distribution of a noise
+    mixture, None for a single level. The levels are searched as
+    ``Generator.choice(p=...)`` searches them, so they are its values."""
+    for truth in truths:
+        n = measurement_count(model, rng)
+        points = sources(truth, n, rng)
+        levels = None if cdf is None else cdf.searchsorted(rng.random(n), side="right")
+        yield points, levels, rng.standard_normal((n, 2))
+
+
+def _measurements(draws, factors) -> list:
+    """The measurements of runs' draws: draws[i][j] holds run i's (sources,
+    levels, noise) at a step, and the result's [i][j] its (n, 2)
+    measurements, the sources plus their noise offsets. All the offsets
+    are taken in one einsum."""
+    flat = [drawn for run in draws for drawn in run]
+    if not flat:
+        return [[] for _ in draws]
+    sources, levels, noise = zip(*flat)
+    noise = np.concatenate(noise)
+    levels = np.zeros(len(noise), dtype=int) if levels[0] is None else np.concatenate(levels)
+    offsets = np.einsum("lij,lj->li", factors[levels], noise)
+    ends = np.cumsum([len(points) for points in sources])
+    steps = iter(np.split(np.concatenate(sources) + offsets, ends[:-1]))
+    return [list(itertools.islice(steps, len(run))) for run in draws]
+
+
+def _draw_block(config: ScenarioConfig, truths, rngs, factors, cdf):
+    """The measurements of several runs over a block of steps, drawn ahead.
+
+    Run i draws from rngs[i] only, step by step in its stream order (see
+    the module docstring), and gets exactly the draws it would get one step
+    at a time. Each step's sources first come from a single rejection round
+    (one box chunk, or the member picks of a group). One inside-or-out test
+    per distinct truth covers every chunk of the block. A run left short
+    at any step is redrawn from its state at the start of the block, step
+    by step, with `sample_measurement_sources`.
+
+    Args:
+        truths: the posed truths of the block's steps.
+        rngs: one generator per run.
+        factors: (L, 2, 2) square roots of the noise covariance levels.
+        cdf: cumulative level probabilities, None for a single level.
+
+    Returns:
+        (ys, errors): ys[i][j] holds run i's measurements (n, 2) at the
+        block's step j. errors maps a run i whose sources at step j exhausted
+        the rejection budget to (j, the RejectionBudgetError); that run has
+        measurements for the steps before j only.
+    """
+    model = config.meas_count_model
+    if truths[0].kind == "point_group":  # member picks never fall short
+        draws = [list(_run_draws(rng, truths, model, cdf, sample_measurement_sources)) for rng in rngs]
+        return _measurements(draws, factors), {}
+
+    def first_round(truth, n, rng):
+        return _box_draws(rng, truth, _box_chunk_size(n))
+
+    starts = [rng.bit_generator.state for rng in rngs]
+    draws = [list(_run_draws(rng, truths, model, cdf, first_round)) for rng in rngs]
+    chunks = {}  # (run, step) pairs per distinct truth
+    for i in range(len(rngs)):
+        for j, truth in enumerate(truths):
+            chunks.setdefault(id(truth), (truth, []))[1].append((i, j))
+    short = set()
+    for truth, pairs in chunks.values():
+        boxed = [draws[i][j][0] for i, j in pairs]
+        inside = _inside_extent(truth, np.concatenate(boxed))
+        ends = np.cumsum([len(box) for box in boxed])
+        for (i, j), box, ok in zip(pairs, boxed, np.split(inside, ends[:-1])):
+            points, levels, noise = draws[i][j]
+            accepted = box[ok][: len(noise)]
+            if len(accepted) < len(noise):
+                short.add(i)
+            draws[i][j] = accepted, levels, noise
+
+    errors = {}
+    for i in sorted(short):
+        rngs[i].bit_generator.state = starts[i]
+        draws[i] = []
+        try:
+            for drawn in _run_draws(rngs[i], truths, model, cdf, sample_measurement_sources):
+                draws[i].append(drawn)
+        except RejectionBudgetError as err:
+            errors[i] = (len(draws[i]), err)
+    return _measurements(draws, factors), errors
 
 
 def _filter_runs(config: ScenarioConfig, truths, seeds):
     """All Monte-Carlo runs in lockstep against the posed truths of every step.
+
+    Measurements are drawn a block of steps ahead (`_draw_block`); a
+    RejectionBudgetError met while drawing is raised when the filter
+    reaches its step with the run still live.
 
     Returns (estimates (n_runs, n_steps, dim), diverged_at (n_runs,), the
     measurements of run 0 per step while it is live).
@@ -448,8 +563,13 @@ def _filter_runs(config: ScenarioConfig, truths, seeds):
     n_runs, n_steps, dim = config.n_runs, config.n_steps, config.prior.dim
     tracker = config.tracker
     rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
-    told_cov = config.noise_mixture.mean_covariance
-    factors = np.stack([psd_root(c) for c in config.noise_mixture.covariances])
+    mix = config.noise_mixture
+    told_cov = mix.mean_covariance
+    factors = np.stack([psd_root(c) for c in mix.covariances])
+    cdf = None
+    if len(mix.probabilities) > 1:  # as Generator.choice(p=...) builds it
+        cdf = mix.probabilities.cumsum()
+        cdf /= cdf[-1]
 
     estimates = np.full((n_runs, n_steps, dim), np.nan)
     diverged_at = np.full(n_runs, -1, dtype=int)
@@ -457,12 +577,24 @@ def _filter_runs(config: ScenarioConfig, truths, seeds):
     live = np.arange(n_runs)  # runs still tracking, with their moments below
     means = np.tile(config.prior.mean, (n_runs, 1))
     covs = np.tile(config.prior.cov, (n_runs, 1, 1))
-    for k, truth in enumerate(truths):
+    block_end = 0
+    for k in range(n_steps):
         if not live.size:
             break
-        ys = _draw_measurements(config, truth, [rngs[r] for r in live], factors)
+        if k == block_end:
+            block_start, block_runs = k, live
+            block_end = min(n_steps, k + _block_steps(config, live.size))
+            block, errors = _draw_block(
+                config, truths[k:block_end], [rngs[r] for r in live], factors, cdf
+            )
+        at = np.searchsorted(block_runs, live)
+        j = k - block_start
+        for i, (step, err) in sorted(errors.items()):
+            if step == j and i in at:
+                raise err
+        ys = [block[i][j] for i in at]
         if live[0] == 0:
-            example.append(ys[0])
+            example.append(ys[0].copy())  # a copy: a view would keep the block alive
         means, covs, predicted = stacked_time_update(
             means, covs, tracker.dynamics, tracker.shape_dim
         )
@@ -512,8 +644,10 @@ def run_scenario(
     run_iou = np.full((n_runs, n_steps), np.nan)
     run_center_error = np.full((n_runs, n_steps), np.nan)
     runs, steps = np.nonzero(np.isfinite(estimates[:, :, 0]))
-    for r, k in zip(runs, steps):
-        run_center_error[r, k] = np.linalg.norm(estimates[r, k, :2] - truths[k].anchor)
+    anchors = np.array([truth.anchor for truth in truths]).reshape(n_steps, 2)
+    offsets = estimates[runs, steps, :2] - anchors[steps]
+    # sqrt of vecdot is the float np.linalg.norm gives a lone 2-vector
+    run_center_error[runs, steps] = np.sqrt(np.vecdot(offsets, offsets))
     run_iou[runs, steps] = _score(config, estimates[runs, steps], truths, steps, run_iou_resolution)
 
     completed = diverged_at < 0

@@ -259,6 +259,28 @@ def radial_fraction(target: GroundTruthTarget, points) -> np.ndarray:
     return rho / boundary_radius(target, phi)
 
 
+def _box_chunk_size(short: int) -> int:
+    """Box draws a run makes in one rejection round while `short` sources are missing."""
+    return min(max(4 * short, 64), 1 << 17)
+
+
+def _box_draws(rng: np.random.Generator, target: GroundTruthTarget, size: int) -> np.ndarray:
+    """size points uniform in the target's bounding box (lo, hi): bit for
+    bit the values of ``rng.uniform(lo, hi, (size, 2))``, which computes
+    lo + (hi - lo) * u from the same doubles u, at a fraction of its call
+    cost."""
+    lo, hi = target.bounding_box
+    return lo + (hi - lo) * rng.random((size, 2))
+
+
+def _inside_extent(target: GroundTruthTarget, points) -> np.ndarray:
+    """Whether each point (N, 2) lies in the extent (boundary included) of
+    an ellipse or polygon target."""
+    if target.kind == "ellipse":
+        return ellipse_implicit(target.ellipse, points) <= 0.0
+    return radial_fraction(target, points) <= 1.0
+
+
 def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
     """Measurement sources of several runs, each drawn from its own generator.
 
@@ -285,7 +307,6 @@ def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
         members = target.members
         return [members[rng.integers(members.shape[0], size=n)] for n, rng in zip(counts, rngs)]
 
-    lo, hi = target.bounding_box
     out = [np.empty((n, 2)) for n in counts]
     filled = [0] * len(counts)
     attempts = [0] * len(counts)
@@ -300,14 +321,10 @@ def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
                 raise RejectionBudgetError(
                     f"only {filled[r]} of {n} interior points found in {attempts[r]} draws"
                 )
-            size = min(max(4 * (n - filled[r]), 64), 1 << 17)
-            chunks.append(rngs[r].uniform(lo, hi, size=(size, 2)))
+            size = _box_chunk_size(n - filled[r])
+            chunks.append(_box_draws(rngs[r], target, size))
             attempts[r] += size
-        draws = np.concatenate(chunks)
-        if target.kind == "ellipse":
-            inside = ellipse_implicit(target.ellipse, draws) <= 0.0
-        else:
-            inside = radial_fraction(target, draws) <= 1.0
+        inside = _inside_extent(target, np.concatenate(chunks))
         ends = np.cumsum([len(c) for c in chunks])
         for r, chunk, ok in zip(short, chunks, np.split(inside, ends[:-1])):
             accepted = chunk[ok]

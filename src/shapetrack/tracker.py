@@ -16,7 +16,11 @@ bracketed secular-equation root per measurement), or one arctan2 over the
 (R, k) offsets from the prior centers. Then one pseudo-measurement
 evaluation covers all runs, sigma points and k columns, and
 `gaussian.stacked_sl_update` conditions all runs at once.
-Failures come back as a per-run status.
+Failures come back as a per-run status. The constants of an update are
+cached and shared read-only: the noise block once per set of noise
+covariances and scaling model (`_noise_block`; in a scenario, once per
+measurement count k), and the transition matrices once per dynamics and
+layout (`_transition`; once per scenario).
 
 `stacked_step` applies one time step's measurements, which may differ in
 number between runs, as the config asks: in batch mode one
@@ -32,6 +36,7 @@ coefficients) for every caller: the tracker, the scoring and the plots.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -234,12 +239,13 @@ def ellipse_pseudo_measurement(
         computes it.
     """
     x, y, noise = _stacked(state, measurement)
-    r0, r1 = np.moveaxis(np.asarray(source_offset, dtype=float).reshape(y.shape), -1, 0)
-    r0, r1 = r0[:, None, :], r1[:, None, :]  # each (R, 1, k)
-    v0, v1, u = np.ascontiguousarray(np.moveaxis(noise, -1, 0))  # each (R, n, k)
+    offsets = np.asarray(source_offset, dtype=float).reshape(y.shape)
+    r0, r1 = offsets[:, None, :, 0], offsets[:, None, :, 1]  # each (R, 1, k)
+    v0, v1, u = noise[..., 0], noise[..., 1], noise[..., 2]  # each (R, n, k)
     # y - m, each (R, n, k)
-    w0, w1 = np.moveaxis(y, -1, 0)[:, :, None, :] - np.moveaxis(x[..., :2], -1, 0)[..., None]
-    a, b, c = np.ascontiguousarray(np.moveaxis(x[..., -3:], -1, 0))[..., None]  # (R, n, 1)
+    w0 = y[:, None, :, 0] - x[..., 0, None]
+    w1 = y[:, None, :, 1] - x[..., 1, None]
+    a, b, c = x[..., -3, None], x[..., -2, None], x[..., -1, None]  # each (R, n, 1)
 
     # L L^T entries for L = [[a, 0], [c, b]]
     q11 = a * a
@@ -318,13 +324,29 @@ def _unstacked(vals, state, measurement):
 
 
 def _noise_block(noise_covs: np.ndarray, scaling: ScalingModel):
-    """Mean and covariance of [v_1; scaling_1; ...; v_k; scaling_k]."""
-    k = len(noise_covs)
-    cov = np.zeros((3 * k, 3 * k))
-    for l, r in enumerate(noise_covs):
-        cov[3 * l : 3 * l + 2, 3 * l : 3 * l + 2] = r
-        cov[3 * l + 2, 3 * l + 2] = scaling.variance
-    return np.tile([0.0, 0.0, scaling.mean], k), cov
+    """Mean and covariance of [v_1; scaling_1; ...; v_k; scaling_k] for the
+    noise covariances (k, 2, 2). Built once per distinct set of covariances
+    and scaling model (in a scenario, once per count k) and shared
+    read-only."""
+    return _cached_noise_block(np.ascontiguousarray(noise_covs, dtype=float).tobytes(), scaling)
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_noise_block(cov_bytes: bytes, scaling: ScalingModel):
+    covs = np.frombuffer(cov_bytes).reshape(-1, 2, 2)
+    k = len(covs)
+    each = np.arange(k)
+    cov = np.zeros((k, 3, k, 3))
+    cov[each, :2, each, :2] = covs
+    cov[each, 2, each, 2] = scaling.variance
+    return _read_only(np.tile([0.0, 0.0, scaling.mean], k), cov.reshape(3 * k, 3 * k))
+
+
+def _read_only(*arrays):
+    """The arrays, marked read-only: a cached result is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _source_angles(measurements, centers) -> np.ndarray:
@@ -443,15 +465,20 @@ def _measurement_arrays(measurements, noise_covs):
     return ys.reshape(-1, 2), covs.reshape(-1, 2, 2)
 
 
+@functools.lru_cache(maxsize=16)
 def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
-    """System matrix A and process noise Q of one step (see `stacked_time_update`)."""
+    """System matrix A and process noise Q of one step (see `stacked_time_update`).
+
+    Computed once per dynamics and layout, so once per scenario, and shared
+    read-only.
+    """
     if not dyn.has_velocity:
         if dim != 2 + shape_dim:
             raise ValueError(
                 f"static layout [center(2); shape({shape_dim})] expects dimension "
                 f"{2 + shape_dim}, got {dim}"
             )
-        return np.eye(dim), dyn.q1 * np.eye(dim)
+        return _read_only(np.eye(dim), dyn.q1 * np.eye(dim))
 
     if dim != 4 + shape_dim:
         raise ValueError(
@@ -468,7 +495,7 @@ def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
     q[2:4, :2] = dyn.q2 * t**2 / 2.0 * eye2
     q[2:4, 2:4] = dyn.q2 * t * eye2
     q[4:, 4:] = dyn.q1 * np.eye(shape_dim)
-    return a, q
+    return _read_only(a, q)
 
 
 def stacked_time_update(means, covs, dyn: DynamicsSpec, shape_dim: int):

@@ -201,6 +201,17 @@ def test_negative_seed_exits_3_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", ["runs.n_runs=0", "runs.n_steps=-1"])
+def test_run_count_and_step_range_exit_3_naming_the_key(tmp_path, capsys, override):
+    # exited 3 with "n_runs must be at least 1" / "n_steps must be
+    # nonnegative", which name no config key
+    out = tmp_path / "out"
+    code = run_cli("run", "stationary_ellipse_low.cfg", "--out", str(out), *REDUCED, "--set", override)
+    assert code == 3
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "override,key",
     [

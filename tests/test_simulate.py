@@ -20,6 +20,7 @@ from shapetrack.simulate import (
     run_scenario,
 )
 from shapetrack.targets import (
+    RejectionBudgetError,
     builtin_data_path,
     ellipse_target,
     group_target,
@@ -561,11 +562,29 @@ ORACLE_CASES = {
         n_runs=2,
     ),
     "some_runs_diverge": _near_bound_scenario,
+    # 0.56% of its bounding box: most first rejection rounds fall short, and
+    # those runs are redrawn
+    "thin_ellipse": lambda: ellipse_scenario(
+        target=ellipse_target(from_semi_axes([0.0, 0.0], [3.0, 0.01], 0.7)),
+        n_steps=20,
+        n_runs=4,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_lockstep_runs_equal_per_run_loop(case):
+    _check_lockstep_case(case)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_lockstep_runs_equal_per_run_loop_in_3_step_blocks(case, monkeypatch):
+    # blocks end inside every case, and some_runs_diverge diverges mid-block
+    monkeypatch.setattr(simulate, "DRAW_AHEAD_STEPS", 3)
+    _check_lockstep_case(case)
+
+
+def _check_lockstep_case(case):
     config = ORACLE_CASES[case]()
     report = run_scenario(config)
     estimates, diverged_at, example = _oracle_runs(config)
@@ -592,7 +611,78 @@ def test_zero_noise_takes_the_cholesky_jitter_path(monkeypatch):
     assert len(calls) >= report.config.n_steps * report.config.n_runs
 
 
-@pytest.mark.parametrize("case", ["ellipse_batch_poisson", "some_runs_diverge"])
+def test_center_errors_equal_per_row_norms():
+    # the diverged runs leave NaN rows, which keep a NaN error
+    # (a moving truth, so that each step has its own anchor)
+    path = np.linspace(0.0, 0.1, 20)
+    positions = np.c_[DIVERGENCE_CENTER_BOUND - 0.2 + path, path]
+    config = replace(_near_bound_scenario(), trajectory=Trajectory(positions, np.zeros(20)))
+    report = run_scenario(config)
+    assert 0 < report.n_diverged < config.n_runs
+    want = np.full((config.n_runs, config.n_steps), np.nan)
+    for r in range(config.n_runs):
+        for k in range(config.n_steps):
+            if np.isfinite(report.estimates[r, k, 0]):
+                anchor = posed_target(config, k).anchor
+                want[r, k] = np.linalg.norm(report.estimates[r, k, :2] - anchor)
+    assert np.array_equal(report.run_center_error, want, equal_nan=True)
+
+
+def test_thin_target_redraws_the_short_runs(monkeypatch):
+    calls = []
+    original = simulate.sample_measurement_sources
+    monkeypatch.setattr(
+        simulate,
+        "sample_measurement_sources",
+        lambda truth, n, rng: calls.append(n) or original(truth, n, rng),
+    )
+    monkeypatch.setattr(simulate, "DRAW_AHEAD_STEPS", 1)
+    config = ORACLE_CASES["thin_ellipse"]()
+    run_scenario(config)
+    # some (run, step) pairs are filled by their first round, the others redrawn
+    assert 0 < len(calls) < config.n_runs * config.n_steps
+
+
+@pytest.mark.parametrize("diverges", [False, True], ids=["live", "diverged"])
+def test_budget_error_is_raised_only_at_a_live_step(monkeypatch, diverges):
+    # one run, every first round short (100 sources from 0.56% of the box),
+    # so the block is redrawn; its third step exhausts the budget. A run
+    # whose first prediction overflows diverges and never reaches that step.
+    calls = []
+    original = simulate.sample_measurement_sources
+
+    def sample(truth, n, rng):
+        calls.append(n)
+        if len(calls) == 3:
+            raise RejectionBudgetError("budget spent at the third step")
+        return original(truth, n, rng)
+
+    monkeypatch.setattr(simulate, "sample_measurement_sources", sample)
+    config = replace(
+        ORACLE_CASES["thin_ellipse"](),
+        meas_count_model=MeasurementCountModel("fixed_per_step", 100),
+        n_steps=5,
+        n_runs=1,
+    )
+    if diverges:
+        tracker = TrackerConfig(shape_family="ellipse", dynamics=DynamicsSpec(q1=1e308))
+        prior = GaussianState(config.prior.mean, 1e307 * np.eye(5))
+        report = run_scenario(replace(config, tracker=tracker, prior=prior))
+        assert report.diverged_at[0] == 0
+    else:
+        with pytest.raises(RejectionBudgetError, match="third step"):
+            run_scenario(config)
+    assert len(calls) == 3
+
+
+def test_draw_ahead_block_is_bounded():
+    config = ellipse_scenario()
+    assert simulate._block_steps(config, 1) == simulate.DRAW_AHEAD_STEPS
+    assert simulate._block_steps(replace(config, n_steps=3000), 1) == simulate.DRAW_AHEAD_STEPS
+    assert simulate._block_steps(config, 170_000) == 1
+
+
+@pytest.mark.parametrize("case", ["ellipse_batch_poisson", "some_runs_diverge", "thin_ellipse"])
 def test_run_results_do_not_depend_on_run_count(case):
     config = ORACLE_CASES[case]()
     full = run_scenario(config)
