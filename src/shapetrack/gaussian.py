@@ -302,7 +302,8 @@ def draw_sigma_points(
 ) -> SigmaPointSet:
     """Draw the 2d+1 scaled symmetric sigma points of a Gaussian.
 
-    The R = 1 case of `_stacked_sigma_points`.
+    The R = 1 case of `_stacked_sigma_points`, with its own copies of the
+    shared weights, so a caller may edit them.
 
     Args:
         state: source density, dimension d >= 1.
@@ -321,7 +322,7 @@ def draw_sigma_points(
     )
     if not ok[0]:
         raise ConditioningError("Cholesky failed after jitter retry")
-    return SigmaPointSet(points[0], w_mean, w_cov)
+    return SigmaPointSet(points[0], w_mean.copy(), w_cov.copy())
 
 
 def stacked_sl_update(

@@ -8,19 +8,19 @@ All runs advance in lockstep, one time step at a time. Each run owns a
 Philox stream spawned from the master seed, and for every step it draws
 from its own stream, in this order: the measurement count, the sources,
 the noise levels, the noise. These draws do not depend on the filter, so
-they are made a block of steps ahead (`_draw_block`; DRAW_AHEAD_STEPS and
-DRAW_AHEAD_POINTS bound a block). For each live run and step of a block
-the sources first come from one rejection round: one box chunk, or the
-member picks of a group. One inside-or-out test per distinct truth then
-covers all the block's chunks: one test per block for a stationary
-target, one per step for a moving one. A run that any step of the block
-leaves short is redrawn. Its generator goes back to its state at the
-start of the block, and the steps are drawn again one at a time, the
-sources by the multi-round `sample_measurement_sources`. So each run
-makes exactly the draws it would make stepping alone. A
-RejectionBudgetError from a redraw is held back, and raised only when the
-filter reaches that step with the run still live. The measurements of a
-block are assembled in one pass.
+they are made a block of steps ahead (`_draw_block`; DRAW_AHEAD_POINTS
+bounds a block). For each live run and step of a block the sources first
+come from one rejection round, one box chunk. One inside-or-out test per
+distinct truth then covers all the block's chunks: one test per block for
+a stationary target, one per step for a moving one. A run that any step
+of the block leaves short is redrawn. Its generator goes back to its
+state at the start of the block, and the runs so redrawn make their
+draws again step by step, their sources together by the multi-round
+`stacked_sample_sources` (point groups, which have no short rounds, are
+drawn this way from the start). So each run makes exactly the draws it
+would make stepping alone. A RejectionBudgetError from a redraw is held
+back, and raised only when the filter reaches that step with the run
+still live. The measurements of a block are assembled in one pass.
 
 The live runs are predicted together and updated together as stacked
 arrays (`stacked_time_update`, `stacked_step`): in batch mode one update
@@ -59,7 +59,7 @@ from .targets import (
     _box_draws,
     _inside_extent,
     psd_root,
-    sample_measurement_sources,
+    stacked_sample_sources,
 )
 from .tracker import TrackerConfig, shape_params, stacked_step, stacked_time_update
 
@@ -97,15 +97,13 @@ STEP_BYTES_PER_D2 = 96
 # more memory than the report.
 MAX_REPORT_BYTES = 1 << 32
 # Measurements are drawn a block of steps ahead of the filter
-# (`_draw_block`). A block covers at most DRAW_AHEAD_STEPS steps, which
-# bounds the draws a run that diverges early in a block wastes. It also
-# covers at most as many steps as keep the first-round box draws of the
-# live runs within DRAW_AHEAD_POINTS points, taking a run's step at the
-# box chunk of `stacked_count` measurements, but always one step. So a
-# block's memory does not grow with n_steps, and falls to one step's when
-# many runs are live. The inside-or-out test of the bundled 12-edge
-# polygon holds about 560 bytes a point, about 4.6 MB at the bound.
-DRAW_AHEAD_STEPS = 64
+# (`_draw_block`). A block covers as many steps as keep the first-round box
+# draws of the live runs within DRAW_AHEAD_POINTS points, taking a run's
+# step at the box chunk of `stacked_count` measurements, but always one
+# step. So a block's memory does not grow with n_steps, and falls to one
+# step's when many runs are live; the draws a run that diverges early in
+# a block wastes are bounded too. The inside-or-out test of the bundled
+# 12-edge polygon holds about 560 bytes a point, about 4.6 MB at the bound.
 DRAW_AHEAD_POINTS = 1 << 13
 
 
@@ -456,20 +454,16 @@ def _score(config: ScenarioConfig, states, truths, steps, resolution) -> np.ndar
 def _block_steps(config: ScenarioConfig, n_live: int) -> int:
     """Steps in a block drawn ahead for n_live runs (see DRAW_AHEAD_POINTS)."""
     points = n_live * _box_chunk_size(config.meas_count_model.stacked_count())
-    return max(1, min(DRAW_AHEAD_STEPS, DRAW_AHEAD_POINTS // points))
+    return max(1, DRAW_AHEAD_POINTS // points)
 
 
-def _run_draws(rng, truths, model: MeasurementCountModel, cdf, sources):
-    """Yield one run's (sources, noise levels, noise) for each truth (step),
-    drawn from rng in the run's stream order. sources(truth, n, rng) draws
-    the sources; cdf is the cumulative level distribution of a noise
-    mixture, None for a single level. The levels are searched as
-    ``Generator.choice(p=...)`` searches them, so they are its values."""
-    for truth in truths:
-        n = measurement_count(model, rng)
-        points = sources(truth, n, rng)
-        levels = None if cdf is None else cdf.searchsorted(rng.random(n), side="right")
-        yield points, levels, rng.standard_normal((n, 2))
+def _levels_and_noise(rng, n: int, cdf):
+    """One step's noise levels and (n, 2) standard noise, drawn from rng.
+    cdf is the cumulative level distribution of a noise mixture, None for
+    a single level; the levels are searched as ``Generator.choice(p=...)``
+    searches them, so they are its values."""
+    levels = None if cdf is None else cdf.searchsorted(rng.random(n), side="right")
+    return levels, rng.standard_normal((n, 2))
 
 
 def _measurements(draws, factors) -> list:
@@ -494,11 +488,12 @@ def _draw_block(config: ScenarioConfig, truths, rngs, factors, cdf):
 
     Run i draws from rngs[i] only, step by step in its stream order (see
     the module docstring), and gets exactly the draws it would get one step
-    at a time. Each step's sources first come from a single rejection round
-    (one box chunk, or the member picks of a group). One inside-or-out test
-    per distinct truth covers every chunk of the block. A run left short
-    at any step is redrawn from its state at the start of the block, step
-    by step, with `sample_measurement_sources`.
+    at a time. Each step's sources first come from a single rejection round,
+    one box chunk. One inside-or-out test per distinct truth covers every
+    chunk of the block. A run left short at any step goes back to its state
+    at the start of the block. The runs left short, or all runs of a point
+    group, are then drawn step by step, their sources together by the
+    multi-round `stacked_sample_sources`.
 
     Args:
         truths: the posed truths of the block's steps.
@@ -513,40 +508,47 @@ def _draw_block(config: ScenarioConfig, truths, rngs, factors, cdf):
         measurements for the steps before j only.
     """
     model = config.meas_count_model
-    if truths[0].kind == "point_group":  # member picks never fall short
-        draws = [list(_run_draws(rng, truths, model, cdf, sample_measurement_sources)) for rng in rngs]
-        return _measurements(draws, factors), {}
-
-    def first_round(truth, n, rng):
-        return _box_draws(rng, truth, _box_chunk_size(n))
-
-    starts = [rng.bit_generator.state for rng in rngs]
-    draws = [list(_run_draws(rng, truths, model, cdf, first_round)) for rng in rngs]
-    chunks = {}  # (run, step) pairs per distinct truth
-    for i in range(len(rngs)):
-        for j, truth in enumerate(truths):
-            chunks.setdefault(id(truth), (truth, []))[1].append((i, j))
-    short = set()
-    for truth, pairs in chunks.values():
-        boxed = [draws[i][j][0] for i, j in pairs]
-        inside = _inside_extent(truth, np.concatenate(boxed))
-        ends = np.cumsum([len(box) for box in boxed])
-        for (i, j), box, ok in zip(pairs, boxed, np.split(inside, ends[:-1])):
-            points, levels, noise = draws[i][j]
-            accepted = box[ok][: len(noise)]
-            if len(accepted) < len(noise):
-                short.add(i)
-            draws[i][j] = accepted, levels, noise
+    draws = [[] for _ in rngs]
+    redraw = range(len(rngs))
+    if truths[0].kind != "point_group":  # member picks never fall short
+        starts = [rng.bit_generator.state for rng in rngs]
+        for rng, run in zip(rngs, draws):
+            for truth in truths:
+                n = measurement_count(model, rng)
+                box = _box_draws(rng, truth, _box_chunk_size(n))
+                run.append((box, *_levels_and_noise(rng, n, cdf)))
+        chunks = {}  # (run, step) pairs per distinct truth
+        for i in range(len(rngs)):
+            for j, truth in enumerate(truths):
+                chunks.setdefault(id(truth), (truth, []))[1].append((i, j))
+        short = set()
+        for truth, pairs in chunks.values():
+            boxed = [draws[i][j][0] for i, j in pairs]
+            inside = _inside_extent(truth, np.concatenate(boxed))
+            ends = np.cumsum([len(box) for box in boxed])
+            for (i, j), box, ok in zip(pairs, boxed, np.split(inside, ends[:-1])):
+                _, levels, noise = draws[i][j]
+                accepted = box[ok][: len(noise)]
+                if len(accepted) < len(noise):
+                    short.add(i)
+                draws[i][j] = accepted, levels, noise
+        redraw = sorted(short)
+        for i in redraw:
+            rngs[i].bit_generator.state = starts[i]
+            draws[i] = []
 
     errors = {}
-    for i in sorted(short):
-        rngs[i].bit_generator.state = starts[i]
-        draws[i] = []
-        try:
-            for drawn in _run_draws(rngs[i], truths, model, cdf, sample_measurement_sources):
-                draws[i].append(drawn)
-        except RejectionBudgetError as err:
-            errors[i] = (len(draws[i]), err)
+    for j, truth in enumerate(truths):
+        runs = [i for i in redraw if i not in errors]
+        if not runs:
+            break
+        counts = [measurement_count(model, rngs[i]) for i in runs]
+        sources = stacked_sample_sources(truth, counts, [rngs[i] for i in runs])
+        for i, n, points in zip(runs, counts, sources):
+            if isinstance(points, RejectionBudgetError):
+                errors[i] = (j, points)
+            else:
+                draws[i].append((points, *_levels_and_noise(rngs[i], n, cdf)))
     return _measurements(draws, factors), errors
 
 
@@ -646,8 +648,9 @@ def run_scenario(
     runs, steps = np.nonzero(np.isfinite(estimates[:, :, 0]))
     anchors = np.array([truth.anchor for truth in truths]).reshape(n_steps, 2)
     offsets = estimates[runs, steps, :2] - anchors[steps]
-    # sqrt of vecdot is the float np.linalg.norm gives a lone 2-vector
-    run_center_error[runs, steps] = np.sqrt(np.vecdot(offsets, offsets))
+    # each row's (1, 2) @ (2, 1) product is the dot product np.linalg.norm
+    # takes of a lone 2-vector, so these are its floats
+    run_center_error[runs, steps] = np.sqrt((offsets[:, None, :] @ offsets[:, :, None])[:, 0, 0])
     run_iou[runs, steps] = _score(config, estimates[runs, steps], truths, steps, run_iou_resolution)
 
     completed = diverged_at < 0

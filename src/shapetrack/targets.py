@@ -290,7 +290,8 @@ def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
     the bounding box. In each round, every run still short of its count
     draws its own box chunk, and all the chunks are tested inside-or-out
     in one call. A run that burns through MAX_REJECTION_ATTEMPTS box draws
-    without filling its count raises RejectionBudgetError.
+    without filling its count gets a RejectionBudgetError in place of its
+    sources and draws no more; the other runs go on.
 
     Args:
         target: the truth sampled from.
@@ -298,7 +299,7 @@ def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
         rngs: R generators, run r drawing from rngs[r] only.
 
     Returns:
-        R arrays (counts[r], 2).
+        R entries: run r's sources (counts[r], 2), or its RejectionBudgetError.
     """
     counts = list(counts)
     if any(n < 0 for n in counts):
@@ -310,20 +311,9 @@ def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
     out = [np.empty((n, 2)) for n in counts]
     filled = [0] * len(counts)
     attempts = [0] * len(counts)
-    while True:
-        short = [r for r, n in enumerate(counts) if filled[r] < n]
-        if not short:
-            return out
-        chunks = []
-        for r in short:
-            n = counts[r]
-            if attempts[r] >= MAX_REJECTION_ATTEMPTS:
-                raise RejectionBudgetError(
-                    f"only {filled[r]} of {n} interior points found in {attempts[r]} draws"
-                )
-            size = _box_chunk_size(n - filled[r])
-            chunks.append(_box_draws(rngs[r], target, size))
-            attempts[r] += size
+    short = [r for r, n in enumerate(counts) if n > 0]
+    while short:
+        chunks = [_box_draws(rngs[r], target, _box_chunk_size(counts[r] - filled[r])) for r in short]
         inside = _inside_extent(target, np.concatenate(chunks))
         ends = np.cumsum([len(c) for c in chunks])
         for r, chunk, ok in zip(short, chunks, np.split(inside, ends[:-1])):
@@ -331,6 +321,15 @@ def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
             take = min(accepted.shape[0], counts[r] - filled[r])
             out[r][filled[r] : filled[r] + take] = accepted[:take]
             filled[r] += take
+            attempts[r] += len(chunk)
+        short = [r for r in short if filled[r] < counts[r]]
+        for r in short:
+            if attempts[r] >= MAX_REJECTION_ATTEMPTS:
+                out[r] = RejectionBudgetError(
+                    f"only {filled[r]} of {counts[r]} interior points found in {attempts[r]} draws"
+                )
+        short = [r for r in short if attempts[r] < MAX_REJECTION_ATTEMPTS]
+    return out
 
 
 def sample_measurement_sources(
@@ -343,7 +342,10 @@ def sample_measurement_sources(
     through MAX_REJECTION_ATTEMPTS box draws without filling its quota
     raises RejectionBudgetError.
     """
-    return stacked_sample_sources(target, [n], [rng])[0]
+    (sources,) = stacked_sample_sources(target, [n], [rng])
+    if isinstance(sources, RejectionBudgetError):
+        raise sources
+    return sources
 
 
 def psd_root(cov) -> np.ndarray:

@@ -105,6 +105,18 @@ def test_sigma_points_recombine_random_cov(dim):
     assert_allclose(cov, state.cov, rtol=1e-6)
 
 
+def test_sigma_point_weights_are_the_callers_own():
+    # the weights are cached for the stacked update; each call hands out copies
+    state = GaussianState(np.zeros(3), np.eye(3))
+    first = draw_sigma_points(state)
+    w_mean, w_cov = first.mean_weights.copy(), first.cov_weights.copy()
+    first.mean_weights *= 2.0
+    first.cov_weights += 1.0
+    second = draw_sigma_points(state)
+    assert np.array_equal(second.mean_weights, w_mean)
+    assert np.array_equal(second.cov_weights, w_cov)
+
+
 @pytest.mark.parametrize(
     "fields", [dict(alpha=np.nan), dict(beta=np.nan), dict(kappa=np.inf), dict(alpha=-np.inf)]
 )

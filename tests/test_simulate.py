@@ -21,6 +21,7 @@ from shapetrack.simulate import (
 )
 from shapetrack.targets import (
     RejectionBudgetError,
+    _box_chunk_size,
     builtin_data_path,
     ellipse_target,
     group_target,
@@ -579,8 +580,12 @@ def test_lockstep_runs_equal_per_run_loop(case):
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_lockstep_runs_equal_per_run_loop_in_3_step_blocks(case, monkeypatch):
-    # blocks end inside every case, and some_runs_diverge diverges mid-block
-    monkeypatch.setattr(simulate, "DRAW_AHEAD_STEPS", 3)
+    # blocks of 3 steps while all runs are live end inside every case, and
+    # some_runs_diverge diverges mid-block
+    config = ORACLE_CASES[case]()
+    chunk = _box_chunk_size(config.meas_count_model.stacked_count())
+    monkeypatch.setattr(simulate, "DRAW_AHEAD_POINTS", 3 * config.n_runs * chunk)
+    assert simulate._block_steps(config, config.n_runs) == 3
     _check_lockstep_case(case)
 
 
@@ -628,15 +633,28 @@ def test_center_errors_equal_per_row_norms():
     assert np.array_equal(report.run_center_error, want, equal_nan=True)
 
 
-def test_thin_target_redraws_the_short_runs(monkeypatch):
+def _counting_sampler(monkeypatch, fail_at=None):
+    """Patch the scenario loop's multi-round sampler to record the count of
+    each (run, step) pair it draws; the pair numbered fail_at (from 1) gets
+    a RejectionBudgetError in place of its sources."""
     calls = []
-    original = simulate.sample_measurement_sources
-    monkeypatch.setattr(
-        simulate,
-        "sample_measurement_sources",
-        lambda truth, n, rng: calls.append(n) or original(truth, n, rng),
-    )
-    monkeypatch.setattr(simulate, "DRAW_AHEAD_STEPS", 1)
+    original = simulate.stacked_sample_sources
+
+    def sample(truth, counts, rngs):
+        got = original(truth, counts, rngs)
+        for r, n in enumerate(counts):
+            calls.append(n)
+            if len(calls) == fail_at:
+                got[r] = RejectionBudgetError(f"budget spent at draw {fail_at}")
+        return got
+
+    monkeypatch.setattr(simulate, "stacked_sample_sources", sample)
+    return calls
+
+
+def test_thin_target_redraws_the_short_runs(monkeypatch):
+    calls = _counting_sampler(monkeypatch)
+    monkeypatch.setattr(simulate, "DRAW_AHEAD_POINTS", 1)  # 1-step blocks
     config = ORACLE_CASES["thin_ellipse"]()
     run_scenario(config)
     # some (run, step) pairs are filled by their first round, the others redrawn
@@ -648,16 +666,7 @@ def test_budget_error_is_raised_only_at_a_live_step(monkeypatch, diverges):
     # one run, every first round short (100 sources from 0.56% of the box),
     # so the block is redrawn; its third step exhausts the budget. A run
     # whose first prediction overflows diverges and never reaches that step.
-    calls = []
-    original = simulate.sample_measurement_sources
-
-    def sample(truth, n, rng):
-        calls.append(n)
-        if len(calls) == 3:
-            raise RejectionBudgetError("budget spent at the third step")
-        return original(truth, n, rng)
-
-    monkeypatch.setattr(simulate, "sample_measurement_sources", sample)
+    calls = _counting_sampler(monkeypatch, fail_at=3)
     config = replace(
         ORACLE_CASES["thin_ellipse"](),
         meas_count_model=MeasurementCountModel("fixed_per_step", 100),
@@ -670,15 +679,25 @@ def test_budget_error_is_raised_only_at_a_live_step(monkeypatch, diverges):
         report = run_scenario(replace(config, tracker=tracker, prior=prior))
         assert report.diverged_at[0] == 0
     else:
-        with pytest.raises(RejectionBudgetError, match="third step"):
+        predicts = []
+        original = simulate.stacked_time_update
+        monkeypatch.setattr(
+            simulate, "stacked_time_update", lambda *a: predicts.append(1) or original(*a)
+        )
+        with pytest.raises(RejectionBudgetError, match="draw 3"):
             run_scenario(config)
+        assert len(predicts) == 2  # steps 0 and 1 were filtered, step 2 raised
+    # the run draws no more after its budget error
     assert len(calls) == 3
 
 
 def test_draw_ahead_block_is_bounded():
     config = ellipse_scenario()
-    assert simulate._block_steps(config, 1) == simulate.DRAW_AHEAD_STEPS
-    assert simulate._block_steps(replace(config, n_steps=3000), 1) == simulate.DRAW_AHEAD_STEPS
+    one_run = simulate.DRAW_AHEAD_POINTS // _box_chunk_size(1)
+    assert one_run > 1
+    assert simulate._block_steps(config, 1) == one_run
+    assert simulate._block_steps(replace(config, n_steps=3000), 1) == one_run
+    assert simulate._block_steps(config, 2) == one_run // 2
     assert simulate._block_steps(config, 170_000) == 1
 
 

@@ -422,17 +422,19 @@ def test_stacked_sampling_with_no_runs_or_no_sources():
 
 
 def test_rejection_budget_is_per_run(monkeypatch):
-    # run 1 cannot find 50 interior points of the sliver in 1000 draws; the
-    # error names its own counts, as the run alone reports them
+    # run 1 cannot find 50 interior points of the sliver in 1000 draws: it
+    # gets the error the run alone raises, and run 0 its own source
     monkeypatch.setattr(targets, "MAX_REJECTION_ATTEMPTS", 1000)
     rngs = spawned_generators(2)
-    alone = copy.deepcopy(rngs[1])
-    with pytest.raises(RejectionBudgetError) as stacked:
-        stacked_sample_sources(thin_sliver(), [1, 50], rngs)
+    alone = copy.deepcopy(rngs)
+    got = stacked_sample_sources(thin_sliver(), [1, 50], rngs)
+    assert isinstance(got[1], RejectionBudgetError)
     with pytest.raises(RejectionBudgetError) as single:
-        oracle_sample(thin_sliver(), 50, alone)
-    assert str(stacked.value) == str(single.value)
+        oracle_sample(thin_sliver(), 50, alone[1])
+    assert str(got[1]) == str(single.value)
     assert "of 50 interior points found in 1" in str(single.value)
-    # a run that stays under the budget is not stopped by another's count
-    got = stacked_sample_sources(thin_sliver(), [1, 1], spawned_generators(2))
-    assert [a.shape for a in got] == [(1, 2), (1, 2)]
+    assert_array_equal(got[0], oracle_sample(thin_sliver(), 1, alone[0])[0])
+    assert stream_state(rngs[0]) == stream_state(alone[0])
+    # the one-run sampler raises it
+    with pytest.raises(RejectionBudgetError, match="of 50 interior points"):
+        sample_measurement_sources(thin_sliver(), 50, spawned_generators(2)[1])
