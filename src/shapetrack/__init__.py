@@ -26,7 +26,6 @@ from .ellipse import (
 )
 from .gaussian import (
     ConditioningError,
-    DegenerateInnovationWarning,
     GaussianState,
     SigmaPointSet,
     UnscentedSpread,
@@ -49,7 +48,6 @@ from .simulate import (
     run_scenario,
 )
 from .starconvex import (
-    DegenerateAngleWarning,
     FourierShapeParams,
     angle_point_estimate,
     fit_fourier_coeffs,
@@ -92,7 +90,6 @@ __all__ = [
     "__version__",
     # estimation core
     "ConditioningError",
-    "DegenerateInnovationWarning",
     "GaussianState",
     "SigmaPointSet",
     "UnscentedSpread",
@@ -108,7 +105,6 @@ __all__ = [
     "ellipse_implicit",
     "ellipse_scaled_implicit",
     "from_semi_axes",
-    "DegenerateAngleWarning",
     "FourierShapeParams",
     "angle_point_estimate",
     "fit_fourier_coeffs",

@@ -10,28 +10,28 @@ The numerical work runs in stacked kernels over a leading run axis: means
 (R, d), covariances (R, d, d) and sigma points (R, 2d+1, d), factorized
 with stacked `cholesky`/`eigvalsh`/`solve` (`stacked_predict`,
 `stacked_psd_repair`, `stacked_sl_update`, and the sigma-point draw they
-share). Each run's arithmetic is the same as a lone call's, bit for bit, and each
-kernel reports per run a status (`OK`, `DEGENERATE`, `FAILED`) rather
-than a warning or an exception, so one failing run leaves the others
-untouched. The sigma-point weights are computed once per dimension and
-spread (`_unscented_weights`, cached and read-only), and a scalar
-innovation variance is its own smallest eigenvalue, so a sequential
-update runs no eigenvalue solver on it. `psd_repair`, `draw_sigma_points` and
-`statistical_linearization_update` work on one state and turn the status
-back into the warning or the `ConditioningError` of the single-state API.
+share). Each run's arithmetic is the same as a lone call's, bit for bit.
+Each kernel returns its outcome as a value: `stacked_predict` a per-run
+finite flag, the others a per-run status (`OK`, `DEGENERATE`, `FAILED`)
+or success flag. One failing run leaves the others untouched. The
+sigma-point weights are computed once per dimension and spread
+(`_unscented_weights`, cached and read-only), and a scalar innovation
+variance is its own smallest eigenvalue, so a sequential update runs no
+eigenvalue solver on it. `psd_repair`, `draw_sigma_points` and
+`statistical_linearization_update` work on one state: `FAILED` becomes the
+`ConditioningError` of the single-state API, and a `DEGENERATE` update
+returns a copy of the prior.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ConditioningError",
-    "DegenerateInnovationWarning",
     "GaussianState",
     "UnscentedSpread",
     "SigmaPointSet",
@@ -52,10 +52,6 @@ __all__ = [
 
 class ConditioningError(RuntimeError):
     """Covariance could not be factorized even after jitter repair."""
-
-
-class DegenerateInnovationWarning(UserWarning):
-    """Innovation covariance fell below tolerance; the update was skipped."""
 
 
 # Repair thresholds. A covariance is accepted as PSD when its smallest
@@ -430,28 +426,6 @@ def _stacked_gain(cov_hh: np.ndarray, cov_xh: np.ndarray) -> tuple[np.ndarray, n
     return np.swapaxes(solved, -1, -2), ok
 
 
-def _single_posterior(
-    prior: GaussianState, means: np.ndarray, covs: np.ndarray, status: np.ndarray
-) -> GaussianState:
-    """The posterior of an R = 1 stacked update, as the single-state API reports it.
-
-    Raises ConditioningError for `FAILED`; emits a DegenerateInnovationWarning
-    and returns a copy of the prior for `DEGENERATE`.
-    """
-    if status[0] == FAILED:
-        raise ConditioningError(
-            "update failed: covariance not factorizable or repairable, or not finite"
-        )
-    if status[0] == DEGENERATE:
-        warnings.warn(
-            "innovation covariance is degenerate; returning the prior",
-            DegenerateInnovationWarning,
-            stacklevel=3,
-        )
-        return prior.copy()
-    return GaussianState(means[0], covs[0])
-
-
 def statistical_linearization_update(
     prior: GaussianState,
     h,
@@ -478,9 +452,9 @@ def statistical_linearization_update(
         spread: unscented parameters for the joint density.
 
     Returns:
-        Posterior GaussianState; the prior (unchanged) if the innovation
-        covariance is degenerate, in which case a
-        DegenerateInnovationWarning is emitted.
+        Posterior GaussianState; a copy of the prior if the innovation
+        covariance is degenerate (the status `stacked_sl_update` reports
+        as `DEGENERATE`).
 
     Raises:
         ConditioningError: a covariance cannot be factorized or repaired,
@@ -494,7 +468,13 @@ def statistical_linearization_update(
         noise_aug.cov,
         spread,
     )
-    return _single_posterior(prior, means, covs, status)
+    if status[0] == FAILED:
+        raise ConditioningError(
+            "update failed: covariance not factorizable or repairable, or not finite"
+        )
+    if status[0] == DEGENERATE:
+        return prior.copy()
+    return GaussianState(means[0], covs[0])
 
 
 def stacked_predict(
@@ -503,7 +483,8 @@ def stacked_predict(
     """Linear time update of R states: mean -> A mean, cov -> A cov A^T + Q.
 
     Returns (means (R, d), covs (R, d, d), ok (R,)); ok is False where the
-    predicted moments are not finite.
+    predicted moments are not finite. The flag reports an overflowing
+    prediction, so numpy's overflow and invalid-value reports are off here.
     """
     a = np.asarray(system_matrix, dtype=float)
     q = np.asarray(process_noise_cov, dtype=float)
@@ -512,7 +493,8 @@ def stacked_predict(
         raise ValueError(
             f"system matrix {a.shape} / noise {q.shape} do not match state dim {d}"
         )
-    out_means = np.matmul(a, means[..., None])[..., 0]
-    out_covs = symmetrize(a @ covs @ a.T + q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_means = np.matmul(a, means[..., None])[..., 0]
+        out_covs = symmetrize(a @ covs @ a.T + q)
     return out_means, out_covs, _finite_rows(out_means) & _finite_rows(out_covs)
 

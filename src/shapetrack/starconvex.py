@@ -10,13 +10,11 @@ vector.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DegenerateAngleWarning",
     "FourierShapeParams",
     "fourier_basis",
     "radius",
@@ -29,10 +27,6 @@ __all__ = [
 ]
 
 VALIDITY_GRID = 3600
-
-
-class DegenerateAngleWarning(UserWarning):
-    """Angle of a zero offset vector requested; 0 returned by convention."""
 
 
 @dataclass(frozen=True)
@@ -126,15 +120,10 @@ def angle_point_estimate(measurement, center_mean) -> float:
     """Most-likely source angle: direction from the center estimate to the measurement.
 
     Returns the angle in (-pi, pi]. A measurement exactly at the center
-    has no direction; 0 is returned and a DegenerateAngleWarning emitted.
+    has no direction, and gets angle 0 by convention.
     """
     w = np.asarray(measurement, dtype=float) - np.asarray(center_mean, dtype=float)
     if w[0] == 0.0 and w[1] == 0.0:
-        warnings.warn(
-            "measurement coincides with the center estimate; angle set to 0",
-            DegenerateAngleWarning,
-            stacklevel=2,
-        )
         return 0.0
     angle = float(np.arctan2(w[1], w[0]))
     if angle <= -np.pi:

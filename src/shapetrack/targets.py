@@ -39,6 +39,10 @@ __all__ = [
 
 STAR_CHECK_GRID = 3600
 MAX_REJECTION_ATTEMPTS = 10**6
+# Points per call of an inside-or-out test (`_inside_extent`). The test of
+# the bundled 12-edge polygon holds about 560 bytes a point, about 4.6 MB
+# at the bound, however many runs draw in one rejection round.
+INSIDE_TEST_POINTS = 1 << 13
 
 
 class RejectionBudgetError(RuntimeError):
@@ -275,10 +279,16 @@ def _box_draws(rng: np.random.Generator, target: GroundTruthTarget, size: int) -
 
 def _inside_extent(target: GroundTruthTarget, points) -> np.ndarray:
     """Whether each point (N, 2) lies in the extent (boundary included) of
-    an ellipse or polygon target."""
-    if target.kind == "ellipse":
-        return ellipse_implicit(target.ellipse, points) <= 0.0
-    return radial_fraction(target, points) <= 1.0
+    an ellipse or polygon target, tested INSIDE_TEST_POINTS points at a
+    time. The test is pointwise, so the slicing changes no result."""
+    inside = np.empty(len(points), dtype=bool)
+    for start in range(0, len(points), INSIDE_TEST_POINTS):
+        part = slice(start, start + INSIDE_TEST_POINTS)
+        if target.kind == "ellipse":
+            inside[part] = ellipse_implicit(target.ellipse, points[part]) <= 0.0
+        else:
+            inside[part] = radial_fraction(target, points[part]) <= 1.0
+    return inside
 
 
 def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:

@@ -37,7 +37,6 @@ coefficients) for every caller: the tracker, the scoring and the plots.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,7 @@ from .gaussian import (
     stacked_predict,
     stacked_sl_update,
 )
-from .starconvex import DegenerateAngleWarning, FourierShapeParams, fourier_basis
+from .starconvex import FourierShapeParams, fourier_basis
 
 __all__ = [
     "ScalingModel",
@@ -351,15 +350,10 @@ def _read_only(*arrays):
 
 def _source_angles(measurements, centers) -> np.ndarray:
     """`angle_point_estimate` of every measurement (R, k, 2) from its run's
-    center (R, 2), in one pass: (R, k) angles in (-pi, pi], 0 at the center."""
+    center (R, 2), in one pass: (R, k) angles in (-pi, pi]. A measurement on
+    its center gets angle 0, the convention of `angle_point_estimate`."""
     w = measurements - centers[:, None]
     at_center = (w[..., 0] == 0.0) & (w[..., 1] == 0.0)
-    if at_center.any():
-        warnings.warn(
-            "measurement coincides with the center estimate; angle set to 0",
-            DegenerateAngleWarning,
-            stacklevel=3,
-        )
     phis = np.where(at_center, 0.0, np.arctan2(w[..., 1], w[..., 0]))
     phis[phis <= -np.pi] = np.pi
     return phis

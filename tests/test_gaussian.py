@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from shapetrack.gaussian import (
+    DEGENERATE,
     ConditioningError,
-    DegenerateInnovationWarning,
     GaussianState,
     UnscentedSpread,
     cholesky_factor,
@@ -167,12 +167,18 @@ def test_update_ignores_state_independent_h():
 def test_update_degenerate_innovation_returns_prior():
     prior = GaussianState([1.0], [[2.0]])
     noise = GaussianState([0.0], [[1.0]])
-    with pytest.warns(DegenerateInnovationWarning):
-        post = statistical_linearization_update(
-            prior, lambda pts, y: np.zeros(pts.shape[0]), noise
-        )
-    assert_allclose(post.mean, prior.mean)
-    assert_allclose(post.cov, prior.cov)
+    _, _, status = stacked_sl_update(
+        prior.mean[None],
+        prior.cov[None],
+        lambda pts: np.zeros(pts.shape[:2]),
+        noise.mean,
+        noise.cov,
+    )
+    assert status.tolist() == [DEGENERATE]
+    post = statistical_linearization_update(prior, lambda pts, y: np.zeros(pts.shape[0]), noise)
+    assert np.array_equal(post.mean, prior.mean)
+    assert np.array_equal(post.cov, prior.cov)
+    assert post.mean is not prior.mean and post.cov is not prior.cov
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -1,11 +1,11 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shapetrack import gaussian, simulate
+from shapetrack import gaussian, simulate, targets
+from shapetrack import tracker as tracker_module
 from shapetrack.ellipse import EllipseParams, from_semi_axes
 from shapetrack.gaussian import ConditioningError, GaussianState
 from shapetrack.metrics import shape_iou
@@ -25,10 +25,12 @@ from shapetrack.targets import (
     builtin_data_path,
     ellipse_target,
     group_target,
+    load_geometry,
     load_waypoints,
     polygon_target,
     psd_root,
     sample_measurement_sources,
+    stacked_sample_sources,
 )
 from shapetrack.tracker import DynamicsSpec, ScalingModel, Tracker, TrackerConfig
 
@@ -96,8 +98,9 @@ def test_mixture_rejects_bad_shapes():
 def test_mixture_empirical_mixing_fraction():
     mix = NoiseMixture.isotropic([0.2, 0.4], [0.75, 0.25])
     rng = np.random.Generator(np.random.Philox(7))
-    draws = np.array([mix.draw_level(rng) for _ in range(100_000)])
-    assert abs(np.mean(draws == 0) - 0.75) < 0.01
+    cdf = mix.probabilities.cumsum()
+    levels, _ = simulate._levels_and_noise(rng, 100_000, cdf / cdf[-1])
+    assert abs(np.mean(levels == 0) - 0.75) < 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +455,20 @@ def test_overflowing_runs_diverge_instead_of_raising(prior_var):
     assert np.isnan(report.estimates[:, report.diverged_at.max():]).all()
 
 
+def test_update_overflow_is_reported_and_diverges(monkeypatch):
+    # an overflow in an update is no modelled divergence, so numpy reports
+    # it (and the invalid operations on its infinities); the runs still
+    # diverge through their FAILED status
+    original = tracker_module.ellipse_pseudo_measurement
+    monkeypatch.setattr(
+        tracker_module, "ellipse_pseudo_measurement", lambda *a: original(*a) * 1e308 * 1e308
+    )
+    with pytest.warns(RuntimeWarning) as caught:
+        report = run_scenario(ellipse_scenario(n_steps=3, n_runs=2))
+    assert any("overflow" in str(w.message) for w in caught)
+    assert report.n_diverged == 2
+
+
 # ---------------------------------------------------------------------------
 # lockstep runs against the per-run loop they replaced
 
@@ -480,10 +497,8 @@ def _oracle_run_single(config: ScenarioConfig, truths, rng: np.random.Generator,
         if measurements is not None:
             measurements.append(ys.copy())
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                tracker.predict()
-                tracker.update(list(ys), [told_cov] * n_k)
+            tracker.predict()
+            tracker.update(list(ys), [told_cov] * n_k)
         except (ConditioningError, np.linalg.LinAlgError, FloatingPointError):
             return estimates, k, measurements
         state = tracker.state
@@ -699,6 +714,39 @@ def test_draw_ahead_block_is_bounded():
     assert simulate._block_steps(replace(config, n_steps=3000), 1) == one_run
     assert simulate._block_steps(config, 2) == one_run // 2
     assert simulate._block_steps(config, 170_000) == 1
+
+
+def test_inside_test_points_per_call_are_bounded(monkeypatch):
+    # 300 runs of a polygon truth send 300 box chunks of 64 points, 19,200
+    # in all, to one rejection round: the block's first round and each
+    # round of the multi-round sampler. The inside test takes them in
+    # slices, and the draws are those of one unsliced test.
+    truth = load_geometry(builtin_data_path("aircraft.txt"))
+    config = ellipse_scenario(target=truth, n_runs=300, n_steps=1)
+    factors = psd_root(config.noise_mixture.covariances[0])[None]
+    sizes = []
+    original = targets.radial_fraction
+    monkeypatch.setattr(
+        targets, "radial_fraction", lambda t, p: sizes.append(len(p)) or original(t, p)
+    )
+
+    def rngs():
+        return [np.random.Generator(np.random.Philox(s)) for s in range(config.n_runs)]
+
+    def draws():
+        block, errors = simulate._draw_block(config, [truth], rngs(), factors, None)
+        assert not errors
+        sources = stacked_sample_sources(truth, [4] * config.n_runs, rngs())
+        return [run[0] for run in block], sources
+
+    sliced = draws()
+    assert max(sizes) <= simulate.DRAW_AHEAD_POINTS < config.n_runs * _box_chunk_size(1)
+    monkeypatch.setattr(targets, "INSIDE_TEST_POINTS", 1 << 30)
+    sizes.clear()
+    whole = draws()
+    assert max(sizes) == config.n_runs * _box_chunk_size(1)
+    for got, want in zip(sliced, whole):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("case", ["ellipse_batch_poisson", "some_runs_diverge", "thin_ellipse"])

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from shapetrack.ellipse import EllipseParams, ellipse_boundary_point
 from shapetrack.starconvex import (
-    DegenerateAngleWarning,
     FourierShapeParams,
     angle_point_estimate,
     fit_fourier_coeffs,
@@ -143,8 +142,11 @@ def test_angle_estimate_range_half_open():
 
 
 def test_angle_estimate_degenerate():
-    with pytest.warns(DegenerateAngleWarning):
-        assert angle_point_estimate([1.0, 2.0], [1.0, 2.0]) == 0.0
+    # a measurement on the center has no direction: angle 0 by convention,
+    # also for the offset (-0, -0), whose arctan2 is -pi
+    assert angle_point_estimate([1.0, 2.0], [1.0, 2.0]) == 0.0
+    angle = angle_point_estimate([-0.0, -0.0], [0.0, 0.0])
+    assert angle == 0.0 and not np.signbit(angle)
 
 
 # ---------------------------------------------------------------------------

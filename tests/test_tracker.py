@@ -1,7 +1,6 @@
 """Tests for the pseudo-measurement functions and the recursive tracker."""
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from shapetrack.gaussian import (
     statistical_linearization_update,
 )
 from shapetrack.starconvex import (
-    DegenerateAngleWarning,
     FourierShapeParams,
     angle_point_estimate,
     fourier_basis,
@@ -456,18 +454,15 @@ def test_stacked_update_rows_equal_lone_updates(k):
 
 def test_source_angles_equal_angle_point_estimate():
     # signed zeros included: -pi maps to pi, and an exact-center
-    # measurement (either sign of zero) gets 0 with a warning
+    # measurement (either sign of zero) gets 0
     values = [0.0, -0.0, 1.0, -1.0, 2.5e-300]
     zero_offsets = [[x, y] for x in values for y in values]
     rng = np.random.default_rng(31)
     measurements = np.stack([zero_offsets, rng.normal(size=(25, 2)) * 3.0])
     centers = np.array([[0.0, 0.0], [0.4, -1.3]])
     measurements[1] += centers[1]
-    with pytest.warns(DegenerateAngleWarning):
-        got = _source_angles(measurements, centers)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateAngleWarning)
-        want = [[angle_point_estimate(y, c) for y in ys] for c, ys in zip(centers, measurements)]
+    got = _source_angles(measurements, centers)
+    want = [[angle_point_estimate(y, c) for y in ys] for c, ys in zip(centers, measurements)]
     assert got.shape == (2, 25)
     assert np.array_equal(got, want)
     assert np.signbit(got).tolist() == np.signbit(want).tolist()
@@ -636,8 +631,7 @@ def test_stacked_time_update_rows_equal_lone_predictions():
     means = rng.normal(size=(3, 7))
     covs = np.stack([np.diag(rng.uniform(0.1, 1.0, 7)) for _ in range(3)])
     covs[2, 0, 0] = 1e308  # overflows in A P A^T
-    with np.errstate(all="ignore"):
-        got_means, got_covs, ok = stacked_time_update(means, covs, dyn, 3)
+    got_means, got_covs, ok = stacked_time_update(means, covs, dyn, 3)
     assert ok.tolist() == [True, True, False]
     config = TrackerConfig(dynamics=dyn)
     for r in range(2):
@@ -645,7 +639,7 @@ def test_stacked_time_update_rows_equal_lone_predictions():
         alone.predict()
         assert np.array_equal(got_means[r], alone.state.mean)
         assert np.array_equal(got_covs[r], alone.state.cov)
-    with pytest.raises(ValueError, match="finite"), np.errstate(all="ignore"):
+    with pytest.raises(ValueError, match="finite"):
         Tracker(config, GaussianState(means[2], covs[2])).predict()
 
 
