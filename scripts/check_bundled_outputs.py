@@ -5,6 +5,8 @@ Runs each bundled scenario through the CLI at a reduced size
 sizes) into a temporary directory and prints one
 ``<sha256>  <scenario>/<file>`` line per estimates.csv and summary.csv, and
 one per SVG plot the run wrote, in name order.
+The listing starts with a ``# numpy <version>`` line, since the floats
+(and so the hashes) can change with numpy and the OpenBLAS it bundles.
 Saving the listing from one checkout and passing it to ``--against`` in
 another checks that a change keeps every output byte-identical:
 
@@ -12,8 +14,12 @@ another checks that a change keeps every output byte-identical:
     # ... change the code ...
     PYTHONPATH=src python scripts/check_bundled_outputs.py --against before.txt
 
-With ``--against``, every line that differs from the saved listing is
-reported and the exit status is 1.
+With ``--against``, every hash line that differs from the saved listing is
+reported and the exit status is 1; a saved numpy version other than the
+running one is reported too. The reduced-size listing is committed as
+``tests/bundled_outputs.txt``, which ``tests/test_bundled_outputs.py``
+checks; a change that alters an output regenerates it in the same commit
+(``... check_bundled_outputs.py > tests/bundled_outputs.txt``).
 
 ``--keep DIR`` saves the hashed files as ``DIR/<scenario>/<file>``.
 ``--near DIR`` compares the current CSVs value by value with such a kept
@@ -43,12 +49,15 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from shapetrack import cli
 
 REDUCED = ["--set", "runs.n_runs=3", "--set", "runs.n_steps=40"]
 FILES = ("estimates.csv", "summary.csv")
 NEAR_TOL = 1e-12
 EXACT_COLUMNS = ("iou", "mean_iou")
+VERSION_LINE = f"# numpy {np.__version__}"
 
 
 def listing(
@@ -148,13 +157,17 @@ def main(argv=None) -> int:
     parser.add_argument("--time", action="store_true", help="print each run's wall time")
     args = parser.parse_args(argv)
     current, problems = listing(args.full, args.keep, args.near, args.time)
-    print("\n".join(current))
+    print("\n".join([VERSION_LINE, *current]))
     for problem in problems:
         print(f"near: {problem}", file=sys.stderr)
     status = int(bool(problems))
     if args.against is None:
         return status
     saved = args.against.read_text().splitlines()
+    versions = [line for line in saved if line.startswith("#")]
+    if versions != [VERSION_LINE]:
+        print(f"{args.against} records {versions}, running {VERSION_LINE!r}", file=sys.stderr)
+    saved = [line for line in saved if not line.startswith("#")]
     if saved == current:
         print(f"all {len(current)} outputs match {args.against}", file=sys.stderr)
         return status

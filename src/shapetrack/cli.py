@@ -75,10 +75,6 @@ def _state_columns(config: ScenarioConfig) -> list:
     return cols
 
 
-def _cell(value) -> str:
-    return repr(float(value))
-
-
 def _write_csv(path: Path, header: list, rows) -> None:
     """Write the header and then each row as it comes, so a generator of
     rows is never held in memory whole."""
@@ -94,10 +90,15 @@ def write_outputs(report: ScenarioReport, out_dir: Path) -> list:
     state_cols = _state_columns(config)
     created = []
 
+    # each cell is the repr of a Python float; tolist() makes a row's floats in one call
     est_rows = (
-        [str(k), str(r)]
-        + [_cell(v) for v in report.estimates[r, k]]
-        + [_cell(report.run_iou[r, k]), _cell(report.run_center_error[r, k])]
+        [
+            str(k),
+            str(r),
+            *map(repr, report.estimates[r, k].tolist()),
+            repr(report.run_iou[r, k].item()),
+            repr(report.run_center_error[r, k].item()),
+        ]
         for k in range(config.n_steps)
         for r in range(config.n_runs)
     )
@@ -106,9 +107,12 @@ def write_outputs(report: ScenarioReport, out_dir: Path) -> list:
     created.append(path)
 
     sum_rows = (
-        [str(k)]
-        + [_cell(v) for v in report.mean_estimates[k]]
-        + [_cell(report.mean_iou[k]), _cell(report.center_rmse[k])]
+        [
+            str(k),
+            *map(repr, report.mean_estimates[k].tolist()),
+            repr(report.mean_iou[k].item()),
+            repr(report.center_rmse[k].item()),
+        ]
         for k in range(config.n_steps)
     )
     path = out_dir / "summary.csv"

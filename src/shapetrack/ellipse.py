@@ -159,7 +159,9 @@ def ellipse_closest_points(centers, chols, queries) -> np.ndarray:
     overflows gets NaN rows.
     """
     queries = np.asarray(queries, dtype=float)
-    rows = zip(np.reshape(centers, (-1, 2)).tolist(), np.reshape(chols, (-1, 3)).tolist())
+    rows = zip(
+        np.asarray(centers).reshape(-1, 2).tolist(), np.asarray(chols).reshape(-1, 3).tolist()
+    )
     flat = []
     for ((cx, cy), (a, b, c)), qs in zip(rows, queries.tolist()):
         try:

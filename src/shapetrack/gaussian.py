@@ -17,7 +17,16 @@ or success flag. One failing run leaves the others untouched. The
 sigma-point weights are computed once per dimension and spread
 (`_unscented_weights`, cached and read-only), and a scalar innovation
 variance is its own smallest eigenvalue, so a sequential update runs no
-eigenvalue solver on it. `psd_repair`, `draw_sigma_points` and
+eigenvalue solver on it.
+
+No kernel copies its inputs, writes to them, or returns an array that
+shares memory with them. When every run takes part, a kernel works on the
+whole stack as it is: `stacked_psd_repair` runs one `eigvalsh` on all
+matrices when all are finite, and `stacked_sl_update` checks every run's
+innovation and, when every run is `OK`, returns its posterior arrays
+themselves. Only a subset of runs (a non-finite matrix, a `DEGENERATE` or
+`FAILED` run) is gathered, and its results are scattered into copies of
+the priors. `psd_repair`, `draw_sigma_points` and
 `statistical_linearization_update` work on one state: `FAILED` becomes the
 `ConditioningError` of the single-state API, and a `DEGENERATE` update
 returns a copy of the prior.
@@ -68,12 +77,19 @@ OK, DEGENERATE, FAILED = 0, 1, 2
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
     """Return the symmetric part (C + C^T) / 2 of a matrix or of a stack of them."""
-    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    cov = np.asarray(cov)
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 def _finite_rows(a: np.ndarray) -> np.ndarray:
     """Per leading index, whether every entry is finite."""
     return np.isfinite(a).reshape(len(a), -1).all(axis=1)
+
+
+def _rows(mask: np.ndarray):
+    """The index of the rows where mask holds: the whole slice when it holds
+    in every row, so that indexing with it takes a view, not a gathered copy."""
+    return slice(None) if mask.all() else mask.nonzero()[0]
 
 
 def stacked_psd_repair(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,9 +100,10 @@ def stacked_psd_repair(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     sym = symmetrize(np.asarray(covs, dtype=float))
     ok = _finite_rows(sym)
+    finite = _rows(ok)
     w_min = np.zeros(len(sym))
-    w_min[ok] = np.linalg.eigvalsh(sym[ok])[:, 0]
-    bad = np.flatnonzero(w_min < -PSD_TOL)
+    w_min[finite] = np.linalg.eigvalsh(sym[finite])[:, 0]
+    bad = (w_min < -PSD_TOL).nonzero()[0]
     if bad.size:
         eps = np.abs(w_min[bad]) + JITTER_FLOOR
         sym[bad] = sym[bad] + eps[:, None, None] * np.eye(sym.shape[-1])
@@ -264,7 +281,7 @@ def _stacked_sigma_points(
     n_runs, d = means.shape
     root_scale, w_mean, w_cov = _unscented_weights(d, spread)
     roots, ok = _stacked_cholesky(covs)
-    root_t = np.swapaxes(roots * root_scale, -1, -2)
+    root_t = (roots * root_scale).swapaxes(-1, -2)
     points = np.empty((n_runs, 2 * d + 1, d))
     points[:, 0] = means
     points[:, 1 : d + 1] = means[:, None, :] + root_t
@@ -361,7 +378,6 @@ def stacked_sl_update(
     aug_cov[:, :d, :d] = covs
     aug_cov[:, d:, d:] = noise_cov
     points, w_m, w_c, ok = _stacked_sigma_points(aug_mean, aug_cov, spread)
-    status = np.where(ok, OK, FAILED)
 
     values = np.asarray(h(points), dtype=float)
     if values.ndim == 2:
@@ -376,33 +392,36 @@ def stacked_sl_update(
     mean_x = np.matmul(w_m, x_pts)
     dh = values - mean_h[:, None, :]
     dx = x_pts - mean_x[:, None, :]
-    cov_hh = symmetrize(np.swapaxes(w_c[:, None] * dh, -1, -2) @ dh)
-    cov_xh = np.swapaxes(w_c[:, None] * dx, -1, -2) @ dh
+    cov_hh = symmetrize((w_c[:, None] * dh).swapaxes(-1, -2) @ dh)
+    cov_xh = (w_c[:, None] * dx).swapaxes(-1, -2) @ dh
 
     ok &= _finite_rows(cov_hh) & _finite_rows(cov_xh)
-    status[~ok] = FAILED
-    live = np.flatnonzero(ok)
+    live = _rows(ok)
     if cov_hh.shape[-1] == 1:
         # the eigenvalue of a 1 x 1 matrix is its entry (LAPACK returns it as is)
         smallest = cov_hh[live, 0, 0]
     else:
         smallest = np.linalg.eigvalsh(cov_hh[live])[:, 0]
-    degenerate = smallest < INNOVATION_TOL
-    status[live[degenerate]] = DEGENERATE
-    go = live[~degenerate]
+    go = ok.copy()
+    go[live] = ~(smallest < INNOVATION_TOL)
+    status = np.where(go, OK, np.where(ok, DEGENERATE, FAILED))
+    if not go.any():
+        return means.copy(), covs.copy(), status
 
+    sel = _rows(go)
+    gain, solved = _stacked_gain(cov_hh[sel], cov_xh[sel])
+    mean_post = means[sel] + np.matmul(gain, (0.0 - mean_h[sel])[..., None])[..., 0]
+    cov_post, repaired = stacked_psd_repair(
+        covs[sel] - gain @ cov_hh[sel] @ gain.swapaxes(-1, -2)
+    )
+    good = solved & repaired & _finite_rows(mean_post)
+    if isinstance(sel, slice) and good.all():
+        return mean_post, cov_post, status  # every run updated; both arrays are new
+    status[go] = np.where(good, OK, FAILED)
+    updated = status == OK
     out_means, out_covs = means.copy(), covs.copy()
-    if go.size:
-        gain, solved = _stacked_gain(cov_hh[go], cov_xh[go])
-        innovation = (0.0 - mean_h[go])[..., None]
-        mean_post = means[go] + np.matmul(gain, innovation)[..., 0]
-        cov_post, repaired = stacked_psd_repair(
-            covs[go] - gain @ cov_hh[go] @ np.swapaxes(gain, -1, -2)
-        )
-        good = solved & repaired & _finite_rows(mean_post)
-        status[go[~good]] = FAILED
-        out_means[go[good]] = mean_post[good]
-        out_covs[go[good]] = cov_post[good]
+    out_means[updated] = mean_post[good]
+    out_covs[updated] = cov_post[good]
     return out_means, out_covs, status
 
 
@@ -412,7 +431,7 @@ def _stacked_gain(cov_hh: np.ndarray, cov_xh: np.ndarray) -> tuple[np.ndarray, n
     One stacked solve; if any innovation covariance is singular, each run
     is solved alone and the singular ones are flagged.
     """
-    rhs = np.swapaxes(cov_xh, -1, -2)
+    rhs = cov_xh.swapaxes(-1, -2)
     ok = np.ones(len(cov_hh), dtype=bool)
     try:
         solved = np.linalg.solve(cov_hh, rhs)
@@ -423,7 +442,7 @@ def _stacked_gain(cov_hh: np.ndarray, cov_xh: np.ndarray) -> tuple[np.ndarray, n
                 solved[i] = np.linalg.solve(cov_hh[i], rhs[i])
             except np.linalg.LinAlgError:
                 ok[i] = False
-    return np.swapaxes(solved, -1, -2), ok
+    return solved.swapaxes(-1, -2), ok
 
 
 def statistical_linearization_update(
@@ -478,23 +497,37 @@ def statistical_linearization_update(
 
 
 def stacked_predict(
-    means: np.ndarray, covs: np.ndarray, system_matrix: np.ndarray, process_noise_cov: np.ndarray
+    means: np.ndarray,
+    covs: np.ndarray,
+    system_matrix: np.ndarray | None,
+    process_noise_cov: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Linear time update of R states: mean -> A mean, cov -> A cov A^T + Q.
 
-    Returns (means (R, d), covs (R, d, d), ok (R,)); ok is False where the
-    predicted moments are not finite. The flag reports an overflowing
-    prediction, so numpy's overflow and invalid-value reports are off here.
+    A system_matrix of None stands for A = I (a random walk): nothing is
+    multiplied, and the moments become `means + 0.0` and `covs + Q`. For
+    finite moments and a Q with no -0.0 entry, these are the floats of the
+    products with I: each product's sum starts from +0.0, so it turns a
+    -0.0 into 0.0, as adding 0.0 does.
+
+    Returns (means (R, d), covs (R, d, d), ok (R,)), new arrays; ok is False
+    where the predicted moments are not finite. The flag reports an
+    overflowing prediction, so numpy's overflow and invalid-value reports
+    are off here.
     """
-    a = np.asarray(system_matrix, dtype=float)
-    q = np.asarray(process_noise_cov, dtype=float)
     d = means.shape[1]
-    if a.shape != (d, d) or q.shape != (d, d):
+    a = None if system_matrix is None else np.asarray(system_matrix, dtype=float)
+    q = np.asarray(process_noise_cov, dtype=float)
+    if q.shape != (d, d) or (a is not None and a.shape != (d, d)):
         raise ValueError(
-            f"system matrix {a.shape} / noise {q.shape} do not match state dim {d}"
+            f"system matrix {(d, d) if a is None else a.shape} / noise {q.shape} "
+            f"do not match state dim {d}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        out_means = np.matmul(a, means[..., None])[..., 0]
-        out_covs = symmetrize(a @ covs @ a.T + q)
+        if a is None:
+            out_means = means + 0.0
+            out_covs = symmetrize(covs + q)
+        else:
+            out_means = np.matmul(a, means[..., None])[..., 0]
+            out_covs = symmetrize(a @ covs @ a.T + q)
     return out_means, out_covs, _finite_rows(out_means) & _finite_rows(out_covs)
-

@@ -215,22 +215,21 @@ def _ellipse_row_cells(centers, quads, ys, xlo, dx, res):
     quadratic roots of Q00 u^2 + 2 Q01 u v + Q11 v^2 = 1.
 
     centers (N, 2), quads (N, 2, 2), ys (N, rows), xlo and dx (N,); returns
-    i0, i1 of shape (N, rows), both 0 on rows the ellipse misses.
+    i0, i1 of shape (N, rows). A row the ellipse misses gets the root 0, so
+    i0 == i1 there: an empty span, which every count takes as no cell.
     """
     v = ys - centers[:, 1:2]
     a = quads[:, 0, 0, None]
     b = 2.0 * quads[:, 0, 1, None] * v
     c = quads[:, 1, 1, None] * v * v - 1.0
-    disc = b * b - 4.0 * a * c
-    rows = disc > 0.0
-    root = np.sqrt(np.where(rows, disc, 0.0))
+    root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
     x0 = centers[:, 0:1] + (-b - root) / (2.0 * a)
     x1 = centers[:, 0:1] + (-b + root) / (2.0 * a)
     # first cell center at or beyond each crossing
     xlo, dx = xlo[:, None], dx[:, None]
-    i0 = np.clip(np.ceil((x0 - xlo) / dx - 0.5).astype(int), 0, res)
-    i1 = np.clip(np.ceil((x1 - xlo) / dx - 0.5).astype(int), 0, res)
-    return np.where(rows, i0, 0), np.where(rows, i1, 0)
+    i0 = np.minimum(np.maximum(np.ceil((x0 - xlo) / dx - 0.5).astype(int), 0), res)
+    i1 = np.minimum(np.maximum(np.ceil((x1 - xlo) / dx - 0.5).astype(int), 0), res)
+    return i0, i1
 
 
 def _row_index(y, ylo, dy, res):
@@ -340,7 +339,7 @@ def _pair_counts(a: _Outlines, b: _Outlines, res: int):
     a0, a1 = _ellipse_row_cells(a.centers, a.quads, ys, lo[:, 0], dx, res)
     if b.ellipse.all():
         b0, b1 = _ellipse_row_cells(b.centers, b.quads, ys, lo[:, 0], dx, res)
-        inter = np.sum(np.clip(np.minimum(a1, b1) - np.maximum(a0, b0), 0, None), axis=1)
+        inter = np.sum(np.maximum(np.minimum(a1, b1) - np.maximum(a0, b0), 0), axis=1)
         union = np.sum(a1 - a0, axis=1) + np.sum(b1 - b0, axis=1) - inter
         return inter, union
     # b's sorted keys, taken two by two, bound its filled spans [s, e) (even-odd fill)
@@ -349,7 +348,7 @@ def _pair_counts(a: _Outlines, b: _Outlines, res: int):
     end = keys[1::2] % (res + 1)
     pair = row // res
     overlap = np.minimum(end, a1.ravel()[row]) - np.maximum(start, a0.ravel()[row])
-    overlap = np.clip(overlap, 0, None)
+    overlap = np.maximum(overlap, 0)
     inter = np.bincount(pair, overlap, minlength=len(lo)).astype(int)
     filled_b = np.bincount(pair, end - start, minlength=len(lo)).astype(int)
     return inter, np.sum(a1 - a0, axis=1) + filled_b - inter

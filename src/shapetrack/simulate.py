@@ -28,7 +28,11 @@ per group of runs with the same measurement count; in sequential mode
 one update per measurement index j, taken by the runs with more than j
 measurements. A run's draws and arithmetic do not depend on the other
 runs, so its results are the same bit for bit whatever the number of
-runs.
+runs. When every live run's prediction is finite, the step takes the
+predicted moments as they are and its results replace them; only
+otherwise are the predicted runs gathered and their results scattered
+back. The live set and its moments are compacted only at a step where a
+run diverges.
 
 Scoring is stacked as well: every (run, step) pair is scored in one
 `shape_ious` call, which traces each step's truth once, and the
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import GaussianState
+from .gaussian import GaussianState, _rows
 from .metrics import shape_ious
 from .targets import (
     INSIDE_TEST_POINTS,
@@ -585,7 +589,9 @@ def _filter_runs(config: ScenarioConfig, truths, seeds):
             block, errors = _draw_block(
                 config, truths[k:block_end], [rngs[r] for r in live], factors, cdf
             )
-        at = np.searchsorted(block_runs, live)
+            most = max((len(y) for run in block for y in run), default=0)
+            noise_covs = np.broadcast_to(told_cov, (most, 2, 2))
+        at = block_runs.searchsorted(live)
         j = k - block_start
         for i, (step, err) in sorted(errors.items()):
             if step == j and i in at:
@@ -597,21 +603,28 @@ def _filter_runs(config: ScenarioConfig, truths, seeds):
             means, covs, tracker.dynamics, tracker.shape_dim
         )
         failed = ~predicted
-        go = np.flatnonzero(predicted)
-        noise_covs = np.broadcast_to(told_cov, (max(map(len, ys)), 2, 2))
-        means[go], covs[go], failed[go], _ = stacked_step(
-            means[go], covs[go], [ys[i] for i in go], noise_covs, tracker
+        go = _rows(predicted)
+        whole = isinstance(go, slice)
+        stepped = stacked_step(
+            means[go], covs[go], ys if whole else [ys[i] for i in go], noise_covs, tracker
         )
+        if whole:  # the step's arrays are new: take them as they are
+            means, covs, failed, _ = stepped
+        else:
+            means[go], covs[go], failed[go], _ = stepped
+        centres = means[:, :2]
         with np.errstate(over="ignore"):  # an infinite norm is past the bound
-            centre = np.linalg.norm(means[:, :2], axis=1)
+            # the floats of np.linalg.norm(centres, axis=1)
+            centre = np.sqrt(np.add.reduce(centres * centres, axis=1))
         bad = (
             failed
             | ~np.isfinite(means).all(axis=1)
             | ~np.isfinite(covs).all(axis=(1, 2))
             | (centre > DIVERGENCE_CENTER_BOUND)
         )
-        diverged_at[live[bad]] = k
-        live, means, covs = live[~bad], means[~bad], covs[~bad]
+        if bad.any():
+            diverged_at[live[bad]] = k
+            live, means, covs = live[~bad], means[~bad], covs[~bad]
         estimates[live, k] = means
     return estimates, diverged_at, example
 

@@ -26,7 +26,13 @@ layout (`_transition`; once per scenario).
 number between runs, as the config asks: in batch mode one
 `stacked_update` per group of runs with the same count, in sequential
 mode one per measurement index. The scenario loop and `Tracker.update`
-(its R = 1 case) both go through it.
+(its R = 1 case) both go through it. It copies nothing up front: an update
+that every run takes part in gets the moments as they are, and its new
+arrays become the step's. Only a subset of runs (a batch-mode group of one
+count, the runs with more than j measurements, or those left after a
+failed update) is gathered, and its results are scattered into copies
+made at the first scatter. The step's results never share memory with
+its inputs, and the inputs are left as they were.
 
 State layout is fixed as [center(2); velocity(2, only with the
 constant-velocity dynamics); shape parameters]. `shape_params` turns
@@ -49,6 +55,7 @@ from .gaussian import (
     ConditioningError,
     GaussianState,
     UnscentedSpread,
+    _rows,
     stacked_predict,
     stacked_sl_update,
 )
@@ -290,9 +297,9 @@ def sc_pseudo_measurement(state, measurement, phi_hat, n_coeffs: int):
     # (R, n, k), so each column is computed exactly as a single-measurement
     # call computes it.
     basis = fourier_basis(phi, n_coeffs)[..., None]
-    r = np.swapaxes(np.matmul(coeffs[:, None], basis)[..., 0], -1, -2)
+    r = np.matmul(coeffs[:, None], basis)[..., 0].swapaxes(-1, -2)
     e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    ve = np.swapaxes(np.matmul(v.swapaxes(1, 2), e[..., None])[..., 0], -1, -2)
+    ve = np.matmul(v.swapaxes(1, 2), e[..., None])[..., 0].swapaxes(-1, -2)
     w = y[:, None] - x[:, :, None, :2]
     vals = (s * r) ** 2 + 2.0 * s * r * ve + np.sum(v * v, axis=-1) - np.sum(w * w, axis=-1)
     return _unstacked(vals, state, measurement)
@@ -434,19 +441,30 @@ def stacked_step(means, covs, measurements, noise_covs, config: TrackerConfig):
         parts = [(counts == k, slice(0, k)) for k in np.unique(counts[counts > 0])]
     else:
         parts = [(counts > j, slice(j, j + 1)) for j in range(counts.max(initial=0))]
-    means, covs = means.copy(), covs.copy()
     failed = np.zeros(len(counts), dtype=bool)
     degenerate = np.zeros(len(counts), dtype=int)
+    owned = False  # whether means and covs are this call's own arrays yet
     for takes_part, cols in parts:
-        sel = np.flatnonzero(takes_part & ~failed)
-        if not sel.size:
+        sel = _rows(takes_part & ~failed)
+        whole = isinstance(sel, slice)
+        if not (whole or sel.size):
             continue
-        ys = np.stack([measurements[i][cols] for i in sel])
-        means[sel], covs[sel], status = stacked_update(
+        taking = measurements if whole else [measurements[i] for i in sel]
+        ys = np.array([y[cols] for y in taking])
+        new_means, new_covs, status = stacked_update(
             means[sel], covs[sel], ys, noise_covs[cols], config
         )
+        if whole:  # the update's arrays are new: take them as they are
+            means, covs = new_means, new_covs
+        else:
+            if not owned:
+                means, covs = means.copy(), covs.copy()
+            means[sel], covs[sel] = new_means, new_covs
+        owned = True
         failed[sel] |= status == FAILED
         degenerate[sel] += status == DEGENERATE
+    if not owned:
+        means, covs = means.copy(), covs.copy()
     return means, covs, failed, degenerate
 
 
@@ -464,7 +482,8 @@ def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
     """System matrix A and process noise Q of one step (see `stacked_time_update`).
 
     Computed once per dynamics and layout, so once per scenario, and shared
-    read-only.
+    read-only. The static model's A = I is returned as None, which
+    `stacked_predict` applies without a product.
     """
     if not dyn.has_velocity:
         if dim != 2 + shape_dim:
@@ -472,7 +491,9 @@ def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
                 f"static layout [center(2); shape({shape_dim})] expects dimension "
                 f"{2 + shape_dim}, got {dim}"
             )
-        return _read_only(np.eye(dim), dyn.q1 * np.eye(dim))
+        # adding 0.0 turns a q1 of -0.0 into 0.0: Q must hold no -0.0 for
+        # the predict without a product to give the floats of the one with I
+        return None, *_read_only((dyn.q1 + 0.0) * np.eye(dim))
 
     if dim != 4 + shape_dim:
         raise ValueError(

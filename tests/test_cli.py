@@ -461,3 +461,38 @@ def test_write_outputs_memory_does_not_grow_with_the_runs(tmp_path):
             tracemalloc.stop()
     assert (tmp_path / "many" / "estimates.csv").read_text().count("\n") == 1 + 20 * 300
     assert peaks[1] < 2 * peaks[0]
+
+
+def test_csv_cells_are_the_repr_of_each_float(tmp_path):
+    path = bundled_scenarios()["stationary_ellipse_low.cfg"]
+    report = run_scenario(load_scenario_file(path, ["runs.n_runs=3", "runs.n_steps=6"]))
+    # run 1 diverged at step 3 (NaN rows); signed zeros and infinities in cells
+    report.estimates[1, 3:] = np.nan
+    report.run_iou[1, 3:] = np.nan
+    report.run_center_error[1, 3:] = np.nan
+    report.diverged_at[1] = 3
+    report.estimates[0, 2, 0] = -0.0
+    report.run_iou[2, 4] = -0.0
+    report.run_center_error[0, 1] = np.inf
+    report.mean_estimates[3, 1] = -0.0
+    report.mean_iou[5] = -0.0
+    report.center_rmse[2] = np.inf
+    cli.write_outputs(report, tmp_path)
+
+    def reference(rows):  # each row's key, then repr(float(v)) of each cell
+        return [",".join([*map(str, key), *(repr(float(v)) for v in cells)]) for key, cells in rows]
+
+    n_steps, n_runs = report.config.n_steps, report.config.n_runs
+    est = reference(
+        ((k, r), [*report.estimates[r, k], report.run_iou[r, k], report.run_center_error[r, k]])
+        for k in range(n_steps)
+        for r in range(n_runs)
+    )
+    summary = reference(
+        ((k,), [*report.mean_estimates[k], report.mean_iou[k], report.center_rmse[k]])
+        for k in range(n_steps)
+    )
+    for name, want in (("estimates.csv", est), ("summary.csv", summary)):
+        got = (tmp_path / name).read_text().splitlines()
+        assert got[1:] == want
+    assert "-0.0" in est[2 * n_runs] and "inf" in est[1 * n_runs] and "nan" in est[3 * n_runs + 1]

@@ -611,3 +611,37 @@ def test_row_index_is_searchsorted_on_row_centres(res):
         )
         got = metrics._row_index(y, np.full(y.shape, ylo), np.full(y.shape, dy), res)
         np.testing.assert_array_equal(got, np.searchsorted(ys, y))
+
+
+@pytest.mark.parametrize("res", [3, 17, 256])
+def test_pair_counts_equal_those_of_masked_row_cells(monkeypatch, res):
+    # a row an ellipse misses is an empty span [i, i) wherever i falls, and
+    # every count takes it as nothing: the counts equal those of row cells
+    # that zero such rows (`_oracle_ellipse_row_cells`)
+    rng = np.random.default_rng(31 + res)
+    n = 40
+    ests = [random_shape(rng, "ellipse") for _ in range(n)]
+    est = metrics._ellipse_outlines(
+        np.array([e.center for e in ests]), np.array([e.chol for e in ests])
+    )
+    ellipses = metrics._concat([metrics._outline(random_shape(rng, "ellipse"), res)
+                                for _ in range(n)])
+    polygons = metrics._concat([metrics._outline(random_shape(rng, "polygon"), res)
+                                for _ in range(n)])
+    lo = np.minimum(est.lo, ellipses.lo)
+    dx, dy = (np.maximum(np.maximum(est.hi, ellipses.hi) - lo, 1e-12) / res).T
+    args = (est.centers, est.quads, metrics._row_centres(lo, dy, res), lo[:, 0], dx, res)
+    i0, i1 = metrics._ellipse_row_cells(*args)
+    m0, m1 = _oracle_ellipse_row_cells(*args)
+    missed = m1 == m0
+    assert np.array_equal(i0[missed], i1[missed])
+    assert missed.any() and (i0[missed] != 0).any()  # the masks did change cells
+    assert np.array_equal(i0[~missed], m0[~missed]) and np.array_equal(i1[~missed], m1[~missed])
+    for truths in (ellipses, polygons):
+        for a, b in ((est, truths), (truths, est)):
+            got = metrics._pair_counts(a, b, res)
+            with monkeypatch.context() as patched:
+                patched.setattr(metrics, "_ellipse_row_cells", _oracle_ellipse_row_cells)
+                want = metrics._pair_counts(a, b, res)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])

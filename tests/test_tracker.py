@@ -21,7 +21,9 @@ from shapetrack.gaussian import (
     FAILED,
     OK,
     GaussianState,
+    stacked_sl_update,
     statistical_linearization_update,
+    symmetrize,
 )
 from shapetrack.starconvex import (
     FourierShapeParams,
@@ -641,6 +643,106 @@ def test_stacked_time_update_rows_equal_lone_predictions():
         assert np.array_equal(got_covs[r], alone.state.cov)
     with pytest.raises(ValueError, match="finite"):
         Tracker(config, GaussianState(means[2], covs[2])).predict()
+
+
+# ---------------------------------------------------------------------------
+# No aliasing: the kernels return new arrays and leave their inputs as they were
+
+
+def _assert_no_alias(outputs, inputs, saved):
+    for out in outputs:
+        for a in inputs:
+            assert not np.shares_memory(out, a)
+    for a, before in zip(inputs, saved):
+        assert a.tobytes() == before.tobytes()
+
+
+CASES = {"ok": [OK, OK, OK], "degenerate": [OK, DEGENERATE, OK], "failed": [OK, FAILED, OK]}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stacked_sl_update_returns_new_arrays(case):
+    rng = np.random.default_rng(12)
+    means = rng.normal(size=(3, 2))
+    covs = np.stack([np.diag(rng.uniform(0.5, 1.5, 2)) for _ in range(3)])
+    noise_mean, noise_cov = np.zeros(1), np.array([[0.25]])
+    # run 1's h is constant (a zero innovation) or NaN
+    scale = np.array([1.0, {"ok": 2.0, "degenerate": 0.0, "failed": np.nan}[case], 1.0])
+    inputs = (means, covs, noise_mean, noise_cov)
+    saved = [a.copy() for a in inputs]
+    out = stacked_sl_update(
+        means, covs, lambda p: scale[:, None] * (p[..., 0] + p[..., 2]), noise_mean, noise_cov
+    )
+    assert out[2].tolist() == CASES[case]
+    _assert_no_alias(out, inputs, saved)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stacked_update_and_step_return_new_arrays(case):
+    config = TrackerConfig(
+        shape_family="ellipse", scaling=ScalingModel("squared_scale", 0.5, 1e-18)
+    )
+    prior = ellipse_prior()
+    means = np.stack([prior.mean, prior.mean + 0.1, prior.mean - 0.1])
+    covs = np.stack([prior.cov, 0.5 * prior.cov, 2.0 * prior.cov])
+    ys = np.array([[[1.2, 0.3]], [[0.4, -0.2]], [[1.0, 0.0]]])
+    if case == "degenerate":
+        means[1], covs[1], ys[1] = [0, 0, 1, 1, 0], 1e-18 * np.eye(5), 0.0
+    elif case == "failed":
+        means[1, 0] = 1e200
+    rs = 1e-18 * np.eye(2)[None]
+    inputs = (means, covs, ys, rs)
+    saved = [a.copy() for a in inputs]
+    with np.errstate(all="ignore"):  # the failed run overflows
+        update = stacked_update(means, covs, ys, rs, config)
+        step = stacked_step(means, covs, list(ys), rs, config)
+        # run 2 takes no measurement: the step gathers and scatters the others
+        subset = stacked_step(means, covs, [ys[0], ys[1], ys[2, :0]], rs, config)
+        idle = stacked_step(means, covs, [ys[0, :0]] * 3, rs, config)
+    assert update[2].tolist() == CASES[case]
+    assert step[2].tolist() == [s == FAILED for s in CASES[case]]
+    assert subset[2].tolist() == [s == FAILED for s in CASES[case][:2]] + [False]
+    for out in (update, step, subset, idle):
+        _assert_no_alias(out, inputs, saved)
+
+
+@pytest.mark.parametrize("model", ["static_random_walk", "constant_velocity_plus_random_walk"])
+def test_stacked_time_update_returns_new_arrays(model):
+    dyn = DynamicsSpec(model, q1=0.1, q2=0.2)
+    rng = np.random.default_rng(13)
+    d = 7 if dyn.has_velocity else 5
+    means = rng.normal(size=(3, d))
+    covs = np.stack([np.diag(rng.uniform(0.1, 1.0, d)) for _ in range(3)])
+    covs[2, 0, 0] = 1.7e308  # overflows
+    inputs = (means, covs)
+    saved = [a.copy() for a in inputs]
+    out = stacked_time_update(means, covs, dyn, 3)
+    assert out[2].tolist() == [True, True, False]
+    _assert_no_alias(out, inputs, saved)
+
+
+@pytest.mark.parametrize("q1", [0.0, -0.0, 0.3])
+def test_static_predict_is_the_product_with_the_identity(q1):
+    # the random walk adds Q without multiplying by A = I; the floats, signed
+    # zeros included, and the finite flags are those of the products. A q1
+    # of -0.0 equals 0.0, so a cached Q of either may serve both: start cold
+    tracker_module._transition.cache_clear()
+    rng = np.random.default_rng(14)
+    n, d = 8, 5
+    means = rng.normal(size=(n, d))
+    covs = rng.normal(size=(n, d, d))
+    means[rng.random(means.shape) < 0.3] = -0.0
+    covs[rng.random(covs.shape) < 0.3] = -0.0
+    covs[-1, 1, 2] = covs[-1, 2, 1] = 1.7e308  # overflows in the symmetrization
+    a, q = np.eye(d), q1 * np.eye(d)
+    with np.errstate(over="ignore"):
+        want_means = np.matmul(a, means[..., None])[..., 0]
+        want_covs = symmetrize(a @ covs @ a.T + q)
+    got_means, got_covs, ok = stacked_time_update(means, covs, DynamicsSpec(q1=q1), 3)
+    want_ok = np.isfinite(want_covs).all(axis=(1, 2)) & np.isfinite(want_means).all(axis=1)
+    assert ok.tolist() == want_ok.tolist() == [True] * (n - 1) + [False]
+    assert got_means.tobytes() == want_means.tobytes()
+    assert got_covs[ok].tobytes() == want_covs[ok].tobytes()
 
 
 def test_time_update_layout_mismatch():
