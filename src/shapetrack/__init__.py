@@ -30,7 +30,6 @@ from .gaussian import (
     SigmaPointSet,
     UnscentedSpread,
     DEFAULT_SPREAD,
-    cholesky_factor,
     draw_sigma_points,
     psd_repair,
     statistical_linearization_update,
@@ -94,7 +93,6 @@ __all__ = [
     "SigmaPointSet",
     "UnscentedSpread",
     "DEFAULT_SPREAD",
-    "cholesky_factor",
     "draw_sigma_points",
     "psd_repair",
     "statistical_linearization_update",

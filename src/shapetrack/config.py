@@ -252,7 +252,6 @@ def _build_tracker(r: _Reader) -> TrackerConfig:
         else ScalingModel.scale_default()
     )
     scaling = ScalingModel(
-        base.variable,
         r.take("scaling.mean", _as_float, default=base.mean),
         r.take("scaling.variance", _as_float, default=base.variance),
     )

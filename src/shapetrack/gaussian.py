@@ -11,9 +11,12 @@ The numerical work runs in stacked kernels over a leading run axis: means
 with stacked `cholesky`/`eigvalsh`/`solve` (`stacked_predict`,
 `stacked_psd_repair`, `stacked_sl_update`, and the sigma-point draw they
 share). Each run's arithmetic is the same as a lone call's, bit for bit.
-Each kernel returns its outcome as a value: `stacked_predict` a per-run
-finite flag, the others a per-run status (`OK`, `DEGENERATE`, `FAILED`)
-or success flag. One failing run leaves the others untouched. The
+The update kernels return their outcome as a value, a per-run status
+(`OK`, `DEGENERATE`, `FAILED`) or success flag; a Cholesky factorization
+that fails even after its jitter retry is flagged, not raised. One
+failing run leaves the others untouched. `stacked_predict` returns the
+predicted moments only, finite or not: whether a run has failed is
+decided by the caller that updates it (`tracker.stacked_step`). The
 sigma-point weights are computed once per dimension and spread
 (`_unscented_weights`, cached and read-only), and a scalar innovation
 variance is its own smallest eigenvalue, so a sequential update runs no
@@ -47,7 +50,6 @@ __all__ = [
     "DEFAULT_SPREAD",
     "symmetrize",
     "psd_repair",
-    "cholesky_factor",
     "draw_sigma_points",
     "statistical_linearization_update",
     "OK",
@@ -131,27 +133,6 @@ def psd_repair(cov: np.ndarray) -> np.ndarray:
     if not ok[0]:
         raise ConditioningError("covariance indefinite after jitter, or not finite")
     return repaired[0]
-
-
-def cholesky_factor(cov: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor with a single jitter retry.
-
-    Deterministic (no randomized pivoting), so repeated runs of a seeded
-    simulation factorize identically.
-    """
-    sym = symmetrize(np.asarray(cov, dtype=float))
-    try:
-        return np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        pass
-    w_min = float(np.linalg.eigvalsh(sym)[0])
-    eps = max(abs(min(w_min, 0.0)) + JITTER_FLOOR, JITTER_FLOOR)
-    try:
-        return np.linalg.cholesky(sym + eps * np.eye(sym.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            f"Cholesky failed after jitter retry (min eigenvalue {w_min:.3e})"
-        ) from exc
 
 
 @dataclass
@@ -242,8 +223,9 @@ def _stacked_cholesky(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a stack of finite covariances, and per-matrix success.
 
     One stacked factorization; if any matrix is not positive definite, each
-    matrix is factorized alone by `cholesky_factor` with its jitter retry.
-    A matrix that fails even then gets a zero factor and the flag False.
+    matrix is factorized alone with its jitter retry (`_jittered_cholesky`).
+    Deterministic (no randomized pivoting), so repeated runs of a seeded
+    simulation factorize identically.
     """
     sym = symmetrize(covs)
     ok = np.ones(len(sym), dtype=bool)
@@ -251,13 +233,26 @@ def _stacked_cholesky(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.cholesky(sym), ok
     except np.linalg.LinAlgError:
         pass
-    roots = np.zeros_like(sym)
+    roots = np.empty_like(sym)
     for i, cov in enumerate(sym):
-        try:
-            roots[i] = cholesky_factor(cov)
-        except ConditioningError:
-            ok[i] = False
+        roots[i], ok[i] = _jittered_cholesky(cov)
     return roots, ok
+
+
+def _jittered_cholesky(sym: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of one symmetric matrix and whether it exists,
+    retried once with eps * I added (eps = |smallest eigenvalue, if
+    negative| + JITTER_FLOOR); a zero factor when the retry fails too."""
+    try:
+        return np.linalg.cholesky(sym), True
+    except np.linalg.LinAlgError:
+        pass
+    w_min = float(np.linalg.eigvalsh(sym)[0])
+    eps = max(abs(min(w_min, 0.0)) + JITTER_FLOOR, JITTER_FLOOR)
+    try:
+        return np.linalg.cholesky(sym + eps * np.eye(sym.shape[0])), True
+    except np.linalg.LinAlgError:
+        return np.zeros_like(sym), False
 
 
 def _stacked_sigma_points(
@@ -501,7 +496,7 @@ def stacked_predict(
     covs: np.ndarray,
     system_matrix: np.ndarray | None,
     process_noise_cov: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Linear time update of R states: mean -> A mean, cov -> A cov A^T + Q.
 
     A system_matrix of None stands for A = I (a random walk): nothing is
@@ -510,10 +505,10 @@ def stacked_predict(
     products with I: each product's sum starts from +0.0, so it turns a
     -0.0 into 0.0, as adding 0.0 does.
 
-    Returns (means (R, d), covs (R, d, d), ok (R,)), new arrays; ok is False
-    where the predicted moments are not finite. The flag reports an
-    overflowing prediction, so numpy's overflow and invalid-value reports
-    are off here.
+    Returns (means (R, d), covs (R, d, d)), new arrays. A run whose
+    prediction overflows gets non-finite moments, which is a modelled
+    divergence: numpy's overflow and invalid-value reports are off here,
+    and the step that follows (`tracker.stacked_step`) marks the run failed.
     """
     d = means.shape[1]
     a = None if system_matrix is None else np.asarray(system_matrix, dtype=float)
@@ -530,4 +525,4 @@ def stacked_predict(
         else:
             out_means = np.matmul(a, means[..., None])[..., 0]
             out_covs = symmetrize(a @ covs @ a.T + q)
-    return out_means, out_covs, _finite_rows(out_means) & _finite_rows(out_covs)
+    return out_means, out_covs

@@ -28,20 +28,20 @@ per group of runs with the same measurement count; in sequential mode
 one update per measurement index j, taken by the runs with more than j
 measurements. A run's draws and arithmetic do not depend on the other
 runs, so its results are the same bit for bit whatever the number of
-runs. When every live run's prediction is finite, the step takes the
-predicted moments as they are and its results replace them; only
-otherwise are the predicted runs gathered and their results scattered
-back. The live set and its moments are compacted only at a step where a
-run diverges.
+runs. Every live run goes from the prediction straight to the step, which
+takes the predicted moments as they are; its results replace them. The
+live set and its moments are compacted only at a step where a run
+diverges.
 
 Scoring is stacked as well: every (run, step) pair is scored in one
 `shape_ious` call, which traces each step's truth once, and the
 run-averaged shapes in another.
 
-Divergence is a per-run mask. A run diverges at a step when its update
-fails (a covariance cannot be factorized or repaired), its mean or
-covariance is not finite, or its centre leaves DIVERGENCE_CENTER_BOUND;
-it then leaves the live set, and the others continue untouched.
+Divergence is a per-run mask. A run diverges at a step when `stacked_step`
+marks it failed (its prediction is not finite, or an update fails: a
+covariance cannot be factorized or repaired, or a value is not finite),
+or when its centre leaves DIVERGENCE_CENTER_BOUND; it then leaves the live
+set, and the others continue untouched.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import GaussianState, _rows
+from .gaussian import GaussianState
 from .metrics import shape_ious
 from .targets import (
     INSIDE_TEST_POINTS,
@@ -61,6 +61,7 @@ from .targets import (
     _box_chunk_size,
     _box_draws,
     _inside_extent,
+    _parts,
     psd_root,
     stacked_sample_sources,
 )
@@ -478,8 +479,8 @@ def _measurements(draws, factors) -> list:
     noise = np.concatenate(noise)
     levels = np.zeros(len(noise), dtype=int) if levels[0] is None else np.concatenate(levels)
     offsets = np.einsum("lij,lj->li", factors[levels], noise)
-    ends = np.cumsum([len(points) for points in sources])
-    steps = iter(np.split(np.concatenate(sources) + offsets, ends[:-1]))
+    measured = np.concatenate(sources) + offsets
+    steps = iter(_parts(measured, [len(points) for points in sources]))
     return [list(itertools.islice(steps, len(run))) for run in draws]
 
 
@@ -525,8 +526,7 @@ def _draw_block(config: ScenarioConfig, truths, rngs, factors, cdf):
         for truth, pairs in chunks.values():
             boxed = [draws[i][j][0] for i, j in pairs]
             inside = _inside_extent(truth, np.concatenate(boxed))
-            ends = np.cumsum([len(box) for box in boxed])
-            for (i, j), box, ok in zip(pairs, boxed, np.split(inside, ends[:-1])):
+            for (i, j), box, ok in zip(pairs, boxed, _parts(inside, [len(b) for b in boxed])):
                 _, levels, noise = draws[i][j]
                 accepted = box[ok][: len(noise)]
                 if len(accepted) < len(noise):
@@ -599,29 +599,13 @@ def _filter_runs(config: ScenarioConfig, truths, seeds):
         ys = [block[i][j] for i in at]
         if live[0] == 0:
             example.append(ys[0].copy())  # a copy: a view would keep the block alive
-        means, covs, predicted = stacked_time_update(
-            means, covs, tracker.dynamics, tracker.shape_dim
-        )
-        failed = ~predicted
-        go = _rows(predicted)
-        whole = isinstance(go, slice)
-        stepped = stacked_step(
-            means[go], covs[go], ys if whole else [ys[i] for i in go], noise_covs, tracker
-        )
-        if whole:  # the step's arrays are new: take them as they are
-            means, covs, failed, _ = stepped
-        else:
-            means[go], covs[go], failed[go], _ = stepped
+        means, covs = stacked_time_update(means, covs, tracker.dynamics, tracker.shape_dim)
+        means, covs, failed, _ = stacked_step(means, covs, ys, noise_covs, tracker)
         centres = means[:, :2]
         with np.errstate(over="ignore"):  # an infinite norm is past the bound
             # the floats of np.linalg.norm(centres, axis=1)
             centre = np.sqrt(np.add.reduce(centres * centres, axis=1))
-        bad = (
-            failed
-            | ~np.isfinite(means).all(axis=1)
-            | ~np.isfinite(covs).all(axis=(1, 2))
-            | (centre > DIVERGENCE_CENTER_BOUND)
-        )
+        bad = failed | (centre > DIVERGENCE_CENTER_BOUND)
         if bad.any():
             diverged_at[live[bad]] = k
             live, means, covs = live[~bad], means[~bad], covs[~bad]
@@ -644,13 +628,15 @@ def run_scenario(
     short, keeps NaN rows from that step on, and is excluded from the
     averaged columns.
 
-    Divergence is read from the kernels' returned flags and statuses, not
-    from floating-point errors. Only the two expressions whose overflow is
-    a modelled divergence ignore it: the prediction (`stacked_predict`,
-    whose finite flag reports the run) and the centre-bound norm in
-    `_filter_runs` (an infinite norm is past the bound). An overflow or
-    invalid operation anywhere else in the filter is reported by numpy as
-    usual, and the run still diverges through its `FAILED` status.
+    Divergence is read from the failed flags that `stacked_step` returns,
+    not from floating-point errors: the step is the one place that decides
+    whether a run has failed. Only the two expressions whose overflow is a
+    modelled divergence ignore it: the prediction (`stacked_predict`,
+    whose non-finite moments the step marks failed) and the centre-bound
+    norm in `_filter_runs` (an infinite norm is past the bound). An
+    overflow or invalid operation anywhere else in the filter is reported
+    by numpy as usual, and the run still diverges through its `FAILED`
+    status.
     """
     seeds = np.random.SeedSequence(config.rng_seed).spawn(config.n_runs)
     n_runs, n_steps, dim = config.n_runs, config.n_steps, config.prior.dim

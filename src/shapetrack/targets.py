@@ -9,6 +9,7 @@ fraction of each sample.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -291,6 +292,13 @@ def _inside_extent(target: GroundTruthTarget, points) -> np.ndarray:
     return inside
 
 
+def _parts(a: np.ndarray, lengths) -> list:
+    """The views `np.split` cuts a into at the cumulative lengths (which sum
+    to len(a)), without its two `swapaxes` per part."""
+    bounds = list(itertools.accumulate(lengths, initial=0))
+    return [a[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
 def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
     """Measurement sources of several runs, each drawn from its own generator.
 
@@ -325,8 +333,7 @@ def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
     while short:
         chunks = [_box_draws(rngs[r], target, _box_chunk_size(counts[r] - filled[r])) for r in short]
         inside = _inside_extent(target, np.concatenate(chunks))
-        ends = np.cumsum([len(c) for c in chunks])
-        for r, chunk, ok in zip(short, chunks, np.split(inside, ends[:-1])):
+        for r, chunk, ok in zip(short, chunks, _parts(inside, [len(c) for c in chunks])):
             accepted = chunk[ok]
             take = min(accepted.shape[0], counts[r] - filled[r])
             out[r][filled[r] : filled[r] + take] = accepted[:take]
@@ -379,6 +386,25 @@ def generate_measurement(source, noise_cov, rng: np.random.Generator) -> np.ndar
 # Geometry files
 
 
+def _read_pairs(path, keyword: str | None = None) -> tuple[list, bool]:
+    """The "x y" pairs of a text file, one per line; blank lines and "#"
+    comments are ignored. Lines that read keyword (in any case) before the
+    first pair are skipped; the flag says whether there was one."""
+    rows, seen = [], False
+    for raw in Path(path).read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not rows and keyword is not None and line.lower() == keyword:
+            seen = True
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"expected 'x y' per line, got {raw!r}")
+        rows.append([float(parts[0]), float(parts[1])])
+    return rows, seen
+
+
 def load_geometry(path) -> GroundTruthTarget:
     """Read a polygon or point-group file.
 
@@ -387,19 +413,7 @@ def load_geometry(path) -> GroundTruthTarget:
     point-group members; otherwise the pairs are polygon vertices in
     boundary order.
     """
-    lines = Path(path).read_text().splitlines()
-    rows, is_group = [], False
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not rows and line.lower() == "group":
-            is_group = True
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected 'x y' per line, got {raw!r}")
-        rows.append([float(parts[0]), float(parts[1])])
+    rows, is_group = _read_pairs(path, "group")
     if not rows:
         raise ValueError(f"no coordinates in {path}")
     coords = np.array(rows)
@@ -408,15 +422,7 @@ def load_geometry(path) -> GroundTruthTarget:
 
 def load_waypoints(path) -> np.ndarray:
     """Read an ordered "x y" waypoint list (same comment rules as load_geometry)."""
-    rows = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected 'x y' per line, got {raw!r}")
-        rows.append([float(parts[0]), float(parts[1])])
+    rows, _ = _read_pairs(path)
     if len(rows) < 2:
         raise ValueError(f"need at least two waypoints in {path}")
     return np.array(rows)

@@ -26,7 +26,11 @@ layout (`_transition`; once per scenario).
 number between runs, as the config asks: in batch mode one
 `stacked_update` per group of runs with the same count, in sequential
 mode one per measurement index. The scenario loop and `Tracker.update`
-(its R = 1 case) both go through it. It copies nothing up front: an update
+(its R = 1 case) both go through it. It is the one place that decides
+whether a run has failed: a run whose prior is not finite (an overflowing
+prediction) is failed from the start, joins no update and comes back
+unchanged, and a run fails at its first `FAILED` update. Every run it
+does not mark failed comes back finite. It copies nothing up front: an update
 that every run takes part in gets the moments as they are, and its new
 arrays become the step's. Only a subset of runs (a batch-mode group of one
 count, the runs with more than j measurements, or those left after a
@@ -55,6 +59,7 @@ from .gaussian import (
     ConditioningError,
     GaussianState,
     UnscentedSpread,
+    _finite_rows,
     _rows,
     stacked_predict,
     stacked_sl_update,
@@ -82,33 +87,39 @@ TRACE_FLOOR = 1e-12
 class ScalingModel:
     """Gaussian model of the boundary scaling variable.
 
-    variable selects what the scalar in the augmented state represents:
-    "squared_scale" treats it as s^2 (the elliptic family, where uniform
-    sources over the extent make s^2 uniform on [0, 1]), "scale" as s
-    itself (the star-convex family).
+    The shape family says what the scalar in the augmented state
+    represents: s^2 for the elliptic family (where uniform sources over the
+    extent make s^2 uniform on [0, 1]), s itself for the star-convex one.
+    A -0.0 field is stored as 0.0 (`_normalise_zeros`).
     """
 
-    variable: str
     mean: float
     variance: float
 
     def __post_init__(self):
-        if self.variable not in ("squared_scale", "scale"):
-            raise ValueError(f"unknown scaling variable {self.variable!r}")
         if not (np.isfinite(self.mean) and np.isfinite(self.variance)):
             raise ValueError("scaling mean and variance must be finite")
         if not self.variance > 0:
             raise ValueError("scaling variance must be positive")
+        _normalise_zeros(self, "mean", "variance")
 
     @classmethod
     def squared_scale_uniform(cls) -> "ScalingModel":
-        """Moments of s^2 for s^2 ~ U[0, 1]: mean 1/2, variance 1/12."""
-        return cls("squared_scale", 0.5, 1.0 / 12.0)
+        """Moments of s^2 for s^2 ~ U[0, 1]: mean 1/2, variance 1/12 (the
+        elliptic family's default)."""
+        return cls(0.5, 1.0 / 12.0)
 
     @classmethod
     def scale_default(cls) -> "ScalingModel":
         """Default Gaussian scale for star-convex boundaries."""
-        return cls("scale", 0.7, 0.06)
+        return cls(0.7, 0.06)
+
+
+def _normalise_zeros(spec, *names) -> None:
+    """Store the named fields of a frozen spec plus 0.0, which turns -0.0 into
+    0.0: the two compare equal, so the caches keyed on a spec could mix them."""
+    for name in names:
+        object.__setattr__(spec, name, getattr(spec, name) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,7 @@ class DynamicsSpec:
     """Temporal model: static with a random walk, or constant velocity.
 
     q1 is the shape (random-walk) noise intensity, q2 the kinematic noise
-    intensity of the constant-velocity block.
+    intensity of the constant-velocity block. A -0.0 field is stored as 0.0.
     """
 
     model: str = "static_random_walk"
@@ -131,6 +142,7 @@ class DynamicsSpec:
             raise ValueError("time step must be positive and finite")
         if not (0 <= self.q1 < np.inf and 0 <= self.q2 < np.inf):
             raise ValueError("noise intensities must be non-negative and finite")
+        _normalise_zeros(self, "step", "q1", "q2")
 
     @property
     def has_velocity(self) -> bool:
@@ -161,12 +173,6 @@ class TrackerConfig:
                 else ScalingModel.scale_default()
             )
             object.__setattr__(self, "scaling", default)
-        expected = "squared_scale" if self.shape_family == "ellipse" else "scale"
-        if self.scaling.variable != expected:
-            raise ValueError(
-                f"{self.shape_family} tracking requires scaling variable {expected!r}, "
-                f"got {self.scaling.variable!r}"
-            )
 
     @property
     def shape_dim(self) -> int:
@@ -423,8 +429,10 @@ def stacked_step(means, covs, measurements, noise_covs, config: TrackerConfig):
     stops at its first failed update, and its later updates are skipped.
 
     Args:
-        means: (R, d) prior means, finite.
-        covs: (R, d, d) symmetric prior covariances, finite.
+        means: (R, d) prior means.
+        covs: (R, d, d) symmetric prior covariances. A run whose mean or
+            covariance is not finite is failed: it joins no update and
+            comes back unchanged.
         measurements: R arrays (k_r, 2), run r's measurements; k_r may be 0.
         noise_covs: (K, 2, 2) with K >= max k_r; noise_covs[j] is the noise
             covariance of every run's measurement j.
@@ -432,16 +440,17 @@ def stacked_step(means, covs, measurements, noise_covs, config: TrackerConfig):
 
     Returns:
         (means, covs, failed, degenerate), new arrays: the posterior
-        moments, whether each run had a failed update (then its moments
-        are those before that update), and how many of each run's updates
-        had a degenerate innovation and were skipped.
+        moments, whether each run failed (a prior that is not finite, or a
+        failed update, and then its moments are those before that update),
+        and how many of each run's updates had a degenerate innovation and
+        were skipped. The moments of every run not failed are finite.
     """
     counts = np.array([len(y) for y in measurements], dtype=int)
     if config.batch_mode:
         parts = [(counts == k, slice(0, k)) for k in np.unique(counts[counts > 0])]
     else:
         parts = [(counts > j, slice(j, j + 1)) for j in range(counts.max(initial=0))]
-    failed = np.zeros(len(counts), dtype=bool)
+    failed = ~(_finite_rows(means) & _finite_rows(covs))
     degenerate = np.zeros(len(counts), dtype=int)
     owned = False  # whether means and covs are this call's own arrays yet
     for takes_part, cols in parts:
@@ -483,7 +492,8 @@ def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
 
     Computed once per dynamics and layout, so once per scenario, and shared
     read-only. The static model's A = I is returned as None, which
-    `stacked_predict` applies without a product.
+    `stacked_predict` applies without a product; its Q holds no -0.0,
+    because `DynamicsSpec` stores none.
     """
     if not dyn.has_velocity:
         if dim != 2 + shape_dim:
@@ -491,9 +501,7 @@ def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
                 f"static layout [center(2); shape({shape_dim})] expects dimension "
                 f"{2 + shape_dim}, got {dim}"
             )
-        # adding 0.0 turns a q1 of -0.0 into 0.0: Q must hold no -0.0 for
-        # the predict without a product to give the floats of the one with I
-        return None, *_read_only((dyn.q1 + 0.0) * np.eye(dim))
+        return None, *_read_only(dyn.q1 * np.eye(dim))
 
     if dim != 4 + shape_dim:
         raise ValueError(
@@ -521,8 +529,9 @@ def stacked_time_update(means, covs, dyn: DynamicsSpec, shape_dim: int):
     block to [center; velocity] with white-acceleration noise of intensity
     q2, and a q1 random walk to the shape block.
 
-    Returns (means, covs, ok) as `gaussian.stacked_predict` returns them;
-    ok is False where the prediction is not finite.
+    Returns (means, covs) as `gaussian.stacked_predict` returns them; a
+    prediction that overflows is not finite, and `stacked_step` marks its
+    run failed.
     """
     return stacked_predict(means, covs, *_transition(dyn, means.shape[1], shape_dim))
 
@@ -553,7 +562,7 @@ class Tracker:
             ValueError: the prediction is not finite.
         """
         dyn, shape_dim = self.config.dynamics, self.config.shape_dim
-        means, covs, _ = stacked_time_update(
+        means, covs = stacked_time_update(
             self.state.mean[None], self.state.cov[None], dyn, shape_dim
         )
         self.state = GaussianState(means[0], covs[0])

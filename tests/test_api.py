@@ -25,9 +25,8 @@ MODULES = (
 # Public functions with their parameters, in order. The first nine are the
 # ones perfbench/run.py `probes()` takes work counts at; its tracer raises
 # KeyError when one is missing, and the probes read arguments by position.
-# The harness calls or times the next ones, and tests/test_simulate.py
-# monkeypatches `cholesky_factor`. When the probes move to the stacked
-# kernels (ROADMAP item 1), update this list with them.
+# The harness calls or times the next ones. When the probes move to the
+# stacked kernels (ROADMAP item 1), update this list with them.
 PERFBENCH_FUNCTIONS = {
     "gaussian.statistical_linearization_update": (
         "prior", "h", "noise_aug", "measurement", "spread"
@@ -51,7 +50,6 @@ PERFBENCH_FUNCTIONS = {
     "simulate.posed_target": ("config", "step"),
     "svgplot.scenario_plots": ("report",),
     "tracker.Tracker.predict": ("self",),
-    "gaussian.cholesky_factor": ("cov",),
 }
 PERFBENCH_CONSTANTS = (
     "metrics.DEFAULT_RESOLUTION",

@@ -224,7 +224,7 @@ def test_scaling_overrides_replace_family_defaults():
     cfg = build_scenario(with_keys(scaling__mean="0.45", scaling__variance="0.1"))
     assert cfg.tracker.scaling.mean == 0.45
     assert cfg.tracker.scaling.variance == 0.1
-    assert cfg.tracker.scaling.variable == "squared_scale"
+    assert cfg.tracker.shape_family == "ellipse"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from shapetrack.gaussian import (
     ConditioningError,
     GaussianState,
     UnscentedSpread,
-    cholesky_factor,
+    _stacked_cholesky,
     draw_sigma_points,
     psd_repair,
     stacked_predict,
@@ -69,10 +69,15 @@ def test_psd_repair_lifts_negative_eigenvalue():
     assert np.linalg.eigvalsh(repaired)[0] >= -1e-9
 
 
-def test_cholesky_factor_handles_singular():
-    cov = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
-    root = cholesky_factor(cov)
-    assert_allclose(root @ root.T, cov, atol=1e-6)
+def test_stacked_cholesky_handles_a_singular_matrix():
+    # the rank-1 matrix fails the stacked factorization, so every matrix is
+    # factorized alone and the singular one takes the jitter retry
+    covs = np.stack([np.diag([2.0, 3.0]), [[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]])
+    roots, ok = _stacked_cholesky(covs)
+    assert ok.tolist() == [True, True, True]
+    assert_allclose(roots[1] @ roots[1].T, covs[1], atol=1e-6)
+    for r in (0, 2):
+        assert np.array_equal(roots[r], np.linalg.cholesky(covs[r]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +265,8 @@ def test_stacked_psd_repair_flags_rows():
 
 
 def _predict(state, a, q):
-    means, covs, ok = stacked_predict(state.mean[None], state.cov[None], a, q)
-    assert ok[0]
+    means, covs = stacked_predict(state.mean[None], state.cov[None], a, q)
+    assert np.isfinite(means[0]).all() and np.isfinite(covs[0]).all()
     return GaussianState(means[0], covs[0])
 
 

@@ -572,7 +572,7 @@ ORACLE_CASES = {
         noise_mixture=NoiseMixture.isotropic([1e-9]),
         prior=GaussianState(np.array([0.0, 0.0, 1.0, 1.0, 0.0]), 1e-18 * np.eye(5)),
         tracker=TrackerConfig(
-            shape_family="ellipse", scaling=ScalingModel("squared_scale", 0.5, 1e-18)
+            shape_family="ellipse", scaling=ScalingModel(0.5, 1e-18)
         ),
         n_steps=5,
         n_runs=2,
@@ -624,8 +624,8 @@ def _check_lockstep_case(case):
 
 def test_zero_noise_takes_the_cholesky_jitter_path(monkeypatch):
     calls = []
-    original = gaussian.cholesky_factor
-    monkeypatch.setattr(gaussian, "cholesky_factor", lambda c: calls.append(1) or original(c))
+    original = gaussian._jittered_cholesky
+    monkeypatch.setattr(gaussian, "_jittered_cholesky", lambda c: calls.append(1) or original(c))
     report = run_scenario(ORACLE_CASES["zero_noise"]())
     assert report.n_diverged == 0
     assert len(calls) >= report.config.n_steps * report.config.n_runs

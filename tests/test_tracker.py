@@ -1,6 +1,7 @@
 """Tests for the pseudo-measurement functions and the recursive tracker."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -70,8 +71,13 @@ def _update(prior, ys, rs, config):
 
 def _predict(state, dyn, shape_dim):
     """`stacked_time_update` of one run."""
-    means, covs, _ = stacked_time_update(state.mean[None], state.cov[None], dyn, shape_dim)
+    means, covs = stacked_time_update(state.mean[None], state.cov[None], dyn, shape_dim)
     return GaussianState(means[0], covs[0])
+
+
+def _finite(means, covs):
+    """Per run, whether its mean and covariance are finite."""
+    return np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +93,13 @@ def test_scaling_model_defaults():
 
 def test_scaling_model_rejects_zero_variance():
     with pytest.raises(ValueError):
-        ScalingModel("scale", 0.7, 0.0)
+        ScalingModel(0.7, 0.0)
 
 
 @pytest.mark.parametrize("mean, variance", [(np.nan, 0.06), (np.inf, 0.06), (0.7, np.inf)])
 def test_scaling_model_rejects_non_finite(mean, variance):
     with pytest.raises(ValueError, match="finite"):
-        ScalingModel("scale", mean, variance)
+        ScalingModel(mean, variance)
 
 
 def test_scaling_noise_gaussian():
@@ -105,11 +111,18 @@ def test_scaling_noise_gaussian():
     assert_allclose(cov, np.diag([1.0, 1.0, 1 / 12, 2.0, 2.0, 1 / 12]))
 
 
-def test_config_family_scaling_consistency():
-    with pytest.raises(ValueError):
-        TrackerConfig(shape_family="ellipse", scaling=ScalingModel.scale_default())
+def test_config_rejects_star_convex_without_harmonics():
     with pytest.raises(ValueError):
         TrackerConfig(shape_family="star_convex", n_fourier=0)
+
+
+def test_specs_store_no_negative_zero():
+    # -0.0 == 0.0, so the caches keyed on these specs (`_transition`,
+    # `_cached_noise_block`) would hand the arrays built for one to the other
+    dyn = DynamicsSpec(q1=-0.0, q2=-0.0)
+    scaling = ScalingModel(-0.0, 1.0)
+    for value in (dyn.q1, dyn.q2, scaling.mean):
+        assert math.copysign(1.0, value) == 1.0
 
 
 def test_dynamics_validation():
@@ -317,7 +330,7 @@ def test_update_small_noise_innovation_reduction_ellipse():
     # With vanishing noise and scaling uncertainty, one update must shrink
     # the scaled-implicit residual of the measurement on a mismatched prior.
     config = TrackerConfig(
-        shape_family="ellipse", scaling=ScalingModel("squared_scale", 0.5, 1e-12)
+        shape_family="ellipse", scaling=ScalingModel(0.5, 1e-12)
     )
     prior = GaussianState([0, 0, 1, 1, 0], np.diag([0.5, 0.5, 0.3, 0.3, 0.3]))
     y = np.array([2.0, 0.0])
@@ -331,7 +344,7 @@ def test_update_small_noise_innovation_reduction_ellipse():
 
 def test_update_small_noise_innovation_reduction_sc():
     config = TrackerConfig(
-        shape_family="star_convex", n_fourier=7, scaling=ScalingModel("scale", 0.7, 1e-12)
+        shape_family="star_convex", n_fourier=7, scaling=ScalingModel(0.7, 1e-12)
     )
     prior = circle_prior()
     y = np.array([2.5, 0.0])
@@ -490,7 +503,7 @@ def test_stacked_update_solves_all_closest_points_in_one_call(monkeypatch):
 
 def test_stacked_update_status_is_per_run():
     config = TrackerConfig(
-        shape_family="ellipse", scaling=ScalingModel("squared_scale", 0.5, 1e-18)
+        shape_family="ellipse", scaling=ScalingModel(0.5, 1e-18)
     )
     prior = ellipse_prior()
     means = np.stack([prior.mean, [0, 0, 1, 1, 0], [1e200, 0, 1, 1, 0]]).astype(float)
@@ -509,7 +522,14 @@ def test_stacked_update_status_is_per_run():
 
 
 @pytest.mark.parametrize("batch", [False, True])
-def test_stacked_step_rows_equal_lone_steps(batch):
+def test_stacked_step_rows_equal_lone_steps(batch, monkeypatch):
+    reached = []  # whether each run that reaches an update is finite
+    original = tracker_module.stacked_update
+    monkeypatch.setattr(
+        tracker_module,
+        "stacked_update",
+        lambda means, covs, *a: reached.extend(_finite(means, covs)) or original(means, covs, *a),
+    )
     rng = np.random.default_rng(95)
     counts = [2, 0, 3, 1, 2]
     for base, prior in [(ELL_CONFIG, ellipse_prior()), (SC_CONFIG, circle_prior())]:
@@ -530,6 +550,20 @@ def test_stacked_step_rows_equal_lone_steps(batch):
                 alone = _update(alone, ys[r][j], rs[j], config)
             assert np.array_equal(got_means[r], alone.mean)
             assert np.array_equal(got_covs[r], alone.cov)
+
+        # two more runs, with measurements, whose priors are not finite (an
+        # infinite mean, a NaN covariance): they are failed from the start,
+        # reach no update and come back unchanged; the others are as above
+        bad_means = np.concatenate([means, means[[0, 2]]])
+        bad_covs = np.concatenate([covs, covs[[0, 2]]])
+        bad_means[5, 0] = np.inf
+        bad_covs[6, 1, 1] = np.nan
+        out = stacked_step(bad_means, bad_covs, ys + [ys[0], ys[2]], rs, config)
+        assert out[2].tolist() == [False] * 5 + [True, True]
+        assert not out[3].any()
+        assert np.array_equal(out[0], np.concatenate([got_means, bad_means[5:]]), equal_nan=True)
+        assert np.array_equal(out[1], np.concatenate([got_covs, bad_covs[5:]]), equal_nan=True)
+    assert reached and all(reached)
 
 
 def test_stacked_step_stops_a_run_at_its_failed_update():
@@ -633,8 +667,8 @@ def test_stacked_time_update_rows_equal_lone_predictions():
     means = rng.normal(size=(3, 7))
     covs = np.stack([np.diag(rng.uniform(0.1, 1.0, 7)) for _ in range(3)])
     covs[2, 0, 0] = 1e308  # overflows in A P A^T
-    got_means, got_covs, ok = stacked_time_update(means, covs, dyn, 3)
-    assert ok.tolist() == [True, True, False]
+    got_means, got_covs = stacked_time_update(means, covs, dyn, 3)
+    assert _finite(got_means, got_covs).tolist() == [True, True, False]
     config = TrackerConfig(dynamics=dyn)
     for r in range(2):
         alone = Tracker(config, GaussianState(means[r], covs[r]))
@@ -680,7 +714,7 @@ def test_stacked_sl_update_returns_new_arrays(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stacked_update_and_step_return_new_arrays(case):
     config = TrackerConfig(
-        shape_family="ellipse", scaling=ScalingModel("squared_scale", 0.5, 1e-18)
+        shape_family="ellipse", scaling=ScalingModel(0.5, 1e-18)
     )
     prior = ellipse_prior()
     means = np.stack([prior.mean, prior.mean + 0.1, prior.mean - 0.1])
@@ -717,16 +751,14 @@ def test_stacked_time_update_returns_new_arrays(model):
     inputs = (means, covs)
     saved = [a.copy() for a in inputs]
     out = stacked_time_update(means, covs, dyn, 3)
-    assert out[2].tolist() == [True, True, False]
+    assert _finite(*out).tolist() == [True, True, False]
     _assert_no_alias(out, inputs, saved)
 
 
 @pytest.mark.parametrize("q1", [0.0, -0.0, 0.3])
 def test_static_predict_is_the_product_with_the_identity(q1):
     # the random walk adds Q without multiplying by A = I; the floats, signed
-    # zeros included, and the finite flags are those of the products. A q1
-    # of -0.0 equals 0.0, so a cached Q of either may serve both: start cold
-    tracker_module._transition.cache_clear()
+    # zeros included, and the finite rows are those of the products
     rng = np.random.default_rng(14)
     n, d = 8, 5
     means = rng.normal(size=(n, d))
@@ -738,8 +770,9 @@ def test_static_predict_is_the_product_with_the_identity(q1):
     with np.errstate(over="ignore"):
         want_means = np.matmul(a, means[..., None])[..., 0]
         want_covs = symmetrize(a @ covs @ a.T + q)
-    got_means, got_covs, ok = stacked_time_update(means, covs, DynamicsSpec(q1=q1), 3)
-    want_ok = np.isfinite(want_covs).all(axis=(1, 2)) & np.isfinite(want_means).all(axis=1)
+    got_means, got_covs = stacked_time_update(means, covs, DynamicsSpec(q1=q1), 3)
+    ok = _finite(got_means, got_covs)
+    want_ok = _finite(want_means, want_covs)
     assert ok.tolist() == want_ok.tolist() == [True] * (n - 1) + [False]
     assert got_means.tobytes() == want_means.tobytes()
     assert got_covs[ok].tobytes() == want_covs[ok].tobytes()
@@ -792,7 +825,7 @@ def test_tracker_ignores_sign_flips():
 
 def test_tracker_counts_degenerate_updates():
     config = TrackerConfig(
-        shape_family="ellipse", scaling=ScalingModel("squared_scale", 0.5, 1e-18)
+        shape_family="ellipse", scaling=ScalingModel(0.5, 1e-18)
     )
     prior = GaussianState([0, 0, 1, 1, 0], 1e-18 * np.eye(5))
     tracker = Tracker(config, prior)
