@@ -75,12 +75,12 @@ def _state_columns(config: ScenarioConfig) -> list:
     return cols
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    """Write the header and then each row as it comes, so a generator of
-    rows is never held in memory whole."""
+def _write_csv(path: Path, header: list, lines) -> None:
+    """Write the header and then each line as it comes, so a generator of
+    lines is never held in memory whole."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.writelines(lines)
 
 
 def write_outputs(report: ScenarioReport, out_dir: Path) -> list:
@@ -88,35 +88,30 @@ def write_outputs(report: ScenarioReport, out_dir: Path) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = report.config
     state_cols = _state_columns(config)
+    cells = len(state_cols) + 2
     created = []
 
-    # each cell is the repr of a Python float; tolist() makes a row's floats in one call
-    est_rows = (
-        [
-            str(k),
-            str(r),
-            *map(repr, report.estimates[r, k].tolist()),
-            repr(report.run_iou[r, k].item()),
-            repr(report.run_center_error[r, k].item()),
-        ]
+    # one % format a line: %d writes str(k), and %r the repr of each cell,
+    # a Python float that tolist() or item() makes
+    est, iou, err = report.estimates, report.run_iou, report.run_center_error
+    row = "%d,%d," + ",".join(["%r"] * cells) + "\n"
+    est_lines = (
+        row % (k, r, *est[r, k].tolist(), iou.item(r, k), err.item(r, k))
         for k in range(config.n_steps)
         for r in range(config.n_runs)
     )
     path = out_dir / "estimates.csv"
-    _write_csv(path, ["step", "run"] + state_cols + ["iou", "center_error"], est_rows)
+    _write_csv(path, ["step", "run"] + state_cols + ["iou", "center_error"], est_lines)
     created.append(path)
 
-    sum_rows = (
-        [
-            str(k),
-            *map(repr, report.mean_estimates[k].tolist()),
-            repr(report.mean_iou[k].item()),
-            repr(report.center_rmse[k].item()),
-        ]
+    mean, mean_iou, rmse = report.mean_estimates, report.mean_iou, report.center_rmse
+    row = "%d," + ",".join(["%r"] * cells) + "\n"
+    sum_lines = (
+        row % (k, *mean[k].tolist(), mean_iou.item(k), rmse.item(k))
         for k in range(config.n_steps)
     )
     path = out_dir / "summary.csv"
-    _write_csv(path, ["step"] + state_cols + ["mean_iou", "center_rmse"], sum_rows)
+    _write_csv(path, ["step"] + state_cols + ["mean_iou", "center_rmse"], sum_lines)
     created.append(path)
 
     for name, text in scenario_plots(report):

@@ -18,8 +18,11 @@ one sorted sweep of both regions' keys counts every pair's union and
 intersection. An ellipse fills one span per row, so where one region of
 every pair in a chunk is an ellipse, the other region's sorted keys,
 taken two by two as spans, are clipped to it instead of swept, and two
-ellipses are counted from a per-row min/max of their roots. `shape_iou`
-is the one-pair case of the same path.
+ellipses are counted from a per-row min/max of their roots. An ellipse's
+spans are computed in place, in one buffer for all pairs and rows of a
+chunk, and cast to int once (`_ellipse_row_cells`); the counts of the
+ellipse paths are taken in place as well. `shape_iou` is the one-pair
+case of the same path.
 """
 
 from __future__ import annotations
@@ -217,18 +220,36 @@ def _ellipse_row_cells(centers, quads, ys, xlo, dx, res):
     centers (N, 2), quads (N, 2, 2), ys (N, rows), xlo and dx (N,); returns
     i0, i1 of shape (N, rows). A row the ellipse misses gets the root 0, so
     i0 == i1 there: an empty span, which every count takes as no cell.
+
+    The roots are computed in place in one (2, N, rows) buffer, with
+    the floats of the textbook expressions ``cx + (-b -/+ root) / (2 a)``,
+    and clipped to [0, res] as floats before their one cast to int.
     """
-    v = ys - centers[:, 1:2]
     a = quads[:, 0, 0, None]
-    b = 2.0 * quads[:, 0, 1, None] * v
-    c = quads[:, 1, 1, None] * v * v - 1.0
-    root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-    x0 = centers[:, 0:1] + (-b - root) / (2.0 * a)
-    x1 = centers[:, 0:1] + (-b + root) / (2.0 * a)
+    x = np.empty((2,) + ys.shape)
+    lo, hi = x  # the lower and upper root, each first holding an intermediate
+    v = ys - centers[:, 1:2]
+    np.multiply(2.0 * quads[:, 0, 1, None], v, out=hi)  # b
+    np.multiply(quads[:, 1, 1, None], v, out=lo)
+    lo *= v
+    lo -= 1.0  # c
+    lo *= 4.0 * a
+    np.multiply(hi, hi, out=v)
+    v -= lo  # b^2 - 4 a c
+    np.maximum(v, 0.0, out=v)
+    np.sqrt(v, out=v)
+    np.negative(hi, out=hi)
+    np.subtract(hi, v, out=lo)
+    hi += v
+    x /= 2.0 * a
+    x += centers[:, 0:1]
     # first cell center at or beyond each crossing
-    xlo, dx = xlo[:, None], dx[:, None]
-    i0 = np.minimum(np.maximum(np.ceil((x0 - xlo) / dx - 0.5).astype(int), 0), res)
-    i1 = np.minimum(np.maximum(np.ceil((x1 - xlo) / dx - 0.5).astype(int), 0), res)
+    x -= xlo[:, None]
+    x /= dx[:, None]
+    x -= 0.5
+    np.ceil(x, out=x)
+    np.clip(x, 0, res, out=x)
+    i0, i1 = x.astype(int)
     return i0, i1
 
 
@@ -339,19 +360,26 @@ def _pair_counts(a: _Outlines, b: _Outlines, res: int):
     a0, a1 = _ellipse_row_cells(a.centers, a.quads, ys, lo[:, 0], dx, res)
     if b.ellipse.all():
         b0, b1 = _ellipse_row_cells(b.centers, b.quads, ys, lo[:, 0], dx, res)
-        inter = np.sum(np.maximum(np.minimum(a1, b1) - np.maximum(a0, b0), 0), axis=1)
-        union = np.sum(a1 - a0, axis=1) + np.sum(b1 - b0, axis=1) - inter
-        return inter, union
+        inter = np.minimum(a1, b1)
+        inter -= np.maximum(a0, b0)
+        np.maximum(inter, 0, out=inter)
+        inter = inter.sum(axis=1)
+        a1 -= a0
+        b1 -= b0
+        return inter, a1.sum(axis=1) + b1.sum(axis=1) - inter
     # b's sorted keys, taken two by two, bound its filled spans [s, e) (even-odd fill)
     keys = np.sort(_crossing_keys(b, lo, dx, dy, res))
     row, start = np.divmod(keys[0::2], res + 1)
     end = keys[1::2] % (res + 1)
     pair = row // res
-    overlap = np.minimum(end, a1.ravel()[row]) - np.maximum(start, a0.ravel()[row])
-    overlap = np.maximum(overlap, 0)
+    overlap = np.minimum(end, a1.ravel()[row])
+    overlap -= np.maximum(start, a0.ravel()[row])
+    np.maximum(overlap, 0, out=overlap)
     inter = np.bincount(pair, overlap, minlength=len(lo)).astype(int)
-    filled_b = np.bincount(pair, end - start, minlength=len(lo)).astype(int)
-    return inter, np.sum(a1 - a0, axis=1) + filled_b - inter
+    end -= start
+    filled_b = np.bincount(pair, end, minlength=len(lo)).astype(int)
+    a1 -= a0
+    return inter, a1.sum(axis=1) + filled_b - inter
 
 
 def shape_ious(

@@ -9,18 +9,20 @@ Philox stream spawned from the master seed, and for every step it draws
 from its own stream, in this order: the measurement count, the sources,
 the noise levels, the noise. These draws do not depend on the filter, so
 they are made a block of steps ahead (`_draw_block`; DRAW_AHEAD_POINTS
-bounds a block). For each live run and step of a block the sources first
-come from one rejection round, one box chunk. One inside-or-out test per
-distinct truth then covers all the block's chunks: one test per block for
-a stationary target, one per step for a moving one. A run that any step
-of the block leaves short is redrawn. Its generator goes back to its
-state at the start of the block, and the runs so redrawn make their
-draws again step by step, their sources together by the multi-round
-`stacked_sample_sources` (point groups, which have no short rounds, are
-drawn this way from the start). So each run makes exactly the draws it
-would make stepping alone. A RejectionBudgetError from a redraw is held
-back, and raised only when the filter reaches that step with the run
-still live. The measurements of a block are assembled in one pass.
+bounds a block). Per live run and step of a block only the generator
+calls run, in that order: the count, one box chunk (the sources' first
+rejection round), the level uniforms, the noise. Everything else runs
+once on the block's flat arrays: the box transform, one inside-or-out
+test per distinct truth (one per block for a stationary target, one per
+step for a moving one), each (run, step) pair's first n inside points,
+and the noise offsets. A run that any step of the block leaves short is
+redrawn. Its generator goes back to its state at the start of the block,
+and the runs so redrawn make their draws again step by step, their
+sources together by the multi-round `stacked_sample_sources` (point
+groups, which have no short rounds, are drawn this way from the start).
+So each run makes exactly the draws it would make stepping alone. A
+RejectionBudgetError from a redraw is held back, and raised only when the
+filter reaches that step with the run still live.
 
 The live runs are predicted together and updated together as stacked
 arrays (`stacked_time_update`, `stacked_step`): in batch mode one update
@@ -46,7 +48,6 @@ set, and the others continue untouched.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -59,7 +60,6 @@ from .targets import (
     GroundTruthTarget,
     RejectionBudgetError,
     _box_chunk_size,
-    _box_draws,
     _inside_extent,
     _parts,
     psd_root,
@@ -458,30 +458,78 @@ def _block_steps(config: ScenarioConfig, n_live: int) -> int:
     return max(1, DRAW_AHEAD_POINTS // points)
 
 
-def _levels_and_noise(rng, n: int, cdf):
-    """One step's noise levels and (n, 2) standard noise, drawn from rng.
-    cdf is the cumulative level distribution of a noise mixture, None for
-    a single level; the levels are searched as ``Generator.choice(p=...)``
+def _levels(cdf, draws):
+    """Noise levels of uniform draws: searched in the cumulative level
+    distribution cdf of a noise mixture as ``Generator.choice(p=...)``
     searches them, so they are its values."""
-    levels = None if cdf is None else cdf.searchsorted(rng.random(n), side="right")
-    return levels, rng.standard_normal((n, 2))
+    return cdf.searchsorted(draws, side="right")
 
 
-def _measurements(draws, factors) -> list:
-    """The measurements of runs' draws: draws[i][j] holds run i's (sources,
-    levels, noise) at a step, and the result's [i][j] its (n, 2)
-    measurements, the sources plus their noise offsets. All the offsets
-    are taken in one einsum."""
-    flat = [drawn for run in draws for drawn in run]
-    if not flat:
-        return [[] for _ in draws]
-    sources, levels, noise = zip(*flat)
-    noise = np.concatenate(noise)
-    levels = np.zeros(len(noise), dtype=int) if levels[0] is None else np.concatenate(levels)
-    offsets = np.einsum("lij,lj->li", factors[levels], noise)
-    measured = np.concatenate(sources) + offsets
-    steps = iter(_parts(measured, [len(points) for points in sources]))
-    return [list(itertools.islice(steps, len(run))) for run in draws]
+def _measured(sources, noise, level_draws, factors, cdf) -> np.ndarray:
+    """Measurements (N, 2): the sources plus their noise offsets, all taken
+    in one einsum. noise holds the standard noise (N, 2) and level_draws
+    the uniform level draws (N,), None for a single level (cdf None)."""
+    levels = np.zeros(len(noise), dtype=int) if cdf is None else _levels(cdf, level_draws)
+    return sources + np.einsum("lij,lj->li", factors[levels], noise)
+
+
+def _first_round(model, truths, rngs, factors, cdf):
+    """Every run's measurements over a block's steps, each step's sources
+    from a single rejection round, one box chunk (see `_draw_block`).
+
+    The draws are laid out step by step, pair p = j * R + i. The box
+    transform is that of `targets._box_draws`, with each step's bounds for
+    a moving truth. The inside-or-out test runs once per stretch of
+    consecutive steps with the same truth, and pair p's sources are its
+    chunk's first n inside points, read off a cumulative count of the
+    inside points.
+
+    Returns (ys, short): ys[i][j] holds run i's measurements at step j,
+    and short (R,) marks the runs that some step left short, whose ys[i]
+    is an empty list.
+    """
+    n_runs, n_steps = len(rngs), len(truths)
+    counts, boxes, level_draws, noises = [], [], [], []
+    for _ in truths:  # pair p = j * n_runs + i
+        for rng in rngs:
+            n = measurement_count(model, rng)
+            counts.append(n)
+            boxes.append(rng.random((_box_chunk_size(n), 2)))
+            if cdf is not None:
+                level_draws.append(rng.random(n))
+            noises.append(rng.standard_normal((n, 2)))
+    edges = np.cumsum([0] + [len(b) for b in boxes])  # the pairs' point ranges
+    firsts = [0] + [j for j in range(1, n_steps) if truths[j] is not truths[j - 1]]
+    u = np.concatenate(boxes)
+    if len(firsts) == 1:
+        lo, hi = truths[0].bounding_box
+        box = lo + (hi - lo) * u
+    else:
+        lo, hi = (np.array(b) for b in zip(*(t.bounding_box for t in truths)))
+        per_step = np.diff(edges[::n_runs])
+        box = np.repeat(lo, per_step, axis=0) + np.repeat(hi - lo, per_step, axis=0) * u
+    inside = np.empty(len(box), dtype=bool)
+    for j, stop in zip(firsts, firsts[1:] + [n_steps]):
+        part = slice(edges[j * n_runs], edges[stop * n_runs])
+        inside[part] = _inside_extent(truths[j], box[part])
+    found = np.concatenate(([0], np.cumsum(inside)))
+    before = found[edges[:-1]]  # inside points before each pair's chunk
+    counts = np.array(counts)
+    short = (found[edges[1:]] - before < counts).reshape(n_steps, n_runs).any(axis=0)
+    kept = np.tile(~short, n_steps)
+    take = np.where(kept, counts, 0)
+    # pair p's sources are the inside points numbered before[p] to before[p] + take[p]
+    out = np.cumsum(take) - take
+    nth = np.repeat(before - out, take) + np.arange(take.sum())
+    noise = np.concatenate(noises)
+    level_draws = np.concatenate(level_draws) if level_draws else None
+    if short.any():
+        rows = np.repeat(kept, counts)
+        noise = noise[rows]
+        level_draws = None if level_draws is None else level_draws[rows]
+    measured = _measured(box[np.flatnonzero(inside)[nth]], noise, level_draws, factors, cdf)
+    parts = _parts(measured, take.tolist())
+    return [[] if short[i] else parts[i::n_runs] for i in range(n_runs)], short
 
 
 def _draw_block(config: ScenarioConfig, truths, rngs, factors, cdf):
@@ -489,12 +537,15 @@ def _draw_block(config: ScenarioConfig, truths, rngs, factors, cdf):
 
     Run i draws from rngs[i] only, step by step in its stream order (see
     the module docstring), and gets exactly the draws it would get one step
-    at a time. Each step's sources first come from a single rejection round,
-    one box chunk. One inside-or-out test per distinct truth covers every
-    chunk of the block. A run left short at any step goes back to its state
-    at the start of the block. The runs left short, or all runs of a point
-    group, are then drawn step by step, their sources together by the
-    multi-round `stacked_sample_sources`.
+    at a time. Per (run, step) only the generator calls run: the count, one
+    box chunk (the sources' first rejection round), the level uniforms and
+    the noise. The box transform, one inside-or-out test per distinct
+    truth, each pair's first n inside points and the noise offsets run once
+    on the block's flat arrays (`_first_round`). A run left short at any
+    step goes back to its state at the start of the block. The runs left
+    short, or all runs of a point group, are then drawn step by step, their
+    sources together by the multi-round `stacked_sample_sources`, and their
+    noise offsets together once at the end.
 
     Args:
         truths: the posed truths of the block's steps.
@@ -509,47 +560,43 @@ def _draw_block(config: ScenarioConfig, truths, rngs, factors, cdf):
         measurements for the steps before j only.
     """
     model = config.meas_count_model
-    draws = [[] for _ in rngs]
+    ys = [[] for _ in rngs]
     redraw = range(len(rngs))
     if truths[0].kind != "point_group":  # member picks never fall short
         starts = [rng.bit_generator.state for rng in rngs]
-        for rng, run in zip(rngs, draws):
-            for truth in truths:
-                n = measurement_count(model, rng)
-                box = _box_draws(rng, truth, _box_chunk_size(n))
-                run.append((box, *_levels_and_noise(rng, n, cdf)))
-        chunks = {}  # (run, step) pairs per distinct truth
-        for i in range(len(rngs)):
-            for j, truth in enumerate(truths):
-                chunks.setdefault(id(truth), (truth, []))[1].append((i, j))
-        short = set()
-        for truth, pairs in chunks.values():
-            boxed = [draws[i][j][0] for i, j in pairs]
-            inside = _inside_extent(truth, np.concatenate(boxed))
-            for (i, j), box, ok in zip(pairs, boxed, _parts(inside, [len(b) for b in boxed])):
-                _, levels, noise = draws[i][j]
-                accepted = box[ok][: len(noise)]
-                if len(accepted) < len(noise):
-                    short.add(i)
-                draws[i][j] = accepted, levels, noise
-        redraw = sorted(short)
+        ys, short = _first_round(model, truths, rngs, factors, cdf)
+        redraw = np.flatnonzero(short).tolist()
         for i in redraw:
             rngs[i].bit_generator.state = starts[i]
-            draws[i] = []
 
     errors = {}
+    owners, sources, level_draws, noises = [], [], [], []
     for j, truth in enumerate(truths):
         runs = [i for i in redraw if i not in errors]
         if not runs:
             break
         counts = [measurement_count(model, rngs[i]) for i in runs]
-        sources = stacked_sample_sources(truth, counts, [rngs[i] for i in runs])
-        for i, n, points in zip(runs, counts, sources):
+        drawn = stacked_sample_sources(truth, counts, [rngs[i] for i in runs])
+        for i, n, points in zip(runs, counts, drawn):
             if isinstance(points, RejectionBudgetError):
                 errors[i] = (j, points)
-            else:
-                draws[i].append((points, *_levels_and_noise(rngs[i], n, cdf)))
-    return _measurements(draws, factors), errors
+                continue
+            if cdf is not None:
+                level_draws.append(rngs[i].random(n))
+            noises.append(rngs[i].standard_normal((n, 2)))
+            owners.append(i)
+            sources.append(points)
+    if sources:
+        measured = _measured(
+            np.concatenate(sources),
+            np.concatenate(noises),
+            np.concatenate(level_draws) if level_draws else None,
+            factors,
+            cdf,
+        )
+        for i, y in zip(owners, _parts(measured, [len(s) for s in sources])):
+            ys[i].append(y)
+    return ys, errors
 
 
 def _filter_runs(config: ScenarioConfig, truths, seeds):

@@ -56,17 +56,18 @@ class _Frame:
 
 
 def _path(frame: _Frame, points: np.ndarray, style: str, close: bool) -> str:
-    coords = " L ".join(f"{x:.2f} {y:.2f}" for x, y in frame.to_px(points).tolist())
+    px = frame.to_px(points)
+    # one format call for all points; %.2f writes the text {:.2f} does
+    coords = " L ".join(["%.2f %.2f"] * len(px)) % tuple(px.ravel().tolist())
     tail = " Z" if close else ""
     return f'<path d="M {coords}{tail}" {style}/>'
 
 
-def _dots(frame: _Frame, points: np.ndarray, radius: float = 2.0) -> list:
-    r = _fmt(radius)
-    return [
-        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" {MEASUREMENT_STYLE}/>'
-        for x, y in frame.to_px(points).tolist()
-    ]
+def _dots(frame: _Frame, points: np.ndarray, radius: float = 2.0) -> str:
+    """One circle element a point, one per line, from one format call."""
+    px = frame.to_px(points)
+    dot = f'<circle cx="%.2f" cy="%.2f" r="{_fmt(radius)}" {MEASUREMENT_STYLE}/>'
+    return "\n".join([dot] * len(px)) % tuple(px.ravel().tolist())
 
 
 def _legend(lines) -> list:
@@ -119,7 +120,7 @@ def overlay_svg(report: ScenarioReport) -> str:
 
     elements = []
     if meas.size:
-        elements.extend(_dots(frame, meas))
+        elements.append(_dots(frame, meas))
     if est is not None:
         elements.append(_path(frame, est, ESTIMATE_STYLE, close=True))
     elements.append(_path(frame, truth, TRUTH_STYLE, close=True))
@@ -159,7 +160,7 @@ def snippet_svg(report: ScenarioReport, steps) -> str:
             _path(frame, cfg.trajectory.positions[lo : hi + 1], PATH_STYLE, close=False)
         )
     if meas.size:
-        elements.extend(_dots(frame, meas, radius=1.5))
+        elements.append(_dots(frame, meas, radius=1.5))
     for est in ests:
         elements.append(_path(frame, est, ESTIMATE_STYLE, close=True))
     for truth in truths:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from shapetrack import metrics
-from shapetrack.ellipse import EllipseParams, clamp_chols, from_semi_axes
+from shapetrack.ellipse import CHOL_FLOOR, EllipseParams, clamp_chols, from_semi_axes
 from shapetrack.metrics import CONTOUR_SAMPLES, shape_iou, shape_ious, shape_polyline
 from shapetrack.starconvex import FourierShapeParams
 from shapetrack.targets import (
@@ -282,12 +282,17 @@ def test_stacked_ellipse_ious_equal_shape_iou(n_pairs, res):
     rng = np.random.default_rng(700 + n_pairs + res)
     centers = rng.uniform(-1.0, 1.0, size=(n_pairs, 2))
     # raw filter triples: mirrored signs and collapsed diagonals get clamped
+    # to CHOL_FLOOR, which makes needles a million times longer than wide
     chols = rng.uniform(-2.0, 2.0, size=(n_pairs, 3))
     chols[::5, 0] = 1e-9
+    chols[3::5, 1] = 1e-9
     truths = [
         from_semi_axes(rng.uniform(-1.0, 1.0, 2), rng.uniform(0.3, 2.0, 2), rng.uniform(0, np.pi))
         for _ in range(n_pairs)
     ]
+    # truths above or below their estimate: rows of the joint box miss one ellipse
+    for i in range(1, n_pairs, 4):
+        truths[i] = EllipseParams(truths[i].center + [0.0, 4.0 * (-1) ** i], truths[i].chol)
     # one pair in the middle: two specks in opposite corners of their box cover no cell
     z = n_pairs // 2
     centers[z] = [0.0, 0.0]
@@ -305,6 +310,7 @@ def test_stacked_ellipse_ious_equal_shape_iou(n_pairs, res):
         else:
             assert got[i] == shape_iou(est, truths[i], resolution=res)
             assert got[i] == shape_iou(est, ellipse_target(truths[i]), resolution=res)
+            assert got[i] == oracle_shape_iou(est, truths[i], resolution=res)
 
 
 def test_cached_trace_arrays_are_read_only():
@@ -621,11 +627,16 @@ def test_pair_counts_equal_those_of_masked_row_cells(monkeypatch, res):
     rng = np.random.default_rng(31 + res)
     n = 40
     ests = [random_shape(rng, "ellipse") for _ in range(n)]
-    est = metrics._ellipse_outlines(
-        np.array([e.center for e in ests]), np.array([e.chol for e in ests])
-    )
-    ellipses = metrics._concat([metrics._outline(random_shape(rng, "ellipse"), res)
-                                for _ in range(n)])
+    chols = np.array([e.chol for e in ests])
+    # needles: a or b clamped to CHOL_FLOOR
+    chols[::5, 0] = CHOL_FLOOR
+    chols[2::5, 1] = CHOL_FLOOR
+    est = metrics._ellipse_outlines(np.array([e.center for e in ests]), chols)
+    truths = [random_shape(rng, "ellipse") for _ in range(n)]
+    # truths above or below their estimate: rows of the joint box miss one ellipse
+    for i in range(1, n, 4):
+        truths[i] = EllipseParams(truths[i].center + [0.0, 4.0 * (-1) ** i], truths[i].chol)
+    ellipses = metrics._concat([metrics._outline(t, res) for t in truths])
     polygons = metrics._concat([metrics._outline(random_shape(rng, "polygon"), res)
                                 for _ in range(n)])
     lo = np.minimum(est.lo, ellipses.lo)

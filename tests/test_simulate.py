@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from shapetrack import gaussian, simulate, targets
 from shapetrack import tracker as tracker_module
 from shapetrack.ellipse import EllipseParams, from_semi_axes
-from shapetrack.gaussian import ConditioningError, GaussianState
+from shapetrack.gaussian import ConditioningError, GaussianState, UnscentedSpread
 from shapetrack.metrics import shape_iou
 from shapetrack.simulate import (
     DIVERGENCE_CENTER_BOUND,
@@ -99,7 +99,7 @@ def test_mixture_empirical_mixing_fraction():
     mix = NoiseMixture.isotropic([0.2, 0.4], [0.75, 0.25])
     rng = np.random.Generator(np.random.Philox(7))
     cdf = mix.probabilities.cumsum()
-    levels, _ = simulate._levels_and_noise(rng, 100_000, cdf / cdf[-1])
+    levels = simulate._levels(cdf / cdf[-1], rng.random(100_000))
     assert abs(np.mean(levels == 0) - 0.75) < 0.01
 
 
@@ -542,6 +542,32 @@ def _near_bound_scenario(**overrides):
     return ellipse_scenario(**fields)
 
 
+def _moving_aircraft_scenario():
+    # the aircraft on the bundled flight path: one posed truth, and so one
+    # bounding box and one inside-or-out test, per step
+    n_steps = 20
+    return ellipse_scenario(
+        target=load_geometry(builtin_data_path("aircraft.txt")),
+        trajectory=Trajectory.from_waypoints(
+            load_waypoints(builtin_data_path("flight_path.txt")), n_steps
+        ),
+        noise_mixture=NoiseMixture.isotropic([0.2, 0.4], [0.75, 0.25]),
+        meas_count_model=MeasurementCountModel("shifted_poisson", 4.0),
+        tracker=TrackerConfig(
+            shape_family="ellipse",
+            batch_mode=True,
+            unscented=UnscentedSpread(kappa=0.0),
+            dynamics=DynamicsSpec("constant_velocity_plus_random_walk", q1=0.0015, q2=0.005),
+        ),
+        prior=GaussianState(
+            np.array([0.0, 0.0, 0.2, 0.0, 0.7, 0.7, 0.0]),
+            np.diag([0.25, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5]),
+        ),
+        n_steps=n_steps,
+        n_runs=4,
+    )
+
+
 ZERO_NOISE = NoiseMixture.single(np.zeros((2, 2)))
 ORACLE_CASES = {
     "ellipse_sequential_k1": lambda: ellipse_scenario(n_steps=30, n_runs=3),
@@ -580,6 +606,7 @@ ORACLE_CASES = {
     "some_runs_diverge": _near_bound_scenario,
     # 0.56% of its bounding box: most first rejection rounds fall short, and
     # those runs are redrawn
+    "moving_aircraft_batch": _moving_aircraft_scenario,
     "thin_ellipse": lambda: ellipse_scenario(
         target=ellipse_target(from_semi_axes([0.0, 0.0], [3.0, 0.01], 0.7)),
         n_steps=20,

@@ -13,9 +13,11 @@ from shapetrack.simulate import (
     Trajectory,
     run_scenario,
 )
+from shapetrack import svgplot
 from shapetrack.svgplot import (
     ESTIMATE_STYLE,
     HEIGHT,
+    MEASUREMENT_STYLE,
     WIDTH,
     overlay_svg,
     scenario_plots,
@@ -156,3 +158,27 @@ def test_same_report_same_bytes():
     ):
         assert name_a == name_b
         assert text_a == text_b
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 300])
+def test_element_lists_equal_per_point_formatting(n):
+    # the one-call formats of _path and _dots against one f-string a point;
+    # some pixel values round to -0.00 and some to 0.00
+    rng = np.random.default_rng(n)
+    frame = svgplot._Frame(np.array([[-1.0, -1.0], [1.0, 1.0]]))
+    px = rng.normal(0.0, 200.0, (n, 2))
+    px[::3] = [-0.004, 0.004]
+    points = np.c_[(px[:, 0] - frame.x0) / frame.scale, (frame.y0 - px[:, 1]) / frame.scale]
+    exact = frame.to_px(points).tolist()
+    if n:
+        assert any(f"{v:.2f}" == "-0.00" for xy in exact for v in xy)
+    for close in (False, True):
+        coords = " L ".join(f"{x:.2f} {y:.2f}" for x, y in exact)
+        want = f'<path d="M {coords}{" Z" if close else ""}" {ESTIMATE_STYLE}/>'
+        assert svgplot._path(frame, points, ESTIMATE_STYLE, close) == want
+    for radius in (2.0, 1.5):
+        want = "\n".join(
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius:.2f}" {MEASUREMENT_STYLE}/>'
+            for x, y in exact
+        )
+        assert svgplot._dots(frame, points, radius) == want
