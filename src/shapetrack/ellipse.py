@@ -121,6 +121,12 @@ def clamp_chols(chols) -> tuple[np.ndarray, np.ndarray]:
     return clamped, (a < CHOL_FLOOR) | (b < CHOL_FLOOR)
 
 
+def _box_half_widths(quads) -> np.ndarray:
+    """Half-widths sqrt(diag(Q^-1)) (..., 2) of the axis-aligned boxes around
+    the ellipses w^T Q w = 1 of one form Q (2, 2) or a stack (..., 2, 2)."""
+    return np.sqrt(np.diagonal(np.linalg.inv(quads), axis1=-2, axis2=-1))
+
+
 def ellipse_implicit(p: EllipseParams, z) -> float | np.ndarray:
     """Implicit boundary function (z-m)^T L L^T (z-m) - 1.
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ellipse import EllipseParams
+from .ellipse import EllipseParams, _box_half_widths
 from .starconvex import FourierShapeParams, fourier_basis
 from .targets import GroundTruthTarget
 
@@ -93,9 +93,7 @@ def shape_polyline(shape, n: int = CONTOUR_SAMPLES) -> np.ndarray:
         quad = np.einsum("ni,ij,nj->n", e, shape.quad_form, e)
         return shape.center + e / np.sqrt(quad)[:, None]
     if isinstance(shape, FourierShapeParams):
-        e = _directions(n)[1].T
-        r = np.clip(_radius_basis(n, shape.coeffs.shape[0]) @ shape.coeffs, 0.0, None)
-        return shape.center + r[:, None] * e
+        return shape.center + _fourier_offsets(shape.coeffs[None], n)[0].T
     raise TypeError(f"cannot trace a boundary for {type(shape).__name__}")
 
 
@@ -130,8 +128,7 @@ class _Outlines:
 
 def _ellipse_outlines(centers: np.ndarray, chols: np.ndarray) -> _Outlines:
     quads = _quad_forms(chols)
-    # the extremes of w^T Q w = 1 are sqrt(diag(Q^-1))
-    half = np.sqrt(np.diagonal(np.linalg.inv(quads), axis1=-2, axis2=-1))
+    half = _box_half_widths(quads)
     n = len(centers)
     return _Outlines(
         centers - half, centers + half, np.ones(n, bool), centers, quads, np.empty((n, 2, 0))
@@ -147,7 +144,7 @@ def _polyline_outlines(polys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Ou
 
 def _fourier_offsets(coeffs, n: int) -> np.ndarray:
     """(N, 2, n) boundary points of N Fourier contours relative to their
-    centres; `shape_polyline` adds the centre to the same values."""
+    centres, negative radii clamped to zero (one contour: `shape_polyline`)."""
     basis = _radius_basis(n, coeffs.shape[1])
     # one product per contour: the same arithmetic as a single trace
     radii = np.clip(np.array([basis @ c for c in coeffs]).reshape(-1, 1, n), 0.0, None)

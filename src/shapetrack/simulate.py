@@ -10,19 +10,18 @@ from its own stream, in this order: the measurement count, the sources,
 the noise levels, the noise. These draws do not depend on the filter, so
 they are made a block of steps ahead (`_draw_block`; DRAW_AHEAD_POINTS
 bounds a block). Per live run and step of a block only the generator
-calls run, in that order: the count, one box chunk (the sources' first
-rejection round), the level uniforms, the noise. Everything else runs
-once on the block's flat arrays: the box transform, one inside-or-out
-test per distinct truth (one per block for a stationary target, one per
-step for a moving one), each (run, step) pair's first n inside points,
-and the noise offsets. A run that any step of the block leaves short is
-redrawn. Its generator goes back to its state at the start of the block,
-and the runs so redrawn make their draws again step by step, their
-sources together by the multi-round `stacked_sample_sources` (point
-groups, which have no short rounds, are drawn this way from the start).
-So each run makes exactly the draws it would make stepping alone. A
-RejectionBudgetError from a redraw is held back, and raised only when the
-filter reaches that step with the run still live.
+calls run, in that order: the count, the sources' first rejection round
+(a box chunk, or a point group's member picks), the level uniforms, the
+noise. One `targets._round_sources` call then takes the sources of all
+the block's rounds, with one inside-or-out test per distinct truth, and
+one einsum the noise offsets. A run that any step of the block leaves
+short (a group run never is) goes back to its generator state at the
+start of the block, and the runs so redrawn make their draws again step
+by step, their sources together by the multi-round
+`stacked_sample_sources`. So each run makes exactly the draws it would
+make stepping alone. A RejectionBudgetError from a redraw is held back,
+and raised only when the filter reaches that step with the run still
+live.
 
 The live runs are predicted together and updated together as stacked
 arrays (`stacked_time_update`, `stacked_step`): in batch mode one update
@@ -60,8 +59,9 @@ from .targets import (
     GroundTruthTarget,
     RejectionBudgetError,
     _box_chunk_size,
-    _inside_extent,
     _parts,
+    _round_draws,
+    _round_sources,
     psd_root,
     stacked_sample_sources,
 )
@@ -475,60 +475,35 @@ def _measured(sources, noise, level_draws, factors, cdf) -> np.ndarray:
 
 def _first_round(model, truths, rngs, factors, cdf):
     """Every run's measurements over a block's steps, each step's sources
-    from a single rejection round, one box chunk (see `_draw_block`).
+    from a single rejection round (see `_draw_block`).
 
-    The draws are laid out step by step, pair p = j * R + i. The box
-    transform is that of `targets._box_draws`, with each step's bounds for
-    a moving truth. The inside-or-out test runs once per stretch of
-    consecutive steps with the same truth, and pair p's sources are its
-    chunk's first n inside points, read off a cumulative count of the
-    inside points.
+    The draws are laid out step by step, pair p = j * R + i, and one
+    `targets._round_sources` call turns them all into sources, with one
+    inside-or-out test per stretch of steps with the same truth.
 
     Returns (ys, short): ys[i][j] holds run i's measurements at step j,
     and short (R,) marks the runs that some step left short, whose ys[i]
     is an empty list.
     """
     n_runs, n_steps = len(rngs), len(truths)
-    counts, boxes, level_draws, noises = [], [], [], []
-    for _ in truths:  # pair p = j * n_runs + i
+    counts, draws, level_draws, noises = [], [], [], []
+    for truth in truths:  # pair p = j * n_runs + i
         for rng in rngs:
             n = measurement_count(model, rng)
             counts.append(n)
-            boxes.append(rng.random((_box_chunk_size(n), 2)))
+            draws.append(_round_draws(truth, rng, n))
             if cdf is not None:
                 level_draws.append(rng.random(n))
             noises.append(rng.standard_normal((n, 2)))
-    edges = np.cumsum([0] + [len(b) for b in boxes])  # the pairs' point ranges
-    firsts = [0] + [j for j in range(1, n_steps) if truths[j] is not truths[j - 1]]
-    u = np.concatenate(boxes)
-    if len(firsts) == 1:
-        lo, hi = truths[0].bounding_box
-        box = lo + (hi - lo) * u
-    else:
-        lo, hi = (np.array(b) for b in zip(*(t.bounding_box for t in truths)))
-        per_step = np.diff(edges[::n_runs])
-        box = np.repeat(lo, per_step, axis=0) + np.repeat(hi - lo, per_step, axis=0) * u
-    inside = np.empty(len(box), dtype=bool)
-    for j, stop in zip(firsts, firsts[1:] + [n_steps]):
-        part = slice(edges[j * n_runs], edges[stop * n_runs])
-        inside[part] = _inside_extent(truths[j], box[part])
-    found = np.concatenate(([0], np.cumsum(inside)))
-    before = found[edges[:-1]]  # inside points before each pair's chunk
     counts = np.array(counts)
-    short = (found[edges[1:]] - before < counts).reshape(n_steps, n_runs).any(axis=0)
-    kept = np.tile(~short, n_steps)
-    take = np.where(kept, counts, 0)
-    # pair p's sources are the inside points numbered before[p] to before[p] + take[p]
-    out = np.cumsum(take) - take
-    nth = np.repeat(before - out, take) + np.arange(take.sum())
-    noise = np.concatenate(noises)
-    level_draws = np.concatenate(level_draws) if level_draws else None
-    if short.any():
-        rows = np.repeat(kept, counts)
-        noise = noise[rows]
-        level_draws = None if level_draws is None else level_draws[rows]
-    measured = _measured(box[np.flatnonzero(inside)[nth]], noise, level_draws, factors, cdf)
-    parts = _parts(measured, take.tolist())
+    sources, got = _round_sources(truths, draws, counts)
+    short = (got < counts).reshape(n_steps, n_runs).any(axis=0)
+    kept = np.tile(~short, n_steps)  # the pairs of the runs never short
+    rows = np.repeat(kept, counts)
+    level_draws = np.concatenate(level_draws)[rows] if level_draws else None
+    noise = np.concatenate(noises)[rows]
+    measured = _measured(sources[np.repeat(kept, got)], noise, level_draws, factors, cdf)
+    parts = _parts(measured, np.where(kept, counts, 0).tolist())
     return [[] if short[i] else parts[i::n_runs] for i in range(n_runs)], short
 
 
@@ -537,15 +512,13 @@ def _draw_block(config: ScenarioConfig, truths, rngs, factors, cdf):
 
     Run i draws from rngs[i] only, step by step in its stream order (see
     the module docstring), and gets exactly the draws it would get one step
-    at a time. Per (run, step) only the generator calls run: the count, one
-    box chunk (the sources' first rejection round), the level uniforms and
-    the noise. The box transform, one inside-or-out test per distinct
-    truth, each pair's first n inside points and the noise offsets run once
-    on the block's flat arrays (`_first_round`). A run left short at any
-    step goes back to its state at the start of the block. The runs left
-    short, or all runs of a point group, are then drawn step by step, their
-    sources together by the multi-round `stacked_sample_sources`, and their
-    noise offsets together once at the end.
+    at a time. Per (run, step) only the generator calls run: the count,
+    one rejection round, the level uniforms and the noise. The block's
+    sources and noise offsets are then computed once on its flat arrays
+    (`_first_round`). A run left short at any step goes back to its state
+    at the start of the block, and the runs so left short are drawn step
+    by step, their sources together by the multi-round
+    `stacked_sample_sources`, and their noise offsets together at the end.
 
     Args:
         truths: the posed truths of the block's steps.
@@ -560,14 +533,11 @@ def _draw_block(config: ScenarioConfig, truths, rngs, factors, cdf):
         measurements for the steps before j only.
     """
     model = config.meas_count_model
-    ys = [[] for _ in rngs]
-    redraw = range(len(rngs))
-    if truths[0].kind != "point_group":  # member picks never fall short
-        starts = [rng.bit_generator.state for rng in rngs]
-        ys, short = _first_round(model, truths, rngs, factors, cdf)
-        redraw = np.flatnonzero(short).tolist()
-        for i in redraw:
-            rngs[i].bit_generator.state = starts[i]
+    starts = [rng.bit_generator.state for rng in rngs]
+    ys, short = _first_round(model, truths, rngs, factors, cdf)
+    redraw = np.flatnonzero(short).tolist()
+    for i in redraw:
+        rngs[i].bit_generator.state = starts[i]
 
     errors = {}
     owners, sources, level_draws, noises = [], [], [], []

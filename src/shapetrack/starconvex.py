@@ -33,7 +33,7 @@ VALIDITY_GRID = 3600
 class FourierShapeParams:
     """Center and Fourier radius coefficients of a star-convex contour.
 
-    The coefficient vector has odd length 2 * n_harmonics + 1. Ground
+    The coefficient vector has odd length 2N + 1 for N harmonics. Ground
     truth shapes must have positive radius everywhere (see
     `radius_validity`); estimator states may transiently violate this.
     """
@@ -52,10 +52,6 @@ class FourierShapeParams:
             raise ValueError("coefficient vector length must be odd and >= 1")
         if not np.all(np.isfinite(self.center)) or not np.all(np.isfinite(self.coeffs)):
             raise ValueError("shape parameters must be finite")
-
-    @property
-    def n_harmonics(self) -> int:
-        return (self.coeffs.shape[0] - 1) // 2
 
 
 def fourier_basis(phi, n_coeffs: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ellipse import EllipseParams, ellipse_implicit
+from .ellipse import EllipseParams, _box_half_widths, ellipse_implicit
 
 __all__ = [
     "RejectionBudgetError",
@@ -185,8 +185,7 @@ class GroundTruthTarget:
         because they are shared.
         """
         if self.kind == "ellipse":
-            # extremes of {w^T Q w = 1} along the axes: sqrt of diag(Q^{-1})
-            half = np.sqrt(np.diag(np.linalg.inv(self.ellipse.quad_form)))
+            half = _box_half_widths(self.ellipse.quad_form)
             lo, hi = self.ellipse.center - half, self.ellipse.center + half
         else:
             pts = self.vertices if self.kind == "polygon" else self.members
@@ -269,15 +268,6 @@ def _box_chunk_size(short: int) -> int:
     return min(max(4 * short, 64), 1 << 17)
 
 
-def _box_draws(rng: np.random.Generator, target: GroundTruthTarget, size: int) -> np.ndarray:
-    """size points uniform in the target's bounding box (lo, hi): bit for
-    bit the values of ``rng.uniform(lo, hi, (size, 2))``, which computes
-    lo + (hi - lo) * u from the same doubles u, at a fraction of its call
-    cost."""
-    lo, hi = target.bounding_box
-    return lo + (hi - lo) * rng.random((size, 2))
-
-
 def _inside_extent(target: GroundTruthTarget, points) -> np.ndarray:
     """Whether each point (N, 2) lies in the extent (boundary included) of
     an ellipse or polygon target, tested INSIDE_TEST_POINTS points at a
@@ -299,15 +289,57 @@ def _parts(a: np.ndarray, lengths) -> list:
     return [a[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
+def _round_draws(target: GroundTruthTarget, rng: np.random.Generator, need: int) -> np.ndarray:
+    """What a run still short of `need` sources draws from rng in one
+    rejection round: need member indices of a point group, or else a box
+    chunk of `_box_chunk_size(need)` uniform pairs in [0, 1)."""
+    if target.kind == "point_group":
+        return rng.integers(target.members.shape[0], size=need)
+    return rng.random((_box_chunk_size(need), 2))
+
+
+def _round_sources(truths, draws, needs) -> tuple[np.ndarray, np.ndarray]:
+    """The sources one rejection round gives P pairs, laid out truth by
+    truth, P // len(truths) to a truth: pair p made the `_round_draws`
+    draws[p] for needs[p] sources. Member indices pick members; box draws
+    u become lo + (hi - lo) * u in the truth's bounding box (the floats of
+    ``rng.uniform(lo, hi)``), in place, and are tested inside-or-out once
+    per stretch of pairs with the same truth. Returns (sources, got): pair
+    p's first got[p] = min(needs[p], inside points) points in draw order,
+    pair after pair."""
+    per_truth = len(draws) // len(truths)
+    edges = np.cumsum([0, *map(len, draws)])  # the pairs' point ranges
+    points = np.empty((edges[-1], 2))
+    inside = np.ones(len(points), dtype=bool)
+    firsts = [0] + [j for j in range(1, len(truths)) if truths[j] is not truths[j - 1]]
+    for j, stop in zip(firsts, firsts[1:] + [len(truths)]):
+        truth, pairs = truths[j], draws[j * per_truth : stop * per_truth]
+        part = slice(edges[j * per_truth], edges[stop * per_truth])
+        if truth.kind == "point_group":
+            points[part] = truth.members[np.concatenate(pairs)]
+        else:
+            lo, hi = truth.bounding_box
+            box = np.concatenate(pairs, out=points[part])
+            box *= hi - lo
+            box += lo
+            inside[part] = _inside_extent(truth, box)
+    found = np.concatenate(([0], np.cumsum(inside)))
+    before = found[edges[:-1]]  # inside points before each pair's draws
+    got = np.minimum(found[edges[1:]] - before, needs)
+    # pair p's sources are the inside points numbered before[p] to before[p] + got[p]
+    nth = np.repeat(before - (np.cumsum(got) - got), got) + np.arange(got.sum())
+    return points[np.flatnonzero(inside)[nth]], got
+
+
 def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
     """Measurement sources of several runs, each drawn from its own generator.
 
     Run r gets counts[r] sources from rngs[r], uniform over the extent or
     among group members, with exactly the draws `sample_measurement_sources`
-    makes for it alone. Interior points come from rejection sampling in
-    the bounding box. In each round, every run still short of its count
-    draws its own box chunk, and all the chunks are tested inside-or-out
-    in one call. A run that burns through MAX_REJECTION_ATTEMPTS box draws
+    makes for it alone. In each rejection round, every run still short of
+    its count makes its own draws (`_round_draws`: a group's member picks
+    never fall short), and one `_round_sources` call takes all their
+    sources. A run that burns through MAX_REJECTION_ATTEMPTS box draws
     without filling its count gets a RejectionBudgetError in place of its
     sources and draws no more; the other runs go on.
 
@@ -319,26 +351,24 @@ def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:
     Returns:
         R entries: run r's sources (counts[r], 2), or its RejectionBudgetError.
     """
-    counts = list(counts)
+    counts, rngs = list(counts), list(rngs)
+    if len(counts) != len(rngs):
+        raise ValueError(f"{len(counts)} counts for {len(rngs)} generators")
     if any(n < 0 for n in counts):
         raise ValueError("n must be non-negative")
-    if target.kind == "point_group":
-        members = target.members
-        return [members[rng.integers(members.shape[0], size=n)] for n, rng in zip(counts, rngs)]
 
     out = [np.empty((n, 2)) for n in counts]
     filled = [0] * len(counts)
     attempts = [0] * len(counts)
     short = [r for r, n in enumerate(counts) if n > 0]
     while short:
-        chunks = [_box_draws(rngs[r], target, _box_chunk_size(counts[r] - filled[r])) for r in short]
-        inside = _inside_extent(target, np.concatenate(chunks))
-        for r, chunk, ok in zip(short, chunks, _parts(inside, [len(c) for c in chunks])):
-            accepted = chunk[ok]
-            take = min(accepted.shape[0], counts[r] - filled[r])
-            out[r][filled[r] : filled[r] + take] = accepted[:take]
-            filled[r] += take
-            attempts[r] += len(chunk)
+        needs = [counts[r] - filled[r] for r in short]
+        draws = [_round_draws(target, rngs[r], need) for r, need in zip(short, needs)]
+        sources, got = _round_sources([target], draws, needs)
+        for r, drawn, taken in zip(short, draws, _parts(sources, got)):
+            out[r][filled[r] : filled[r] + len(taken)] = taken
+            filled[r] += len(taken)
+            attempts[r] += len(drawn)
         short = [r for r in short if filled[r] < counts[r]]
         for r in short:
             if attempts[r] >= MAX_REJECTION_ATTEMPTS:

@@ -542,12 +542,13 @@ def _near_bound_scenario(**overrides):
     return ellipse_scenario(**fields)
 
 
-def _moving_aircraft_scenario():
-    # the aircraft on the bundled flight path: one posed truth, and so one
-    # bounding box and one inside-or-out test, per step
+def _moving_scenario(geometry):
+    # a bundled geometry on the bundled flight path: one posed truth per
+    # step, and so for the aircraft one bounding box and one inside-or-out
+    # test per step
     n_steps = 20
     return ellipse_scenario(
-        target=load_geometry(builtin_data_path("aircraft.txt")),
+        target=load_geometry(builtin_data_path(geometry)),
         trajectory=Trajectory.from_waypoints(
             load_waypoints(builtin_data_path("flight_path.txt")), n_steps
         ),
@@ -604,9 +605,18 @@ ORACLE_CASES = {
         n_runs=2,
     ),
     "some_runs_diverge": _near_bound_scenario,
+    "moving_aircraft_batch": lambda: _moving_scenario("aircraft.txt"),
+    # multi-member point groups: member picks drawn a block at a time
+    "stationary_group_poisson": lambda: ellipse_scenario(
+        target=load_geometry(builtin_data_path("group.txt")),
+        noise_mixture=NoiseMixture.isotropic([0.2, 0.4], [0.75, 0.25]),
+        meas_count_model=MeasurementCountModel("shifted_poisson", 3.0),
+        n_steps=20,
+        n_runs=4,
+    ),
+    "moving_group_batch": lambda: _moving_scenario("group.txt"),
     # 0.56% of its bounding box: most first rejection rounds fall short, and
     # those runs are redrawn
-    "moving_aircraft_batch": _moving_aircraft_scenario,
     "thin_ellipse": lambda: ellipse_scenario(
         target=ellipse_target(from_semi_axes([0.0, 0.0], [3.0, 0.01], 0.7)),
         n_steps=20,
@@ -692,6 +702,14 @@ def _counting_sampler(monkeypatch, fail_at=None):
 
     monkeypatch.setattr(simulate, "stacked_sample_sources", sample)
     return calls
+
+
+@pytest.mark.parametrize("case", ["stationary_group_poisson", "moving_group_batch"])
+def test_group_runs_are_drawn_a_block_at_a_time(monkeypatch, case):
+    # member picks never fall short, so no run is redrawn
+    calls = _counting_sampler(monkeypatch)
+    run_scenario(ORACLE_CASES[case]())
+    assert calls == []
 
 
 def test_thin_target_redraws_the_short_runs(monkeypatch):

@@ -421,6 +421,19 @@ def test_stacked_sampling_with_no_runs_or_no_sources():
         stacked_sample_sources(thin_sliver(), [1, -1], rngs)
 
 
+@pytest.mark.parametrize("name", ["ellipse", "group"])
+@pytest.mark.parametrize("counts", [[1, 2], [3, 4]])
+def test_stacked_sampling_needs_one_generator_per_count(name, counts):
+    # more counts than generators: neither an IndexError nor a short list
+    rngs = spawned_generators(1)
+    before = stream_state(rngs[0])
+    with pytest.raises(ValueError, match="2 counts for 1 generators"):
+        stacked_sample_sources(SAMPLED_TARGETS[name](), counts, rngs)
+    with pytest.raises(ValueError, match="1 counts for 2 generators"):
+        stacked_sample_sources(SAMPLED_TARGETS[name](), counts[:1], spawned_generators(2))
+    assert stream_state(rngs[0]) == before
+
+
 def test_rejection_budget_is_per_run(monkeypatch):
     # run 1 cannot find 50 interior points of the sliver in 1000 draws: it
     # gets the error the run alone raises, and run 0 its own source
