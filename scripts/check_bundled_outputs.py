@@ -30,9 +30,14 @@ in a non-numeric cell. For a file over the tolerance or with a changed
 ``iou``/``mean_iou`` cell it also prints the step (and run, where the
 file has one) of the first such row, where the change starts.
 
-``--time`` prints each scenario's ``shapetrack run`` wall time, and then
-their total as ``time total: ... s``, to standard error, so the listing
-and ``--against`` work as without it.
+``--time`` prints each scenario's ``shapetrack run`` wall time and the
+minor page faults the process took during it (the
+``resource.getrusage(RUSAGE_SELF).ru_minflt`` delta around its
+``cli.main`` call), and then their totals as ``time total: ... s, ...
+minor faults``, to standard error, so the listing and ``--against`` work
+as without it. The fault count of a scenario also depends on what ran
+before it in the process, since the allocator keeps or returns freed
+memory by its own history.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import csv
 import hashlib
 import io
 import math
+import resource
 import shutil
 import sys
 import tempfile
@@ -67,17 +73,20 @@ def listing(
     timed: bool = False,
 ):
     """Hash lines of every bundled output, and the problems found against ``near``."""
-    lines, problems, total = [], [], 0.0
+    lines, problems, total, total_faults = [], [], 0.0, 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in cli.bundled_scenarios():
             out = Path(tmp) / Path(name).stem
             t0 = time.perf_counter()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(["run", name, "--out", str(out), *([] if full else REDUCED)])
             if timed:
                 elapsed = time.perf_counter() - t0
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
                 total += elapsed
-                print(f"time {name}: {elapsed:.3f} s", file=sys.stderr)
+                total_faults += faults
+                print(f"time {name}: {elapsed:.3f} s, {faults} minor faults", file=sys.stderr)
             if code != 0:
                 raise SystemExit(f"{name}: shapetrack run exited with {code}")
             hashed = [*FILES, *sorted(p.name for p in out.glob("*.svg"))]
@@ -94,7 +103,7 @@ def listing(
                 for fname in hashed:
                     shutil.copyfile(out / fname, dest / fname)
     if timed:
-        print(f"time total: {total:.3f} s", file=sys.stderr)
+        print(f"time total: {total:.3f} s, {total_faults} minor faults", file=sys.stderr)
     return lines, problems
 
 
@@ -154,7 +163,9 @@ def main(argv=None) -> int:
     parser.add_argument("--full", action="store_true", help="run at the bundled sizes")
     parser.add_argument("--keep", type=Path, help="directory to save the CSVs in")
     parser.add_argument("--near", type=Path, help="kept CSV tree to compare values with")
-    parser.add_argument("--time", action="store_true", help="print each run's wall time")
+    parser.add_argument(
+        "--time", action="store_true", help="print each run's wall time and minor page faults"
+    )
     args = parser.parse_args(argv)
     current, problems = listing(args.full, args.keep, args.near, args.time)
     print("\n".join([VERSION_LINE, *current]))

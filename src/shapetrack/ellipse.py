@@ -152,7 +152,8 @@ def ellipse_boundary_point(p: EllipseParams, theta) -> np.ndarray:
 
 def ellipse_closest_points(centers, chols, queries) -> np.ndarray:
     """Boundary points of R ellipses (centers (R, 2), triples (R, 3)) closest
-    to their k queries each (R, k, 2), all in one call.
+    to their k queries each (R, k, 2), all in one call. The triples may be
+    raw states: each is taken in the form `clamp_chols` gives it, NaN kept.
 
     In the principal frame of L L^T (eigenvalues l0 <= l1), a query y with
     z_i = |y_i| sqrt(l_i) and r0 = l1 / l0 has the closest point
@@ -162,7 +163,7 @@ def ellipse_closest_points(centers, chols, queries) -> np.ndarray:
     is the vertex, or inside the evolute the point on the positive minor
     side; at the exact center, the angle-0 point center + (1/a, 0). Queries
     are solved in scalar float arithmetic; an ellipse whose arithmetic
-    overflows gets NaN rows.
+    overflows, or that has a point not finite, gets NaN rows.
     """
     queries = np.asarray(queries, dtype=float)
     rows = zip(
@@ -170,13 +171,15 @@ def ellipse_closest_points(centers, chols, queries) -> np.ndarray:
     )
     flat = []
     for ((cx, cy), (a, b, c)), qs in zip(rows, queries.tolist()):
+        a, c = (-a, -c) if a < 0.0 else (a, c)  # as clamp_chols; max(x, floor) keeps a NaN x
         try:
-            flat += _closest_on_ellipse(cx, cy, a, b, c, qs)
+            points = _closest_on_ellipse(cx, cy, max(a, CHOL_FLOOR), max(abs(b), CHOL_FLOOR), c, qs)
         except ArithmeticError:  # an overflow or a division by an underflowed 0
-            flat += [(math.nan, math.nan)] * len(qs)
-    out = np.array(flat, dtype=float).reshape(queries.shape)
-    out[~np.isfinite(out).all(axis=(1, 2))] = np.nan
-    return out
+            points = [(math.nan, math.nan)]
+        if not all(map(math.isfinite, (v for point in points for v in point))):
+            points = [(math.nan, math.nan)] * len(qs)
+        flat += points
+    return np.array(flat, dtype=float).reshape(queries.shape)
 
 
 def _principal_frame(a, b, c):

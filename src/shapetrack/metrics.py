@@ -18,15 +18,16 @@ one sorted sweep of both regions' keys counts every pair's union and
 intersection. An ellipse fills one span per row, so where one region of
 every pair in a chunk is an ellipse, the other region's sorted keys,
 taken two by two as spans, are clipped to it instead of swept, and two
-ellipses are counted from a per-row min/max of their roots. An ellipse's
-spans are computed in place, in one buffer for all pairs and rows of a
-chunk, and cast to int once (`_ellipse_row_cells`); the counts of the
-ellipse paths are taken in place as well. `shape_iou` is the one-pair
-case of the same path.
+ellipses are counted from a per-row min/max of their roots. Every array
+that grows with a chunk (per edge, crossing, row or sample) is written in
+place into grow-only arrays that the chunks of a call share
+(`_Workspace`), so a call faults its memory in once, not once per chunk.
+`shape_iou` is the one-pair case of the same path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +57,20 @@ def _group_hull(members: np.ndarray) -> np.ndarray:
             "three non-collinear members"
         ) from err
     return members[hull.vertices]
+
+
+class _Workspace(dict):
+    """Grow-only arrays by name, shared by the chunks of a `shape_ious` call:
+    ``ws(name, shape, dtype)`` views the first prod(shape) entries of the
+    array under name, made by ``fill`` anew only when too small. A view is
+    valid until the next request of its name, and one of "scratch" (floats)
+    or "scratch ints" until the next call given the workspace."""
+
+    def __call__(self, name: str, shape: tuple, dtype=float, fill=np.empty) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self or self[name].size < size:
+            self[name] = fill(size + size // 4, dtype=dtype)  # room for later chunks
+        return self[name][:size].reshape(shape)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -93,7 +108,7 @@ def shape_polyline(shape, n: int = CONTOUR_SAMPLES) -> np.ndarray:
         quad = np.einsum("ni,ij,nj->n", e, shape.quad_form, e)
         return shape.center + e / np.sqrt(quad)[:, None]
     if isinstance(shape, FourierShapeParams):
-        return shape.center + _fourier_offsets(shape.coeffs[None], n)[0].T
+        return shape.center + _fourier_offsets(shape.coeffs[None], n, _Workspace(), "trace")[0].T
     raise TypeError(f"cannot trace a boundary for {type(shape).__name__}")
 
 
@@ -122,8 +137,11 @@ class _Outlines:
     quads: np.ndarray  # (N, 2, 2)
     polys: np.ndarray  # (N, 2, n)
 
-    def take(self, idx) -> "_Outlines":
-        return _Outlines(*(getattr(self, f)[idx] for f in self.__dataclass_fields__))
+    def take(self, idx, ws: _Workspace) -> "_Outlines":
+        polys = ws("taken polylines", (len(idx),) + self.polys.shape[1:])
+        np.take(self.polys, idx, axis=0, out=polys, mode="clip")
+        fields = (self.lo, self.hi, self.ellipse, self.centers, self.quads)
+        return _Outlines(*(f[idx] for f in fields), polys)
 
 
 def _ellipse_outlines(centers: np.ndarray, chols: np.ndarray) -> _Outlines:
@@ -142,27 +160,32 @@ def _polyline_outlines(polys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Ou
     )
 
 
-def _fourier_offsets(coeffs, n: int) -> np.ndarray:
-    """(N, 2, n) boundary points of N Fourier contours relative to their
-    centres, negative radii clamped to zero (one contour: `shape_polyline`)."""
+def _fourier_offsets(coeffs, n: int, ws: _Workspace, name: str) -> np.ndarray:
+    """(N, 2, n) boundary points of N Fourier contours relative to their centres,
+    negative radii clamped to zero, in ws under name (one contour: `shape_polyline`)."""
     basis = _radius_basis(n, coeffs.shape[1])
-    # one product per contour: the same arithmetic as a single trace
-    radii = np.clip(np.array([basis @ c for c in coeffs]).reshape(-1, 1, n), 0.0, None)
-    return radii * _directions(n)[1]
+    offsets = ws(name, (len(coeffs), 2, n))
+    radii = offsets[:, 0]
+    for c, r in zip(coeffs, radii):  # one product per contour, the arithmetic of a single trace
+        np.matmul(basis, c, out=r)
+    np.multiply(np.clip(radii, 0.0, None, out=radii), _directions(n)[1][1], out=offsets[:, 1])
+    radii *= _directions(n)[1][0]
+    return offsets
 
 
-def _fourier_outlines(centers, coeffs, resolution: int) -> _Outlines:
+def _fourier_outlines(centers, coeffs, resolution: int, ws: _Workspace) -> _Outlines:
     """Fourier contours, boxed by a CONTOUR_SAMPLES trace and scored on one
     that is coarser on coarse grids (boundary sampling finer than the grid
-    adds nothing)."""
-    offsets = _fourier_offsets(coeffs, CONTOUR_SAMPLES)
+    adds nothing). The scoring trace is left in ws, a box-only trace in its scratch."""
+    samples = min(CONTOUR_SAMPLES, max(256, 2 * resolution))
+    box_only = samples != CONTOUR_SAMPLES
+    offsets = _fourier_offsets(coeffs, CONTOUR_SAMPLES, ws, "scratch" if box_only else "trace")
     # adding the centre is monotone in the offset, so the trace's box is
     # the centre plus the offsets' box; rows reduce fast
     lo, hi = centers + offsets.min(axis=2), centers + offsets.max(axis=2)
-    samples = min(CONTOUR_SAMPLES, max(256, 2 * resolution))
-    if samples != CONTOUR_SAMPLES:
-        offsets = _fourier_offsets(coeffs, samples)
-    return _polyline_outlines(centers[:, :, None] + offsets, lo, hi)
+    if box_only:
+        offsets = _fourier_offsets(coeffs, samples, ws, "trace")
+    return _polyline_outlines(np.add(offsets, centers[:, :, None], out=offsets), lo, hi)
 
 
 def _concat(parts: list) -> _Outlines:
@@ -193,7 +216,7 @@ def _outline(shape, resolution: int, flat_groups: bool = False) -> _Outlines:
     if isinstance(shape, EllipseParams):
         return _ellipse_outlines(shape.center[None], shape.chol[None])
     if isinstance(shape, FourierShapeParams):
-        return _fourier_outlines(shape.center[None], shape.coeffs[None], resolution)
+        return _fourier_outlines(shape.center[None], shape.coeffs[None], resolution, _Workspace())
     if flat_groups and isinstance(shape, GroundTruthTarget) and shape.kind == "point_group":
         try:
             pts = _group_hull(shape.members)
@@ -205,27 +228,29 @@ def _outline(shape, resolution: int, flat_groups: bool = False) -> _Outlines:
     return _polyline_outlines(xy[None], xy.min(axis=1)[None], xy.max(axis=1)[None])
 
 
-def _row_centres(lo, dy, res):
-    """(N, res) row-centre ordinates of N grids with lowest ordinates lo[:, 1]."""
-    return lo[:, 1:2] + (np.arange(res) + 0.5) * dy[:, None]
+def _row_centres(lo, dy, res, out):
+    """(N, res) row-centre ordinates of N grids with lowest ordinates lo[:, 1], into out."""
+    return np.add(np.multiply(np.arange(res) + 0.5, dy[:, None], out=out), lo[:, 1:2], out=out)
 
 
-def _ellipse_row_cells(centers, quads, ys, xlo, dx, res):
+def _ellipse_row_cells(centers, quads, ys, xlo, dx, res, ws, name):
     """Per ellipse and row, the filled cell range [i0, i1) from the exact
     quadratic roots of Q00 u^2 + 2 Q01 u v + Q11 v^2 = 1.
 
     centers (N, 2), quads (N, 2, 2), ys (N, rows), xlo and dx (N,); returns
-    i0, i1 of shape (N, rows). A row the ellipse misses gets the root 0, so
-    i0 == i1 there: an empty span, which every count takes as no cell.
+    i0, i1 of shape (N, rows), ints (2, N, rows) in ws under name. A row the
+    ellipse misses gets the root 0, so i0 == i1 there: an empty span, which
+    every count takes as no cell.
 
-    The roots are computed in place in one (2, N, rows) buffer, with
-    the floats of the textbook expressions ``cx + (-b -/+ root) / (2 a)``,
-    and clipped to [0, res] as floats before their one cast to int.
+    The roots are computed in place in the scratch of ws, with the floats
+    of the textbook expressions ``cx + (-b -/+ root) / (2 a)``, and clipped
+    to [0, res] as floats before their one cast to int.
     """
     a = quads[:, 0, 0, None]
-    x = np.empty((2,) + ys.shape)
+    scratch = ws("scratch", (3,) + ys.shape)
+    x, v = scratch[:2], scratch[2]
     lo, hi = x  # the lower and upper root, each first holding an intermediate
-    v = ys - centers[:, 1:2]
+    np.subtract(ys, centers[:, 1:2], out=v)
     np.multiply(2.0 * quads[:, 0, 1, None], v, out=hi)  # b
     np.multiply(quads[:, 1, 1, None], v, out=lo)
     lo *= v
@@ -246,75 +271,112 @@ def _ellipse_row_cells(centers, quads, ys, xlo, dx, res):
     x -= 0.5
     np.ceil(x, out=x)
     np.clip(x, 0, res, out=x)
-    i0, i1 = x.astype(int)
-    return i0, i1
+    out = ws(name, x.shape, int)
+    np.copyto(out, x, casting="unsafe")
+    return out
 
 
-def _row_index(y, ylo, dy, res):
+def _row_index(y, ylo, dy, res, ws):
     """np.searchsorted(ys, y) for each entry's own row centres
-    ys = ylo + (j + 0.5) dy, j < res, without building them.
+    ys = ylo + (j + 0.5) dy, j < res, without building them; in ws.
 
     The inverse of the grid formula gives the index up to rounding; it is
     then moved to where the row centres, computed exactly as the grid
     computes them, compare as searchsorted compares them.
     """
-    guess = np.nan_to_num(np.ceil((y - ylo) / dy - 0.5), nan=res)  # NaN sorts last
-    j = np.clip(guess, 0, res).astype(int)
+    t, j = ws("scratch", y.shape), ws("row index", y.shape, int)
+    down, up, ok = ws("row moves", (3,) + y.shape, bool)
+
+    def centre(shift):  # ylo + (j + shift) dy
+        return np.add(np.multiply(np.add(j, shift, out=t), dy, out=t), ylo, out=t)
+
+    np.ceil(np.subtract(np.divide(np.subtract(y, ylo, out=t), dy, out=t), 0.5, out=t), out=t)
+    np.maximum(np.fmin(t, res, out=t), 0, out=t)  # NaN sorts last
+    np.copyto(j, t, casting="unsafe")
     while True:
-        down = (j > 0) & (ylo + (j - 0.5) * dy >= y)
-        up = (j < res) & (ylo + (j + 0.5) * dy < y)
+        np.logical_and(np.less_equal(y, centre(-0.5), out=down), np.greater(j, 0, out=ok), out=down)
+        np.logical_and(np.less(centre(0.5), y, out=up), np.less(j, res, out=ok), out=up)
         if not (down.any() or up.any()):
             return j
-        j = j - down + up
+        j -= down
+        j += up
 
 
-def _polyline_keys(polys, pairs, lo, dx, dy, res):
+def _polyline_keys(polys, pairs, lo, dx, dy, res, ws, name):
     """Crossing keys (see `_crossing_keys`) of closed polylines (P, 2, n),
-    polyline i belonging to pair pairs[i]."""
-    x0, y0 = polys[:, 0].ravel(), polys[:, 1].ravel()
-    ends = np.roll(polys, -1, axis=2)
-    x1, y1 = ends[:, 0].ravel(), ends[:, 1].ravel()
-    edge_pair = np.repeat(pairs, polys.shape[2])
-    ylo, step = lo[edge_pair, 1], dy[edge_pair]
+    polyline i belonging to pair pairs[i], in ws under name. Each crossing
+    gathers its edge's and polyline's values with np.take, y before x."""
+    n = polys.shape[2]
+    edges = ws("edges", (6, len(pairs), n))  # spare, y0, y1 - y0, x0, x1 - x0, y1
+    edges[1], edges[3] = polys[:, 1], polys[:, 0]
+    edges[4:, :, :-1], edges[4:, :, -1] = polys.transpose(1, 0, 2)[:, :, 1:], polys[:, :, 0].T
+    edges[4] -= edges[3]
+    np.subtract(edges[5], edges[1], out=edges[2])
     # half-open crossing rule keeps the parity even at shared vertices:
     # an edge crosses the rows whose centre lies in [min(y0, y1), max(y0, y1))
-    r0 = _row_index(np.minimum(y0, y1), ylo, step, res)
-    counts = _row_index(np.maximum(y0, y1), ylo, step, res) - r0
+    np.minimum(edges[1], edges[5], out=edges[0])
+    np.maximum(edges[1], edges[5], out=edges[5])
+    grid = np.stack([lo[:, 1], dy, lo[:, 0], dx])[:, pairs]  # ylo, dy, xlo, dx per polyline
+    r0, counts = _row_index(edges[::5], grid[0, :, None], grid[1, :, None], res, ws)
+    ends = np.cumsum(np.subtract(counts, r0, out=counts).ravel(), out=counts.ravel())
+    edge = ws("scratch ints", (ends[-1] + 1,), int)  # one more at each edge's first crossing
+    edge.fill(0)
+    np.add.at(edge, ends[:-1], 1)
+    edge = np.cumsum(edge, out=edge)[:-1]  # each crossing's edge
+    r0.ravel()[1:] -= ends[:-1]  # less the index of its first crossing, which brings back the row
+    np.add(r0, 0.5, out=edges[0])  # row + 0.5 once a crossing adds its index, exact in floats
+    r0 += (pairs * res)[:, None]  # and the pair's first row, for the key
+    t, p0, p01, origin, step = cross = ws("scratch", (5, len(edge)))
+    keys = np.floor_divide(edge, n, out=ws(name, edge.shape, int))  # the crossing's polyline
+    index = ws("arange", edge.shape, int, np.arange)
+    np.take(edges[:3].reshape(3, -1), edge, axis=1, out=cross[:3], mode="clip")
+    np.take(grid[:2], keys, axis=1, out=cross[3:], mode="clip")
+    t += index
+    t *= step
+    t += origin
+    t -= p0
+    t /= p01  # the fraction of the edge at the row centre
+    np.take(edges[3:5].reshape(2, -1), edge, axis=1, out=cross[1:3], mode="clip")
+    np.take(grid[2:], keys, axis=1, out=cross[3:], mode="clip")
+    t *= p01
+    t += p0
+    t -= origin
+    t /= step
+    t -= 0.5
+    np.take(r0.ravel(), edge, out=keys, mode="clip")
+    np.multiply(np.add(keys, index, out=keys), res + 1, out=keys)
+    np.copyto(edge, np.ceil(t, out=t), casting="unsafe")  # the cells, over the gathered edges
+    keys += np.clip(edge, 0, res, out=edge)
+    return keys
 
-    def each(per_edge):  # the edge's value at each of its crossings
-        return np.repeat(per_edge, counts)
 
-    rows = np.arange(counts.sum()) + each(r0 - (np.cumsum(counts) - counts))
-    frac = (each(ylo) + (rows + 0.5) * each(step) - each(y0)) / each(y1 - y0)
-    xs = each(x0) + frac * each(x1 - x0)
-    cells = np.ceil((xs - each(lo[edge_pair, 0])) / each(dx[edge_pair]) - 0.5)
-    return (each(edge_pair * res) + rows) * (res + 1) + np.clip(cells.astype(int), 0, res)
-
-
-def _crossing_keys(outlines: _Outlines, lo, dx, dy, res) -> np.ndarray:
+def _crossing_keys(outlines: _Outlines, lo, dx, dy, res, ws, name) -> np.ndarray:
     """Flat keys (pair * res + row) * (res + 1) + idx of every boundary
-    crossing of each pair's region, where idx in [0, res] is the first
-    cell centre at or beyond the crossing."""
+    crossing of each pair's region, where idx in [0, res] is the first cell
+    centre at or beyond the crossing, in ws under name. An ellipse gives two
+    per row, equal where it misses the row (an empty span: no cell)."""
     keys = []
     ell = np.flatnonzero(outlines.ellipse)
     if ell.size:
-        i0, i1 = _ellipse_row_cells(
-            outlines.centers[ell],
-            outlines.quads[ell],
-            _row_centres(lo[ell], dy[ell], res),
-            lo[ell, 0],
-            dx[ell],
-            res,
-        )
-        base = (ell[:, None] * res + np.arange(res)) * (res + 1)
-        keys.append(np.stack([base + i0, base + i1], axis=-1)[i1 > i0].ravel())
+        ys = _row_centres(lo[ell], dy[ell], res, ws("row centres", (ell.size, res)))
+        args = outlines.centers[ell], outlines.quads[ell], ys, lo[ell, 0], dx[ell], res, ws
+        cells = _ellipse_row_cells(*args, f"{name}, ellipses")
+        base = np.add((ell * res)[:, None], np.arange(res), out=ws("scratch ints", ys.shape, int))
+        cells += np.multiply(base, res + 1, out=base)
+        keys.append(cells.reshape(-1))
     poly = np.flatnonzero(~outlines.ellipse)
     if poly.size:
-        keys.append(_polyline_keys(outlines.polys[poly], poly, lo, dx, dy, res))
-    return np.concatenate(keys)
+        polys = outlines.polys
+        if ell.size:  # a mixed stack: its polylines
+            out = ws("polylines", (poly.size,) + polys.shape[1:])
+            polys = np.take(polys, poly, axis=0, out=out, mode="clip")
+        keys.append(_polyline_keys(polys, poly, lo, dx, dy, res, ws, f"{name}, polylines"))
+    if len(keys) == 1:
+        return keys[0]
+    return np.concatenate(keys, out=ws(name, (keys[0].size + keys[1].size,), int))
 
 
-def _sweep_counts(keys_a: np.ndarray, keys_b: np.ndarray, n_pairs: int, res: int):
+def _sweep_counts(keys_a: np.ndarray, keys_b: np.ndarray, n_pairs: int, res: int, ws):
     """(intersection, union) cell counts per pair of two even-odd filled key sets.
 
     Sweeping the merged sorted keys, the running parity of each set's keys
@@ -322,24 +384,28 @@ def _sweep_counts(keys_a: np.ndarray, keys_b: np.ndarray, n_pairs: int, res: int
     Every row of every pair holds an even number of each set's keys, so
     both parities are back to zero at each row end.
     """
-    keys = np.concatenate([keys_a, keys_b])
-    # tied keys may come in any order (their gap is 0); the stable sort is
-    # chosen for speed, as it merges the keys' partly sorted runs
-    order = np.argsort(keys, kind="stable")
-    # bit 0 toggles on a's keys, bit 1 on b's
-    state = np.bitwise_xor.accumulate(np.where(order < keys_a.size, 1, 2))[:-1]
-    keys = keys[order]
-    gaps = np.diff(keys)
-    pair = keys[:-1] // (res * (res + 1))
-    inside, both = state != 0, state == 3
-    union = np.bincount(pair[inside], gaps[inside], minlength=n_pairs)
-    inter = np.bincount(pair[both], gaps[both], minlength=n_pairs)
+    # 2 key + (the key is b's), sorted in place, has a's keys before b's
+    # equal ones, as a stable argsort of the keys has them
+    keys = ws("sweep keys", (keys_a.size + keys_b.size,), int)
+    np.multiply(keys_a, 2, out=keys[: keys_a.size])
+    np.add(np.multiply(keys_b, 2, out=keys[keys_a.size :]), 1, out=keys[keys_a.size :])
+    keys.sort()
+    state = ws("sweep state", keys.shape, np.int8)  # bit 0 toggles on a's keys, bit 1 on b's
+    np.add(np.bitwise_and(keys, 1, out=state), 1, out=state)
+    state = np.bitwise_xor.accumulate(state, out=state)[:-1]
+    keys >>= 1
+    gaps = np.subtract(keys[1:], keys[:-1], out=ws("scratch", state.shape))
+    pair = np.floor_divide(keys[:-1], res * (res + 1), out=keys[:-1])
+    inside = np.not_equal(state, 0, out=ws("sweep inside", state.shape, bool))
+    union = np.bincount(pair, np.multiply(gaps, inside, out=gaps), minlength=n_pairs)
+    gaps *= np.equal(state, 3, out=inside)  # both
+    inter = np.bincount(pair, gaps, minlength=n_pairs)
     return inter.astype(int), union.astype(int)
 
 
-def _pair_counts(a: _Outlines, b: _Outlines, res: int):
+def _pair_counts(a: _Outlines, b: _Outlines, res: int, ws: _Workspace):
     """(intersection, union) cell counts of the pairs (a[i], b[i]), each on
-    the grid over its own joint bounding box."""
+    the grid over its own joint bounding box; temporaries in ws."""
     lo = np.minimum(a.lo, b.lo)
     hi = np.maximum(a.hi, b.hi)
     span = np.maximum(hi - lo, 1e-12)
@@ -347,34 +413,37 @@ def _pair_counts(a: _Outlines, b: _Outlines, res: int):
     if not a.ellipse.all():
         a, b = b, a  # both counts are symmetric in the pair
     if not a.ellipse.all():
-        return _sweep_counts(
-            _crossing_keys(a, lo, dx, dy, res), _crossing_keys(b, lo, dx, dy, res), len(lo), res
-        )
+        keys_a = _crossing_keys(a, lo, dx, dy, res, ws, "a keys")
+        keys_b = _crossing_keys(b, lo, dx, dy, res, ws, "b keys")
+        return _sweep_counts(keys_a, keys_b, len(lo), res, ws)
     # a fills one span [a0, a1) per row, so b's spans are clipped to it
     # instead of sweeping both regions' keys: about half the time of the
     # sweep for ellipse estimates against polygon and group truths
-    ys = _row_centres(lo, dy, res)
-    a0, a1 = _ellipse_row_cells(a.centers, a.quads, ys, lo[:, 0], dx, res)
+    ys = _row_centres(lo, dy, res, ws("row centres", (len(lo), res)))
+    a0, a1 = _ellipse_row_cells(a.centers, a.quads, ys, lo[:, 0], dx, res, ws, "a cells")
     if b.ellipse.all():
-        b0, b1 = _ellipse_row_cells(b.centers, b.quads, ys, lo[:, 0], dx, res)
-        inter = np.minimum(a1, b1)
-        inter -= np.maximum(a0, b0)
-        np.maximum(inter, 0, out=inter)
-        inter = inter.sum(axis=1)
-        a1 -= a0
+        b0, b1 = _ellipse_row_cells(b.centers, b.quads, ys, lo[:, 0], dx, res, ws, "b cells")
+        inter = np.minimum(a1, b1, out=ws("scratch ints", ys.shape, int))
         b1 -= b0
+        inter -= np.maximum(a0, b0, out=b0)
+        inter = np.maximum(inter, 0, out=inter).sum(axis=1)
+        a1 -= a0
         return inter, a1.sum(axis=1) + b1.sum(axis=1) - inter
     # b's sorted keys, taken two by two, bound its filled spans [s, e) (even-odd fill)
-    keys = np.sort(_crossing_keys(b, lo, dx, dy, res))
-    row, start = np.divmod(keys[0::2], res + 1)
-    end = keys[1::2] % (res + 1)
-    pair = row // res
-    overlap = np.minimum(end, a1.ravel()[row])
-    overlap -= np.maximum(start, a0.ravel()[row])
+    keys = _crossing_keys(b, lo, dx, dy, res, ws, "b keys")
+    keys.sort()
+    start, end = keys[0::2], keys[1::2]
+    row, cut = ws("scratch ints", (2, len(start)), int)  # each span's row, and a cell of a's
+    overlap, filled_b = ws("scratch", (2, len(start)))  # float weights, as np.bincount takes
+    np.divmod(start, res + 1, out=(row, start))
+    np.remainder(end, res + 1, out=end)
+    np.minimum(end, np.take(a1.ravel(), row, out=cut, mode="clip"), out=overlap)
+    overlap -= np.maximum(start, np.take(a0.ravel(), row, out=cut, mode="clip"), out=cut)
     np.maximum(overlap, 0, out=overlap)
+    np.subtract(end, start, out=filled_b)
+    pair = np.floor_divide(row, res, out=row)
     inter = np.bincount(pair, overlap, minlength=len(lo)).astype(int)
-    end -= start
-    filled_b = np.bincount(pair, end, minlength=len(lo)).astype(int)
+    filled_b = np.bincount(pair, filled_b, minlength=len(lo)).astype(int)
     a1 -= a0
     return inter, a1.sum(axis=1) + filled_b - inter
 
@@ -391,7 +460,7 @@ def shape_ious(
 
     Each pair is scored exactly as `shape_iou` scores it. Each distinct
     truth object is traced once, and the pairs are counted a chunk of
-    ROWS_PER_CALL // resolution at a time.
+    ROWS_PER_CALL // resolution at a time, in one workspace for all chunks.
 
     Args:
         centers: (N, 2) estimate centers.
@@ -427,13 +496,14 @@ def shape_ious(
     traced = _concat([_outline(t, resolution, flat_groups=True) for _, t in distinct.values()])
     slot = np.asarray(slots)[which]
     chunk = max(1, ROWS_PER_CALL // resolution)
+    ws = _Workspace()
     for at in range(0, len(out), chunk):
         part = slice(at, at + chunk)
         if family == "ellipse":
             est = _ellipse_outlines(centers[part], params[part])
         else:
-            est = _fourier_outlines(centers[part], params[part], resolution)
-        inter, union = _pair_counts(est, traced.take(slot[part]), resolution)
+            est = _fourier_outlines(centers[part], params[part], resolution, ws)
+        inter, union = _pair_counts(est, traced.take(slot[part], ws), resolution, ws)
         out[part] = np.divide(inter, union, out=np.zeros(len(inter)), where=union > 0)
     return out
 
@@ -453,7 +523,8 @@ def shape_iou(a, b, resolution: int = DEFAULT_RESOLUTION) -> float:
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    inter, union = _pair_counts(_outline(a, resolution), _outline(b, resolution), resolution)
+    outlines = _outline(a, resolution), _outline(b, resolution)
+    inter, union = _pair_counts(*outlines, resolution, _Workspace())
     if union[0] == 0:
         raise ValueError("both regions rasterize to zero area")
     return float(inter[0] / union[0])

@@ -58,9 +58,9 @@ from .targets import (
     INSIDE_TEST_POINTS,
     GroundTruthTarget,
     RejectionBudgetError,
-    _box_chunk_size,
     _parts,
     _round_draws,
+    _round_size,
     _round_sources,
     psd_root,
     stacked_sample_sources,
@@ -101,13 +101,14 @@ STEP_BYTES_PER_D2 = 96
 # more memory than the report.
 MAX_REPORT_BYTES = 1 << 32
 # Measurements are drawn a block of steps ahead of the filter
-# (`_draw_block`). A block covers as many steps as keep the first-round box
-# draws of the live runs within DRAW_AHEAD_POINTS points, taking a run's
-# step at the box chunk of `stacked_count` measurements, but always one
-# step. So a block's memory does not grow with n_steps, and falls to one
-# step's when many runs are live; the draws a run that diverges early in
-# a block wastes are bounded too. The inside-or-out test takes the
-# points in slices of the same size (`targets.INSIDE_TEST_POINTS`).
+# (`_draw_block`). A block covers as many steps as keep the first-round
+# draws of the live runs within DRAW_AHEAD_POINTS points, a run's step
+# drawing what one round draws for `stacked_count` measurements
+# (`targets._round_size`), but always one step. So a block's memory does not
+# grow with n_steps, and falls to one step's when many runs are live; the
+# draws a run that diverges early in a block wastes are bounded too. The
+# inside-or-out test takes the points in slices of the same size
+# (`targets.INSIDE_TEST_POINTS`).
 DRAW_AHEAD_POINTS = INSIDE_TEST_POINTS
 
 
@@ -454,7 +455,7 @@ def _score(config: ScenarioConfig, states, truths, steps, resolution) -> np.ndar
 
 def _block_steps(config: ScenarioConfig, n_live: int) -> int:
     """Steps in a block drawn ahead for n_live runs (see DRAW_AHEAD_POINTS)."""
-    points = n_live * _box_chunk_size(config.meas_count_model.stacked_count())
+    points = n_live * _round_size(config.target, config.meas_count_model.stacked_count())
     return max(1, DRAW_AHEAD_POINTS // points)
 
 

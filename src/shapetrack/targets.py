@@ -289,6 +289,11 @@ def _parts(a: np.ndarray, lengths) -> list:
     return [a[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
+def _round_size(target: GroundTruthTarget, need: int) -> int:
+    """How many indices or points `_round_draws` draws for `need` sources."""
+    return need if target.kind == "point_group" else _box_chunk_size(need)
+
+
 def _round_draws(target: GroundTruthTarget, rng: np.random.Generator, need: int) -> np.ndarray:
     """What a run still short of `need` sources draws from rng in one
     rejection round: need member indices of a point group, or else a box

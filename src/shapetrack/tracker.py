@@ -11,8 +11,8 @@ statistical linearization gives the measurement update. Both the elliptic
 Every update runs one kernel, `stacked_update`, over a leading run axis:
 R states, each conditioned on its own k measurements. The source
 estimates of all R * k measurements come from one call: the closest
-points on the clamped prior-mean ellipses (`ellipse_closest_points`, a
-bracketed secular-equation root per measurement), or one arctan2 over the
+points on the prior-mean ellipses of the raw triples (`ellipse_closest_points`,
+a bracketed secular-equation root per measurement), or one arctan2 over the
 (R, k) offsets from the prior centers. Then one pseudo-measurement
 evaluation covers all runs, sigma points and k columns, and
 `gaussian.stacked_sl_update` conditions all runs at once.
@@ -400,10 +400,9 @@ def stacked_update(means, covs, measurements, noise_covs, config: TrackerConfig)
     noise_mean, noise_cov = _noise_block(noise_covs, config.scaling)
     centers = means[:, :2]
     if config.shape_family == "ellipse":
-        chols, _ = clamp_chols(means[:, -3:])
         # an overflowing run gets NaN offsets, so its pseudo-measurements are
         # NaN and only that run is FAILED
-        offsets = ellipse_closest_points(centers, chols, measurements) - centers[:, None]
+        offsets = ellipse_closest_points(centers, means[:, -3:], measurements) - centers[:, None]
 
         def h(points):
             return ellipse_pseudo_measurement(

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from shapetrack import ellipse as ellipse_module
 from shapetrack.ellipse import (
+    CHOL_FLOOR,
     EllipseParams,
     clamp_chols,
     ellipse_boundary_point,
@@ -440,13 +441,39 @@ def test_closest_points_runs_equal_single_ellipse_calls():
 
 def test_closest_points_overflowing_run_gets_nan_rows():
     centers = np.zeros((4, 2))
-    chols = np.array([[1.0, 0.5, 0.2], [1e200, 1e200, 0.0], [1e-170, 1e-170, 0.0], [2.0, 1.0, -0.3]])
+    # a diagonal of 1e-170 is floored to CHOL_FLOOR first, so the third run
+    # overflows through its huge c
+    chols = np.array(
+        [[1.0, 0.5, 0.2], [1e200, 1e200, 0.0], [1e-170, 1e-170, 1e200], [2.0, 1.0, -0.3]]
+    )
     queries = np.tile([[0.3, -1.2], [2.0, 0.5]], (4, 1, 1))
     got = ellipse_closest_points(centers, chols, queries)
     assert np.isnan(got[1:3]).all()
     for r in (0, 3):
         alone = _closest(EllipseParams(centers[r], chols[r]), queries[r])
         assert np.array_equal(got[r], alone)
+
+
+def test_closest_points_take_raw_triples():
+    # each triple is put in the `clamp_chols` form inside the scalar loop:
+    # mirrored sign modes, negative b, diagonals below the floor, -0.0
+    # entries and a NaN entry give the points of the clamped triples
+    rng = np.random.default_rng(17)
+    chols = rng.uniform(0.3, 2.0, (8, 3)) * rng.choice([-1.0, 1.0], (8, 3))
+    chols[0, 0] = -abs(chols[0, 0])  # mirrored (a, c) sign mode
+    chols[1, 1] = -abs(chols[1, 1])  # negative b
+    chols[2, :2] = [0.5 * CHOL_FLOOR, -0.1 * CHOL_FLOOR]  # both diagonals floored
+    chols[3, 0] = -0.5 * CHOL_FLOOR  # flipped, then floored
+    chols[4] = [-0.0, -0.0, -0.0]
+    chols[5, 2] = -0.0
+    chols[6, 2] = np.nan
+    centers = rng.normal(0.0, 1.0, (8, 2))
+    queries = rng.normal(0.0, 2.0, (8, 3, 2))
+    got = ellipse_closest_points(centers, chols, queries)
+    want = ellipse_closest_points(centers, clamp_chols(chols)[0], queries)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[6]).all()
+    assert np.isfinite(np.delete(got, 6, axis=0)).all()
 
 
 def test_closest_point_root_steps_stay_under_the_cap_at_aspect_1e6(monkeypatch):

@@ -365,7 +365,8 @@ def _oracle_boundary(shape, resolution):
     return lo, hi, pts
 
 
-def _oracle_ellipse_row_cells(centers, quads, ys, xlo, dx, res):
+def _oracle_ellipse_row_cells(centers, quads, ys, xlo, dx, res, *workspace):
+    # *workspace: the scratch arguments of `metrics._ellipse_row_cells`, unused
     v = ys - centers[:, 1:2]
     a = quads[:, 0, 0, None]
     b = 2.0 * quads[:, 0, 1, None] * v
@@ -534,6 +535,40 @@ def test_stacked_scores_equal_per_pair_oracle(family, kind, res):
         shape_iou(est, speck, resolution=res)
 
 
+@pytest.mark.parametrize("kind", ["ellipse", "polygon", "group"])
+@pytest.mark.parametrize("family", ["ellipse", "star_convex"])
+def test_later_smaller_chunks_reuse_the_workspace(monkeypatch, family, kind):
+    # chunks of 3 pairs: the first holds large estimates, the second small
+    # ones and the last a single pair, so later chunks write fewer edges
+    # and crossings into the call's workspace than the first left there.
+    # A stale tail of a reused array would change their scores.
+    res = 64
+    monkeypatch.setattr(metrics, "ROWS_PER_CALL", 3 * res)
+    rng = np.random.default_rng([7, len(kind), len(family)])
+    truths = _truth_steps(kind, rng, 3)
+    n = 7
+    which = rng.integers(0, len(truths), n)
+    centers, params = _estimates(family, rng, n, truths, which)
+    grow = np.where(np.arange(n) < 3, 3.0, 0.5)
+    params = params / grow[:, None] if family == "ellipse" else params * grow[:, None]
+    seen = {}
+    crossing_keys = metrics._crossing_keys
+
+    def recorded(outlines, *args):
+        keys = crossing_keys(outlines, *args)
+        edges = len(outlines.polys) * outlines.polys.shape[2]
+        seen.setdefault(args[-1], []).append((edges, keys.size))
+        return keys
+
+    monkeypatch.setattr(metrics, "_crossing_keys", recorded)
+    got = metrics.shape_ious(centers, params, truths, which, family, res)
+    np.testing.assert_array_equal(got, oracle_scores(centers, params, truths, which, family, res))
+    # regions traced as polylines: none where both are ellipses (row spans)
+    assert len(seen) == 2 - (family, kind).count("ellipse")
+    for (first_edges, first_keys), *_, (last_edges, last_keys) in seen.values():
+        assert last_edges < first_edges and last_keys < first_keys
+
+
 @pytest.mark.parametrize("family", ["ellipse", "star_convex"])
 def test_stacked_scores_mix_truth_kinds(family):
     # one call over ellipse, polygon and group truths at once
@@ -615,7 +650,9 @@ def test_row_index_is_searchsorted_on_row_centres(res):
             [ys, np.nextafter(ys, np.inf), np.nextafter(ys, -np.inf),
              [np.nan, np.inf, -np.inf, ylo, ys[-1] + dy]]
         )
-        got = metrics._row_index(y, np.full(y.shape, ylo), np.full(y.shape, dy), res)
+        got = metrics._row_index(
+            y, np.full(y.shape, ylo), np.full(y.shape, dy), res, metrics._Workspace()
+        )
         np.testing.assert_array_equal(got, np.searchsorted(ys, y))
 
 
@@ -641,8 +678,9 @@ def test_pair_counts_equal_those_of_masked_row_cells(monkeypatch, res):
                                 for _ in range(n)])
     lo = np.minimum(est.lo, ellipses.lo)
     dx, dy = (np.maximum(np.maximum(est.hi, ellipses.hi) - lo, 1e-12) / res).T
-    args = (est.centers, est.quads, metrics._row_centres(lo, dy, res), lo[:, 0], dx, res)
-    i0, i1 = metrics._ellipse_row_cells(*args)
+    ys = metrics._row_centres(lo, dy, res, np.empty((n, res)))
+    args = (est.centers, est.quads, ys, lo[:, 0], dx, res)
+    i0, i1 = metrics._ellipse_row_cells(*args, metrics._Workspace(), "cells")
     m0, m1 = _oracle_ellipse_row_cells(*args)
     missed = m1 == m0
     assert np.array_equal(i0[missed], i1[missed])
@@ -650,9 +688,9 @@ def test_pair_counts_equal_those_of_masked_row_cells(monkeypatch, res):
     assert np.array_equal(i0[~missed], m0[~missed]) and np.array_equal(i1[~missed], m1[~missed])
     for truths in (ellipses, polygons):
         for a, b in ((est, truths), (truths, est)):
-            got = metrics._pair_counts(a, b, res)
+            got = metrics._pair_counts(a, b, res, metrics._Workspace())
             with monkeypatch.context() as patched:
                 patched.setattr(metrics, "_ellipse_row_cells", _oracle_ellipse_row_cells)
-                want = metrics._pair_counts(a, b, res)
+                want = metrics._pair_counts(a, b, res, metrics._Workspace())
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])

@@ -22,6 +22,7 @@ from shapetrack.simulate import (
 from shapetrack.targets import (
     RejectionBudgetError,
     _box_chunk_size,
+    _round_size,
     builtin_data_path,
     ellipse_target,
     group_target,
@@ -635,7 +636,7 @@ def test_lockstep_runs_equal_per_run_loop_in_3_step_blocks(case, monkeypatch):
     # blocks of 3 steps while all runs are live end inside every case, and
     # some_runs_diverge diverges mid-block
     config = ORACLE_CASES[case]()
-    chunk = _box_chunk_size(config.meas_count_model.stacked_count())
+    chunk = _round_size(config.target, config.meas_count_model.stacked_count())
     monkeypatch.setattr(simulate, "DRAW_AHEAD_POINTS", 3 * config.n_runs * chunk)
     assert simulate._block_steps(config, config.n_runs) == 3
     _check_lockstep_case(case)
@@ -759,6 +760,14 @@ def test_draw_ahead_block_is_bounded():
     assert simulate._block_steps(replace(config, n_steps=3000), 1) == one_run
     assert simulate._block_steps(config, 2) == one_run // 2
     assert simulate._block_steps(config, 170_000) == 1
+
+
+def test_group_blocks_are_sized_by_member_picks():
+    # a point-group run draws its n member indices per step, not a box chunk
+    config = ORACLE_CASES["stationary_group_poisson"]()
+    n = config.meas_count_model.stacked_count()
+    assert _round_size(config.target, n) == n < _box_chunk_size(n)
+    assert simulate._block_steps(config, 4) == simulate.DRAW_AHEAD_POINTS // (4 * n)
 
 
 def test_inside_test_points_per_call_are_bounded(monkeypatch):
