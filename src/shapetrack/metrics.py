@@ -12,17 +12,18 @@ star-shaped regions with several spans per row come out right.
 Scoring is stacked. `shape_ious` takes N estimates (ellipse Cholesky
 triples or Fourier coefficients) and the truths they are paired with. It
 traces each distinct truth once, a point group's convex hull included,
-and counts the pairs a chunk at a time, with ROWS_PER_CALL bounding the
-grid rows of a chunk. The crossing keys of a chunk are offset by pair, so
-one sorted sweep of both regions' keys counts every pair's union and
-intersection. An ellipse fills one span per row, so where one region of
-every pair in a chunk is an ellipse, the other region's sorted keys,
-taken two by two as spans, are clipped to it instead of swept, and two
-ellipses are counted from a per-row min/max of their roots. Every array
-that grows with a chunk (per edge, crossing, row or sample) is written in
-place into grow-only arrays that the chunks of a call share
-(`_Workspace`), so a call faults its memory in once, not once per chunk.
-`shape_iou` is the one-pair case of the same path.
+into a stack of its kind, exact ellipses or polylines, and counts the
+pairs of each kind a chunk at a time, with ROWS_PER_CALL bounding the
+grid rows of a chunk. The crossing keys of two polyline stacks are offset
+by pair, so one sorted sweep of both counts every pair's union and
+intersection. An ellipse fills one span per row, so a polyline's sorted
+keys, taken two by two as spans, are clipped to it instead, and two
+ellipses are counted from a per-row min/max of their roots; all three
+take the same integer row cells. Every array that grows with a chunk
+(per edge, crossing, row or sample) is written in place into grow-only
+arrays that the chunks of a call share (`_Workspace`), so a call faults
+its memory in once, not once per chunk. `shape_iou` is the one-pair case
+of the same path.
 """
 
 from __future__ import annotations
@@ -46,13 +47,17 @@ CONTOUR_SAMPLES = 2048
 ROWS_PER_CALL = 1 << 12
 
 
+class _NoArea(ValueError):
+    """A point group whose members span no area, so it has no hull."""
+
+
 def _group_hull(members: np.ndarray) -> np.ndarray:
     from scipy.spatial import ConvexHull, QhullError  # loaded only for point groups
 
     try:
         hull = ConvexHull(members)
     except QhullError as err:
-        raise ValueError(
+        raise _NoArea(
             "point group spans no area; overlap scoring needs at least "
             "three non-collinear members"
         ) from err
@@ -122,42 +127,33 @@ def _quad_forms(chols: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Outlines:
-    """N traced regions: their bounding boxes and scoring boundaries.
+    """N traced regions of one kind: their bounding boxes and scoring boundaries.
 
-    Region i is the exact ellipse (centers[i], quads[i]) where ellipse[i]
-    is set, and otherwise the closed polyline with abscissae polys[i, 0]
-    and ordinates polys[i, 1]. Shorter polylines are padded with copies of
+    With ellipse set, region i is the exact ellipse (centers[i], quads[i]);
+    otherwise it is the closed polyline with abscissae polys[i, 0] and
+    ordinates polys[i, 1]. Shorter polylines are padded with copies of
     their last vertex, which add only empty edges.
     """
 
+    ellipse: bool
     lo: np.ndarray  # (N, 2)
     hi: np.ndarray  # (N, 2)
-    ellipse: np.ndarray  # (N,) bool
-    centers: np.ndarray  # (N, 2)
-    quads: np.ndarray  # (N, 2, 2)
-    polys: np.ndarray  # (N, 2, n)
+    centers: np.ndarray | None = None  # (N, 2), ellipses
+    quads: np.ndarray | None = None  # (N, 2, 2), ellipses
+    polys: np.ndarray | None = None  # (N, 2, n), polylines
 
     def take(self, idx, ws: _Workspace) -> "_Outlines":
+        if self.ellipse:
+            return _Outlines(True, self.lo[idx], self.hi[idx], self.centers[idx], self.quads[idx])
         polys = ws("taken polylines", (len(idx),) + self.polys.shape[1:])
         np.take(self.polys, idx, axis=0, out=polys, mode="clip")
-        fields = (self.lo, self.hi, self.ellipse, self.centers, self.quads)
-        return _Outlines(*(f[idx] for f in fields), polys)
+        return _Outlines(False, self.lo[idx], self.hi[idx], polys=polys)
 
 
 def _ellipse_outlines(centers: np.ndarray, chols: np.ndarray) -> _Outlines:
     quads = _quad_forms(chols)
     half = _box_half_widths(quads)
-    n = len(centers)
-    return _Outlines(
-        centers - half, centers + half, np.ones(n, bool), centers, quads, np.empty((n, 2, 0))
-    )
-
-
-def _polyline_outlines(polys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Outlines:
-    n = len(polys)
-    return _Outlines(
-        lo, hi, np.zeros(n, bool), np.full((n, 2), np.nan), np.full((n, 2, 2), np.nan), polys
-    )
+    return _Outlines(True, centers - half, centers + half, centers, quads)
 
 
 def _fourier_offsets(coeffs, n: int, ws: _Workspace, name: str) -> np.ndarray:
@@ -185,47 +181,34 @@ def _fourier_outlines(centers, coeffs, resolution: int, ws: _Workspace) -> _Outl
     lo, hi = centers + offsets.min(axis=2), centers + offsets.max(axis=2)
     if box_only:
         offsets = _fourier_offsets(coeffs, samples, ws, "trace")
-    return _polyline_outlines(np.add(offsets, centers[:, :, None], out=offsets), lo, hi)
+    return _Outlines(False, lo, hi, polys=np.add(offsets, centers[:, :, None], out=offsets))
 
 
 def _concat(parts: list) -> _Outlines:
-    """One stack of several; polylines padded to the longest."""
-    n = max(p.polys.shape[2] for p in parts)
+    """One stack of regions of one kind; polylines padded to the longest."""
 
-    def padded(polys):
-        if not polys.shape[2]:
-            return np.full((len(polys), 2, n), np.nan)  # ellipses: never read
-        last = np.repeat(polys[:, :, -1:], n - polys.shape[2], axis=2)
-        return np.concatenate([polys, last], axis=2)
+    def join(field):
+        return np.concatenate([getattr(p, field) for p in parts])
 
-    fields = {
-        f: np.concatenate([padded(p.polys) if f == "polys" else getattr(p, f) for p in parts])
-        for f in _Outlines.__dataclass_fields__
-    }
-    return _Outlines(**fields)
+    if parts[0].ellipse:
+        return _Outlines(True, join("lo"), join("hi"), join("centers"), join("quads"))
+    # "clip" reads a shorter polyline's last vertex past its end
+    vertex = np.arange(max(p.polys.shape[2] for p in parts))
+    polys = np.concatenate([np.take(p.polys, vertex, axis=2, mode="clip") for p in parts])
+    return _Outlines(False, join("lo"), join("hi"), polys=polys)
 
 
-def _outline(shape, resolution: int, flat_groups: bool = False) -> _Outlines:
+def _outline(shape, resolution: int) -> _Outlines:
     """One region: EllipseParams, FourierShapeParams or GroundTruthTarget.
-
-    A point group whose members span no area raises ValueError, or with
-    flat_groups is traced as an empty region: one vertex, no edge.
-    """
+    A point group whose members span no area raises ValueError (`_NoArea`)."""
     if isinstance(shape, GroundTruthTarget) and shape.kind == "ellipse":
         shape = shape.ellipse
     if isinstance(shape, EllipseParams):
         return _ellipse_outlines(shape.center[None], shape.chol[None])
     if isinstance(shape, FourierShapeParams):
         return _fourier_outlines(shape.center[None], shape.coeffs[None], resolution, _Workspace())
-    if flat_groups and isinstance(shape, GroundTruthTarget) and shape.kind == "point_group":
-        try:
-            pts = _group_hull(shape.members)
-        except ValueError:  # the members span no area
-            pts = shape.members[:1]
-    else:
-        pts = shape_polyline(shape)
-    xy = pts.T.copy()
-    return _polyline_outlines(xy[None], xy.min(axis=1)[None], xy.max(axis=1)[None])
+    xy = shape_polyline(shape).T.copy()
+    return _Outlines(False, xy.min(axis=1)[None], xy.max(axis=1)[None], polys=xy[None])
 
 
 def _row_centres(lo, dy, res, out):
@@ -302,12 +285,14 @@ def _row_index(y, ylo, dy, res, ws):
         j += up
 
 
-def _polyline_keys(polys, pairs, lo, dx, dy, res, ws, name):
-    """Crossing keys (see `_crossing_keys`) of closed polylines (P, 2, n),
-    polyline i belonging to pair pairs[i], in ws under name. Each crossing
-    gathers its edge's and polyline's values with np.take, y before x."""
+def _polyline_keys(polys, lo, dx, dy, res, ws, name):
+    """Flat keys (pair * res + row) * (res + 1) + idx of every boundary
+    crossing of the closed polylines (N, 2, n), polyline i that of pair i,
+    where idx in [0, res] is the first cell centre at or beyond the
+    crossing, in ws under name. Each crossing gathers its edge's and pair's
+    values with np.take, y before x."""
     n = polys.shape[2]
-    edges = ws("edges", (6, len(pairs), n))  # spare, y0, y1 - y0, x0, x1 - x0, y1
+    edges = ws("edges", (6, len(polys), n))  # spare, y0, y1 - y0, x0, x1 - x0, y1
     edges[1], edges[3] = polys[:, 1], polys[:, 0]
     edges[4:, :, :-1], edges[4:, :, -1] = polys.transpose(1, 0, 2)[:, :, 1:], polys[:, :, 0].T
     edges[4] -= edges[3]
@@ -316,7 +301,7 @@ def _polyline_keys(polys, pairs, lo, dx, dy, res, ws, name):
     # an edge crosses the rows whose centre lies in [min(y0, y1), max(y0, y1))
     np.minimum(edges[1], edges[5], out=edges[0])
     np.maximum(edges[1], edges[5], out=edges[5])
-    grid = np.stack([lo[:, 1], dy, lo[:, 0], dx])[:, pairs]  # ylo, dy, xlo, dx per polyline
+    grid = np.stack([lo[:, 1], dy, lo[:, 0], dx])  # ylo, dy, xlo, dx per pair
     r0, counts = _row_index(edges[::5], grid[0, :, None], grid[1, :, None], res, ws)
     ends = np.cumsum(np.subtract(counts, r0, out=counts).ravel(), out=counts.ravel())
     edge = ws("scratch ints", (ends[-1] + 1,), int)  # one more at each edge's first crossing
@@ -325,9 +310,9 @@ def _polyline_keys(polys, pairs, lo, dx, dy, res, ws, name):
     edge = np.cumsum(edge, out=edge)[:-1]  # each crossing's edge
     r0.ravel()[1:] -= ends[:-1]  # less the index of its first crossing, which brings back the row
     np.add(r0, 0.5, out=edges[0])  # row + 0.5 once a crossing adds its index, exact in floats
-    r0 += (pairs * res)[:, None]  # and the pair's first row, for the key
+    r0 += np.arange(0, len(polys) * res, res)[:, None]  # and the pair's first row, for the key
     t, p0, p01, origin, step = cross = ws("scratch", (5, len(edge)))
-    keys = np.floor_divide(edge, n, out=ws(name, edge.shape, int))  # the crossing's polyline
+    keys = np.floor_divide(edge, n, out=ws(name, edge.shape, int))  # the crossing's pair
     index = ws("arange", edge.shape, int, np.arange)
     np.take(edges[:3].reshape(3, -1), edge, axis=1, out=cross[:3], mode="clip")
     np.take(grid[:2], keys, axis=1, out=cross[3:], mode="clip")
@@ -348,32 +333,6 @@ def _polyline_keys(polys, pairs, lo, dx, dy, res, ws, name):
     np.copyto(edge, np.ceil(t, out=t), casting="unsafe")  # the cells, over the gathered edges
     keys += np.clip(edge, 0, res, out=edge)
     return keys
-
-
-def _crossing_keys(outlines: _Outlines, lo, dx, dy, res, ws, name) -> np.ndarray:
-    """Flat keys (pair * res + row) * (res + 1) + idx of every boundary
-    crossing of each pair's region, where idx in [0, res] is the first cell
-    centre at or beyond the crossing, in ws under name. An ellipse gives two
-    per row, equal where it misses the row (an empty span: no cell)."""
-    keys = []
-    ell = np.flatnonzero(outlines.ellipse)
-    if ell.size:
-        ys = _row_centres(lo[ell], dy[ell], res, ws("row centres", (ell.size, res)))
-        args = outlines.centers[ell], outlines.quads[ell], ys, lo[ell, 0], dx[ell], res, ws
-        cells = _ellipse_row_cells(*args, f"{name}, ellipses")
-        base = np.add((ell * res)[:, None], np.arange(res), out=ws("scratch ints", ys.shape, int))
-        cells += np.multiply(base, res + 1, out=base)
-        keys.append(cells.reshape(-1))
-    poly = np.flatnonzero(~outlines.ellipse)
-    if poly.size:
-        polys = outlines.polys
-        if ell.size:  # a mixed stack: its polylines
-            out = ws("polylines", (poly.size,) + polys.shape[1:])
-            polys = np.take(polys, poly, axis=0, out=out, mode="clip")
-        keys.append(_polyline_keys(polys, poly, lo, dx, dy, res, ws, f"{name}, polylines"))
-    if len(keys) == 1:
-        return keys[0]
-    return np.concatenate(keys, out=ws(name, (keys[0].size + keys[1].size,), int))
 
 
 def _sweep_counts(keys_a: np.ndarray, keys_b: np.ndarray, n_pairs: int, res: int, ws):
@@ -405,23 +364,25 @@ def _sweep_counts(keys_a: np.ndarray, keys_b: np.ndarray, n_pairs: int, res: int
 
 def _pair_counts(a: _Outlines, b: _Outlines, res: int, ws: _Workspace):
     """(intersection, union) cell counts of the pairs (a[i], b[i]), each on
-    the grid over its own joint bounding box; temporaries in ws."""
+    the grid over its own joint bounding box; temporaries in ws. Two
+    polyline stacks are swept, a polyline stack is clipped to an ellipse
+    stack's row spans, and two ellipse stacks are counted span by span."""
     lo = np.minimum(a.lo, b.lo)
     hi = np.maximum(a.hi, b.hi)
     span = np.maximum(hi - lo, 1e-12)
     dx, dy = (span / res).T
-    if not a.ellipse.all():
+    if not a.ellipse:
         a, b = b, a  # both counts are symmetric in the pair
-    if not a.ellipse.all():
-        keys_a = _crossing_keys(a, lo, dx, dy, res, ws, "a keys")
-        keys_b = _crossing_keys(b, lo, dx, dy, res, ws, "b keys")
+    if not a.ellipse:  # two polylines
+        keys_a = _polyline_keys(a.polys, lo, dx, dy, res, ws, "a keys")
+        keys_b = _polyline_keys(b.polys, lo, dx, dy, res, ws, "b keys")
         return _sweep_counts(keys_a, keys_b, len(lo), res, ws)
     # a fills one span [a0, a1) per row, so b's spans are clipped to it
     # instead of sweeping both regions' keys: about half the time of the
     # sweep for ellipse estimates against polygon and group truths
     ys = _row_centres(lo, dy, res, ws("row centres", (len(lo), res)))
     a0, a1 = _ellipse_row_cells(a.centers, a.quads, ys, lo[:, 0], dx, res, ws, "a cells")
-    if b.ellipse.all():
+    if b.ellipse:
         b0, b1 = _ellipse_row_cells(b.centers, b.quads, ys, lo[:, 0], dx, res, ws, "b cells")
         inter = np.minimum(a1, b1, out=ws("scratch ints", ys.shape, int))
         b1 -= b0
@@ -430,7 +391,7 @@ def _pair_counts(a: _Outlines, b: _Outlines, res: int, ws: _Workspace):
         a1 -= a0
         return inter, a1.sum(axis=1) + b1.sum(axis=1) - inter
     # b's sorted keys, taken two by two, bound its filled spans [s, e) (even-odd fill)
-    keys = _crossing_keys(b, lo, dx, dy, res, ws, "b keys")
+    keys = _polyline_keys(b.polys, lo, dx, dy, res, ws, "b keys")
     keys.sort()
     start, end = keys[0::2], keys[1::2]
     row, cut = ws("scratch ints", (2, len(start)), int)  # each span's row, and a cell of a's
@@ -459,8 +420,10 @@ def shape_ious(
     """IoU of N estimates against their truths, pair by pair.
 
     Each pair is scored exactly as `shape_iou` scores it. Each distinct
-    truth object is traced once, and the pairs are counted a chunk of
-    ROWS_PER_CALL // resolution at a time, in one workspace for all chunks.
+    truth object is traced once, the pairs whose truth is an ellipse and
+    those whose truth is a polyline are counted in two passes, each a chunk
+    of ROWS_PER_CALL // resolution pairs at a time, in one workspace for
+    all chunks.
 
     Args:
         centers: (N, 2) estimate centers.
@@ -470,8 +433,8 @@ def shape_ious(
         truths: regions the estimates are scored against: GroundTruthTarget,
             EllipseParams or FourierShapeParams. A point group whose
             members span no area covers no cell, so its pairs score 0.
-        which: (N,) index into truths of each estimate's truth; None pairs
-            estimate i with truths[i].
+        which: (N,) index into truths of each estimate's truth, each in
+            [0, len(truths)); None pairs estimate i with truths[i].
         family: "ellipse" or "star_convex", the kind of the estimates.
         resolution: cells per axis of each pair's grid.
 
@@ -487,24 +450,35 @@ def shape_ious(
     which = np.arange(len(truths)) if which is None else np.asarray(which, dtype=int)
     if which.shape != (len(centers),) or len(params) != len(centers):
         raise ValueError("one truth and one parameter row per estimate required")
+    if ((which < 0) | (which >= len(truths))).any():
+        raise ValueError(f"truth indices must lie in [0, {len(truths)})")
     out = np.zeros(len(centers))
     if not len(out):
         return out
-    slots, distinct = [], {}
+    stacks, traced = ([], []), {}  # polylines, ellipses; by id: (kind, index in its stack)
     for truth in truths:
-        slots.append(distinct.setdefault(id(truth), (len(distinct), truth))[0])
-    traced = _concat([_outline(t, resolution, flat_groups=True) for _, t in distinct.values()])
-    slot = np.asarray(slots)[which]
+        if id(truth) not in traced:
+            try:
+                region = _outline(truth, resolution)
+            except _NoArea:  # a point group that covers no cell: its pairs stay 0
+                traced[id(truth)] = (-1, 0)
+                continue
+            traced[id(truth)] = (int(region.ellipse), len(stacks[region.ellipse]))
+            stacks[region.ellipse].append(region)
+    kind, slot = np.array([traced[id(t)] for t in truths])[which].T
     chunk = max(1, ROWS_PER_CALL // resolution)
     ws = _Workspace()
-    for at in range(0, len(out), chunk):
-        part = slice(at, at + chunk)
-        if family == "ellipse":
-            est = _ellipse_outlines(centers[part], params[part])
-        else:
-            est = _fourier_outlines(centers[part], params[part], resolution, ws)
-        inter, union = _pair_counts(est, traced.take(slot[part], ws), resolution, ws)
-        out[part] = np.divide(inter, union, out=np.zeros(len(inter)), where=union > 0)
+    for ellipse, stack in enumerate(stacks):
+        pairs = np.flatnonzero(kind == ellipse)
+        regions = _concat(stack) if pairs.size else None
+        for at in range(0, pairs.size, chunk):
+            part = pairs[at : at + chunk]
+            if family == "ellipse":
+                est = _ellipse_outlines(centers[part], params[part])
+            else:
+                est = _fourier_outlines(centers[part], params[part], resolution, ws)
+            inter, union = _pair_counts(est, regions.take(slot[part], ws), resolution, ws)
+            out[part] = np.divide(inter, union, out=np.zeros(len(inter)), where=union > 0)
     return out
 
 

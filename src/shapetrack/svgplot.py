@@ -63,27 +63,37 @@ def _path(frame: _Frame, points: np.ndarray, style: str, close: bool) -> str:
     return f'<path d="M {coords}{tail}" {style}/>'
 
 
-def _dots(frame: _Frame, points: np.ndarray, radius: float = 2.0) -> str:
+def _dots(frame: _Frame, points: np.ndarray, radius: float) -> str:
     """One circle element a point, one per line, from one format call."""
     px = frame.to_px(points)
     dot = f'<circle cx="%.2f" cy="%.2f" r="{_fmt(radius)}" {MEASUREMENT_STYLE}/>'
     return "\n".join([dot] * len(px)) % tuple(px.ravel().tolist())
 
 
-def _legend(lines) -> list:
-    out = []
+def _figure(truths, ests, meas, radius, truth_label, path=None) -> str:
+    """One SVG document: the dashed path (if any), the measurement dots,
+    the estimate fills and the truth outlines, in that order, framed to
+    all of them, and the three-line legend."""
+    paths = [] if path is None else [path]
+    frame = _Frame(np.vstack(truths + ests + [meas] + paths))
+    elements = [_path(frame, p, PATH_STYLE, close=False) for p in paths]
+    if meas.size:
+        elements.append(_dots(frame, meas, radius))
+    elements += [_path(frame, est, ESTIMATE_STYLE, close=True) for est in ests]
+    elements += [_path(frame, truth, TRUTH_STYLE, close=True) for truth in truths]
+    legend = [
+        (TRUTH_STYLE, truth_label),
+        (ESTIMATE_STYLE, "mean estimate"),
+        (MEASUREMENT_STYLE, "measurements (run 0)"),
+    ]
     y = 22.0
-    for swatch, label in lines:
-        out.append(f'<rect x="14" y="{_fmt(y - 9)}" width="12" height="12" {swatch}/>')
-        out.append(
+    for swatch, label in legend:
+        elements.append(f'<rect x="14" y="{_fmt(y - 9)}" width="12" height="12" {swatch}/>')
+        elements.append(
             f'<text x="32" y="{_fmt(y + 2)}" font-family="sans-serif" '
             f'font-size="13" fill="#222222">{label}</text>'
         )
         y += 20.0
-    return out
-
-
-def _document(elements) -> str:
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -99,82 +109,38 @@ def _finite_steps(report: ScenarioReport, steps) -> list:
     ]
 
 
+def _stacked(points: list) -> np.ndarray:
+    return np.vstack(points) if points else np.empty((0, 2))
+
+
 def overlay_svg(report: ScenarioReport) -> str:
     """Stationary overlay: truth, final mean estimate, run-0 measurements."""
     cfg = report.config
     truth = shape_polyline(posed_target(cfg, 0) if cfg.n_steps else cfg.target)
-    pieces = [truth]
-    est = None
-    finite = _finite_steps(report, range(cfg.n_steps))
-    if finite:
-        est = shape_polyline(shape_estimate(report.mean_estimates[finite[-1]], cfg.tracker))
-        pieces.append(est)
-    meas = (
-        np.vstack(report.example_measurements)
-        if report.example_measurements
-        else np.empty((0, 2))
-    )
-    if meas.size:
-        pieces.append(meas)
-    frame = _Frame(np.vstack(pieces))
-
-    elements = []
-    if meas.size:
-        elements.append(_dots(frame, meas))
-    if est is not None:
-        elements.append(_path(frame, est, ESTIMATE_STYLE, close=True))
-    elements.append(_path(frame, truth, TRUTH_STYLE, close=True))
-    elements.extend(
-        _legend(
-            [
-                (TRUTH_STYLE, "true shape"),
-                (ESTIMATE_STYLE, "mean estimate"),
-                (MEASUREMENT_STYLE, "measurements (run 0)"),
-            ]
-        )
-    )
-    return _document(elements)
+    last = _finite_steps(report, range(cfg.n_steps))[-1:]
+    ests = [shape_polyline(shape_estimate(report.mean_estimates[k], cfg.tracker)) for k in last]
+    return _figure([truth], ests, _stacked(report.example_measurements), 2.0, "true shape")
 
 
 def snippet_svg(report: ScenarioReport, steps) -> str:
-    """Trajectory snippet: truth and mean estimate at the selected steps."""
+    """Trajectory snippet: truth and mean estimate at the selected steps.
+
+    Raises:
+        ValueError: if steps is empty or a step lies outside [0, n_steps).
+    """
     cfg = report.config
     steps = list(steps)
-    shown = _finite_steps(report, steps)
+    if not steps or not all(0 <= k < cfg.n_steps for k in steps):
+        raise ValueError(f"snippet steps must be a non-empty list in [0, {cfg.n_steps})")
     truths = [shape_polyline(posed_target(cfg, k)) for k in steps]
-    ests = [shape_polyline(shape_estimate(report.mean_estimates[k], cfg.tracker)) for k in shown]
+    ests = [
+        shape_polyline(shape_estimate(report.mean_estimates[k], cfg.tracker))
+        for k in _finite_steps(report, steps)
+    ]
     lo, hi = steps[0], steps[-1]
-    meas = [ys for k, ys in enumerate(report.example_measurements) if lo <= k <= hi]
-    meas = np.vstack(meas) if meas else np.empty((0, 2))
-
-    pieces = truths + ests
-    if meas.size:
-        pieces.append(meas)
-    if cfg.trajectory is not None:
-        pieces.append(cfg.trajectory.positions[lo : hi + 1])
-    frame = _Frame(np.vstack(pieces))
-
-    elements = []
-    if cfg.trajectory is not None:
-        elements.append(
-            _path(frame, cfg.trajectory.positions[lo : hi + 1], PATH_STYLE, close=False)
-        )
-    if meas.size:
-        elements.append(_dots(frame, meas, radius=1.5))
-    for est in ests:
-        elements.append(_path(frame, est, ESTIMATE_STYLE, close=True))
-    for truth in truths:
-        elements.append(_path(frame, truth, TRUTH_STYLE, close=True))
-    elements.extend(
-        _legend(
-            [
-                (TRUTH_STYLE, f"true shape, steps {lo}-{hi}"),
-                (ESTIMATE_STYLE, "mean estimate"),
-                (MEASUREMENT_STYLE, "measurements (run 0)"),
-            ]
-        )
-    )
-    return _document(elements)
+    meas = _stacked([ys for k, ys in enumerate(report.example_measurements) if lo <= k <= hi])
+    path = None if cfg.trajectory is None else cfg.trajectory.positions[lo : hi + 1]
+    return _figure(truths, ests, meas, 1.5, f"true shape, steps {lo}-{hi}", path)
 
 
 def scenario_plots(report: ScenarioReport) -> list:

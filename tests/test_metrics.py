@@ -552,15 +552,15 @@ def test_later_smaller_chunks_reuse_the_workspace(monkeypatch, family, kind):
     grow = np.where(np.arange(n) < 3, 3.0, 0.5)
     params = params / grow[:, None] if family == "ellipse" else params * grow[:, None]
     seen = {}
-    crossing_keys = metrics._crossing_keys
+    polyline_keys = metrics._polyline_keys
 
-    def recorded(outlines, *args):
-        keys = crossing_keys(outlines, *args)
-        edges = len(outlines.polys) * outlines.polys.shape[2]
+    def recorded(polys, *args):
+        keys = polyline_keys(polys, *args)
+        edges = len(polys) * polys.shape[2]
         seen.setdefault(args[-1], []).append((edges, keys.size))
         return keys
 
-    monkeypatch.setattr(metrics, "_crossing_keys", recorded)
+    monkeypatch.setattr(metrics, "_polyline_keys", recorded)
     got = metrics.shape_ious(centers, params, truths, which, family, res)
     np.testing.assert_array_equal(got, oracle_scores(centers, params, truths, which, family, res))
     # regions traced as polylines: none where both are ellipses (row spans)
@@ -569,16 +569,30 @@ def test_later_smaller_chunks_reuse_the_workspace(monkeypatch, family, kind):
         assert last_edges < first_edges and last_keys < first_keys
 
 
-@pytest.mark.parametrize("family", ["ellipse", "star_convex"])
-def test_stacked_scores_mix_truth_kinds(family):
-    # one call over ellipse, polygon and group truths at once
+@pytest.mark.parametrize(
+    "family, interleaved",
+    [("ellipse", False), ("star_convex", False), ("ellipse", True), ("star_convex", True)],
+    ids=["ellipse", "star_convex", "ellipse-interleaved", "star_convex-interleaved"],
+)
+def test_stacked_scores_mix_truth_kinds(monkeypatch, family, interleaved):
+    # one call over ellipse, polygon and group truths at once; interleaved,
+    # the kinds alternate, a flat point group lies among them, and chunks
+    # hold 3 pairs, so each kind's pass runs several chunks and writes into
+    # positions between those of the other kinds
     rng = np.random.default_rng(5)
     truths = [t for kind in ("ellipse", "polygon", "group") for t in _truth_steps(kind, rng, 2)]
+    if interleaved:
+        flat = group_target([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        truths = truths[0::2] + [flat] + truths[1::2]
+        monkeypatch.setattr(metrics, "ROWS_PER_CALL", 3 * 256)
     n = 40
     which = rng.integers(0, len(truths), n)
     centers, params = _estimates(family, rng, n, truths, which)
     got = metrics.shape_ious(centers, params, truths, which, family, 256)
     np.testing.assert_array_equal(got, oracle_scores(centers, params, truths, which, family, 256))
+    if interleaved:  # each pass spans three chunks or more; the flat group's pairs score 0
+        assert np.isin(which, [0, 4]).sum() > 6 and np.isin(which, [1, 2, 5, 6]).sum() > 6
+        assert (which == 3).any() and (got[which == 3] == 0.0).all()
 
 
 def test_shape_iou_is_the_one_pair_case():
@@ -619,6 +633,10 @@ def test_shape_ious_validation():
     with pytest.raises(ValueError, match="one truth and one parameter row per estimate"):
         metrics.shape_ious(np.zeros((2, 2)), np.ones((1, 3)), [UNIT_CIRCLE] * 2)
     assert metrics.shape_ious(np.zeros((0, 2)), np.zeros((0, 3)), []).shape == (0,)
+    # every truth index in [0, len(truths)), and none into an empty list
+    for which, truths in (([-1], [UNIT_CIRCLE] * 2), ([2], [UNIT_CIRCLE] * 2), ([0], [])):
+        with pytest.raises(ValueError, match="truth indices"):
+            metrics.shape_ious(np.zeros((1, 2)), [[1.0, 1.0, 0.0]], truths, which)
 
 
 def test_flat_group_truths_score_zero():

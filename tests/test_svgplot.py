@@ -132,6 +132,13 @@ def test_snippet_selected_steps_are_drawn():
     assert "steps 4-14" in text
 
 
+@pytest.mark.parametrize("steps", [[], [24], [-1]])
+def test_snippet_rejects_steps_outside_the_run(steps):
+    # MOVING has 24 steps: an empty list or a step outside [0, 24) is refused
+    with pytest.raises(ValueError, match="snippet steps"):
+        snippet_svg(MOVING, steps)
+
+
 def test_snippet_skips_steps_without_estimates():
     report = run_scenario(small_scenario(moving=True))
     report.mean_estimates[9] = np.nan
