@@ -30,14 +30,16 @@ in a non-numeric cell. For a file over the tolerance or with a changed
 ``iou``/``mean_iou`` cell it also prints the step (and run, where the
 file has one) of the first such row, where the change starts.
 
-``--time`` prints each scenario's ``shapetrack run`` wall time and the
+``--time`` prints each scenario's ``shapetrack run`` wall time, the
 minor page faults the process took during it (the
 ``resource.getrusage(RUSAGE_SELF).ru_minflt`` delta around its
-``cli.main`` call), and then their totals as ``time total: ... s, ...
-minor faults``, to standard error, so the listing and ``--against`` work
-as without it. The fault count of a scenario also depends on what ran
-before it in the process, since the allocator keeps or returns freed
-memory by its own history.
+``cli.main`` call) and the process's peak resident set size after it
+(``ru_maxrss``, which only grows, so a scenario that raises it holds the
+peak so far), and then the totals as ``time total: ... s, ... minor
+faults, peak RSS ... MB``, to standard error, so the listing and
+``--against`` work as without it. The fault count of a scenario also
+depends on what ran before it in the process, since the allocator keeps
+or returns freed memory by its own history.
 """
 
 from __future__ import annotations
@@ -83,10 +85,15 @@ def listing(
                 code = cli.main(["run", name, "--out", str(out), *([] if full else REDUCED)])
             if timed:
                 elapsed = time.perf_counter() - t0
-                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+                usage = resource.getrusage(resource.RUSAGE_SELF)
+                faults = usage.ru_minflt - faults
                 total += elapsed
                 total_faults += faults
-                print(f"time {name}: {elapsed:.3f} s, {faults} minor faults", file=sys.stderr)
+                print(
+                    f"time {name}: {elapsed:.3f} s, {faults} minor faults, "
+                    f"peak RSS {_megabytes(usage.ru_maxrss)}",
+                    file=sys.stderr,
+                )
             if code != 0:
                 raise SystemExit(f"{name}: shapetrack run exited with {code}")
             hashed = [*FILES, *sorted(p.name for p in out.glob("*.svg"))]
@@ -103,8 +110,19 @@ def listing(
                 for fname in hashed:
                     shutil.copyfile(out / fname, dest / fname)
     if timed:
-        print(f"time total: {total:.3f} s, {total_faults} minor faults", file=sys.stderr)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(
+            f"time total: {total:.3f} s, {total_faults} minor faults, "
+            f"peak RSS {_megabytes(peak)}",
+            file=sys.stderr,
+        )
     return lines, problems
+
+
+def _megabytes(maxrss: int) -> str:
+    """ru_maxrss (kilobytes on Linux, bytes on macOS) in MB."""
+    scale = 1 if sys.platform == "darwin" else 1024
+    return f"{maxrss * scale / 1e6:.1f} MB"
 
 
 def _rows(path: Path) -> list[list[str]]:

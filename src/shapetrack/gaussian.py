@@ -24,15 +24,16 @@ eigenvalue solver on it.
 
 No kernel copies its inputs, writes to them, or returns an array that
 shares memory with them. When every run takes part, a kernel works on the
-whole stack as it is: `stacked_psd_repair` runs one `eigvalsh` on all
-matrices when all are finite, and `stacked_sl_update` checks every run's
-innovation and, when every run is `OK`, returns its posterior arrays
-themselves. Only a subset of runs (a non-finite matrix, a `DEGENERATE` or
-`FAILED` run) is gathered, and its results are scattered into copies of
-the priors. `psd_repair`, `draw_sigma_points` and
-`statistical_linearization_update` work on one state: `FAILED` becomes the
-`ConditioningError` of the single-state API, and a `DEGENERATE` update
-returns a copy of the prior.
+whole stack as it is: `stacked_psd_repair` clears all finite matrices
+with one stacked `cholesky` and a norm bound, and runs `eigvalsh` only on
+those it does not clear; `stacked_sl_update` tests the finiteness of the
+whole stack once, checks every run's innovation and, when every run is
+`OK`, returns its posterior arrays themselves. Only a subset of runs (a
+non-finite matrix, a `DEGENERATE` or `FAILED` run) is gathered, and its
+results are scattered into copies of the priors. `psd_repair`,
+`draw_sigma_points` and `statistical_linearization_update` work on one
+state: `FAILED` becomes the `ConditioningError` of the single-state API,
+and a `DEGENERATE` update returns a copy of the prior.
 """
 
 from __future__ import annotations
@@ -97,20 +98,53 @@ def _rows(mask: np.ndarray):
 def stacked_psd_repair(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`psd_repair` over a stack of covariances (R, d, d).
 
+    A matrix is jittered where `eigvalsh` finds its smallest eigenvalue
+    w_min below -PSD_TOL. That eigensolve runs only on the finite matrices
+    that one stacked Cholesky factorization does not clear: all of them
+    when it fails, else those whose factor's squared norm exceeds
+    `_cholesky_norm_bound`. The others have w_min >= -PSD_TOL, so the
+    result is that of `eigvalsh` on every finite matrix.
+
     Returns the repaired stack and a per-matrix flag, False where a matrix
     is not finite or is still indefinite after the jitter.
     """
     sym = symmetrize(np.asarray(covs, dtype=float))
     ok = _finite_rows(sym)
-    finite = _rows(ok)
-    w_min = np.zeros(len(sym))
-    w_min[finite] = np.linalg.eigvalsh(sym[finite])[:, 0]
-    bad = (w_min < -PSD_TOL).nonzero()[0]
-    if bad.size:
-        eps = np.abs(w_min[bad]) + JITTER_FLOOR
-        sym[bad] = sym[bad] + eps[:, None, None] * np.eye(sym.shape[-1])
-        ok[bad] = np.linalg.eigvalsh(sym[bad])[:, 0] >= -PSD_TOL
+    check = ok.nonzero()[0]  # the rows whose w_min is not known to be >= -PSD_TOL
+    try:
+        # a non-finite matrix may factorize without an error, so it joins no factorization
+        low = np.linalg.cholesky(sym[_rows(ok)])
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        check = check[np.einsum("rij,rij->r", low, low) > _cholesky_norm_bound(low.shape[-1])]
+    if check.size:
+        w_min = np.linalg.eigvalsh(sym[check])[:, 0]
+        neg = w_min < -PSD_TOL
+        bad = check[neg]
+        if bad.size:
+            eps = np.abs(w_min[neg]) + JITTER_FLOOR
+            sym[bad] = sym[bad] + eps[:, None, None] * np.eye(sym.shape[-1])
+            ok[bad] = np.linalg.eigvalsh(sym[bad])[:, 0] >= -PSD_TOL
     return sym, ok
+
+
+def _cholesky_norm_bound(n: int) -> float:
+    """The squared Frobenius norm ||L||_F^2 up to which a Cholesky factor L of
+    an n x n symmetric A proves that `eigvalsh` finds A's smallest
+    eigenvalue at or above -PSD_TOL: PSD_TOL / (gamma_{n+1} + n^2 u), with
+    u the unit roundoff and gamma_k = k u / (1 - k u).
+
+    A Cholesky factorization that runs to completion gives L L^T = A + E
+    with |E| <= gamma_{n+1} |L| |L^T| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3), so ||E||_2 <= gamma_{n+1}
+    ||L||_F^2 and A's smallest eigenvalue is at least -gamma_{n+1}
+    ||L||_F^2. `eigvalsh` is backward stable: each eigenvalue it returns
+    is within p(n) u ||A||_2 of the exact one, with ||A||_2 <= (1 +
+    gamma_{n+1}) ||L||_F^2; n^2 u ||L||_F^2 is a generous allowance for that.
+    """
+    u = 2.0**-53
+    return PSD_TOL / ((n + 1) * u / (1 - (n + 1) * u) + n * n * u)
 
 
 def psd_repair(cov: np.ndarray) -> np.ndarray:
@@ -276,11 +310,12 @@ def _stacked_sigma_points(
     n_runs, d = means.shape
     root_scale, w_mean, w_cov = _unscented_weights(d, spread)
     roots, ok = _stacked_cholesky(covs)
-    root_t = (roots * root_scale).swapaxes(-1, -2)
+    roots *= root_scale  # the factors are new arrays
+    root_t = roots.swapaxes(-1, -2)
     points = np.empty((n_runs, 2 * d + 1, d))
     points[:, 0] = means
-    points[:, 1 : d + 1] = means[:, None, :] + root_t
-    points[:, d + 1 :] = means[:, None, :] - root_t
+    np.add(means[:, None, :], root_t, out=points[:, 1 : d + 1])
+    np.subtract(means[:, None, :], root_t, out=points[:, d + 1 :])
     return points, w_mean, w_cov, ok
 
 
@@ -390,8 +425,11 @@ def stacked_sl_update(
     cov_hh = symmetrize((w_c[:, None] * dh).swapaxes(-1, -2) @ dh)
     cov_xh = (w_c[:, None] * dx).swapaxes(-1, -2) @ dh
 
-    ok &= _finite_rows(cov_hh) & _finite_rows(cov_xh)
-    live = _rows(ok)
+    if ok.all() and np.isfinite(cov_hh).all() and np.isfinite(cov_xh).all():
+        live = slice(None)  # one test of the whole stack, no gathers
+    else:
+        ok &= _finite_rows(cov_hh) & _finite_rows(cov_xh)
+        live = _rows(ok)
     if cov_hh.shape[-1] == 1:
         # the eigenvalue of a 1 x 1 matrix is its entry (LAPACK returns it as is)
         smallest = cov_hh[live, 0, 0]
@@ -399,11 +437,13 @@ def stacked_sl_update(
         smallest = np.linalg.eigvalsh(cov_hh[live])[:, 0]
     go = ok.copy()
     go[live] = ~(smallest < INNOVATION_TOL)
-    status = np.where(go, OK, np.where(ok, DEGENERATE, FAILED))
-    if not go.any():
-        return means.copy(), covs.copy(), status
-
-    sel = _rows(go)
+    if go.all():
+        status, sel = np.full(n_runs, OK), slice(None)
+    else:
+        status = np.where(go, OK, np.where(ok, DEGENERATE, FAILED))
+        if not go.any():
+            return means.copy(), covs.copy(), status
+        sel = _rows(go)
     gain, solved = _stacked_gain(cov_hh[sel], cov_xh[sel])
     mean_post = means[sel] + np.matmul(gain, (0.0 - mean_h[sel])[..., None])[..., 0]
     cov_post, repaired = stacked_psd_repair(

@@ -13,13 +13,17 @@ Scoring is stacked. `shape_ious` takes N estimates (ellipse Cholesky
 triples or Fourier coefficients) and the truths they are paired with. It
 traces each distinct truth once, a point group's convex hull included,
 into a stack of its kind, exact ellipses or polylines, and counts the
-pairs of each kind a chunk at a time, with ROWS_PER_CALL bounding the
-grid rows of a chunk. The crossing keys of two polyline stacks are offset
-by pair, so one sorted sweep of both counts every pair's union and
-intersection. An ellipse fills one span per row, so a polyline's sorted
-keys, taken two by two as spans, are clipped to it instead, and two
-ellipses are counted from a per-row min/max of their roots; all three
-take the same integer row cells. Every array that grows with a chunk
+pairs of each kind a chunk at a time. A chunk takes as many pairs as fit
+in CHUNK_BYTES of workspace by the bytes a pair fills on its path
+(`_pair_bytes`): an ellipse-estimate pair holds row arrays only, a
+Fourier-estimate pair also its traces and edge table, so ellipse
+estimates are counted several times as many pairs at a time, and their
+outlines are built once per call. The crossing keys of two polyline
+stacks are offset by pair, so one sorted sweep of both counts every
+pair's union and intersection. An ellipse fills one span per row, so a
+polyline's sorted keys, taken two by two as spans, are clipped to it
+instead, and two ellipses are counted from a per-row min/max of their
+roots; all three take the same integer row cells. Every array that grows with a chunk
 (per edge, crossing, row or sample) is written in place into grow-only
 arrays that the chunks of a call share (`_Workspace`), so a call faults
 its memory in once, not once per chunk. `shape_iou` is the one-pair case
@@ -42,9 +46,10 @@ __all__ = ["shape_iou", "shape_ious", "shape_polyline", "DEFAULT_RESOLUTION"]
 
 DEFAULT_RESOLUTION = 1024
 CONTOUR_SAMPLES = 2048
-# Grid rows per stacked count (16 pairs at resolution 256): bounds the
-# (pairs x resolution) row arrays and the traces of a chunk.
-ROWS_PER_CALL = 1 << 12
+# Workspace bytes of one stacked count, which bound the row arrays, traces
+# and crossings of a chunk: at resolution 256 (1024), 89 (22) ellipse/ellipse,
+# 42 (10) ellipse/polyline and 16 (4) Fourier/polyline pairs (`_pair_bytes`).
+CHUNK_BYTES = 1_650_000
 
 
 class _NoArea(ValueError):
@@ -169,11 +174,17 @@ def _fourier_offsets(coeffs, n: int, ws: _Workspace, name: str) -> np.ndarray:
     return offsets
 
 
+def _trace_samples(resolution: int) -> int:
+    """Samples of a Fourier contour's scoring trace: coarser on coarse grids
+    (boundary sampling finer than the grid adds nothing)."""
+    return min(CONTOUR_SAMPLES, max(256, 2 * resolution))
+
+
 def _fourier_outlines(centers, coeffs, resolution: int, ws: _Workspace) -> _Outlines:
-    """Fourier contours, boxed by a CONTOUR_SAMPLES trace and scored on one
-    that is coarser on coarse grids (boundary sampling finer than the grid
-    adds nothing). The scoring trace is left in ws, a box-only trace in its scratch."""
-    samples = min(CONTOUR_SAMPLES, max(256, 2 * resolution))
+    """Fourier contours, boxed by a CONTOUR_SAMPLES trace and scored on a
+    `_trace_samples` one. The scoring trace is left in ws, a box-only trace
+    in its scratch."""
+    samples = _trace_samples(resolution)
     box_only = samples != CONTOUR_SAMPLES
     offsets = _fourier_offsets(coeffs, CONTOUR_SAMPLES, ws, "scratch" if box_only else "trace")
     # adding the centre is monotone in the offset, so the trace's box is
@@ -409,6 +420,30 @@ def _pair_counts(a: _Outlines, b: _Outlines, res: int, ws: _Workspace):
     return inter, a1.sum(axis=1) + filled_b - inter
 
 
+def _pair_bytes(est_ellipse: bool, truth_ellipse: bool, res: int) -> int:
+    """About the workspace bytes that one pair fills on its path, 8 for each
+    float or int; a chunk takes CHUNK_BYTES // _pair_bytes pairs.
+
+    Per row: a row centre when an ellipse is in the pair, two span cells
+    for each ellipse and, for two, their overlap. Per crossing, counted as
+    two a row for each polyline: a key, an edge and an index. Per sample of
+    a Fourier estimate's scoring trace: two coordinates, six edge floats
+    and three of its row search. The scratch holds the largest of three
+    root floats a row, a polyline's five floats a crossing, and a Fourier
+    estimate's box trace when that is traced apart.
+    """
+    ellipses = est_ellipse + truth_ellipse
+    row = (ellipses > 0) + 2 * ellipses + (ellipses == 2)
+    crossings = 2 * res * (2 - ellipses)
+    entries = row * res + 3 * crossings
+    scratch = max(3 * res * (ellipses > 0), 5 * 2 * res * (ellipses < 2))
+    if not est_ellipse:
+        samples = _trace_samples(res)
+        entries += 11 * samples
+        scratch = max(scratch, 2 * CONTOUR_SAMPLES * (samples < CONTOUR_SAMPLES))
+    return 8 * (entries + scratch)
+
+
 def shape_ious(
     centers,
     params,
@@ -420,10 +455,11 @@ def shape_ious(
     """IoU of N estimates against their truths, pair by pair.
 
     Each pair is scored exactly as `shape_iou` scores it. Each distinct
-    truth object is traced once, the pairs whose truth is an ellipse and
-    those whose truth is a polyline are counted in two passes, each a chunk
-    of ROWS_PER_CALL // resolution pairs at a time, in one workspace for
-    all chunks.
+    truth object is traced once, and ellipse estimates are outlined once.
+    The pairs whose truth is an ellipse and those whose truth is a polyline
+    are counted in two passes, each a chunk of CHUNK_BYTES // `_pair_bytes`
+    pairs at a time, so that a chunk fills about CHUNK_BYTES of the one
+    workspace that all chunks share.
 
     Args:
         centers: (N, 2) estimate centers.
@@ -466,15 +502,18 @@ def shape_ious(
             traced[id(truth)] = (int(region.ellipse), len(stacks[region.ellipse]))
             stacks[region.ellipse].append(region)
     kind, slot = np.array([traced[id(t)] for t in truths])[which].T
-    chunk = max(1, ROWS_PER_CALL // resolution)
     ws = _Workspace()
+    ellipses = _ellipse_outlines(centers, params) if family == "ellipse" else None
     for ellipse, stack in enumerate(stacks):
         pairs = np.flatnonzero(kind == ellipse)
-        regions = _concat(stack) if pairs.size else None
+        if not pairs.size:
+            continue
+        regions = _concat(stack)
+        chunk = max(1, CHUNK_BYTES // _pair_bytes(family == "ellipse", bool(ellipse), resolution))
         for at in range(0, pairs.size, chunk):
             part = pairs[at : at + chunk]
-            if family == "ellipse":
-                est = _ellipse_outlines(centers[part], params[part])
+            if ellipses is not None:
+                est = ellipses.take(part, ws)
             else:
                 est = _fourier_outlines(centers[part], params[part], resolution, ws)
             inter, union = _pair_counts(est, regions.take(slot[part], ws), resolution, ws)

@@ -126,12 +126,16 @@ def snippet_svg(report: ScenarioReport, steps) -> str:
     """Trajectory snippet: truth and mean estimate at the selected steps.
 
     Raises:
-        ValueError: if steps is empty or a step lies outside [0, n_steps).
+        ValueError: if steps is empty, not strictly increasing, or a step
+            lies outside [0, n_steps).
     """
     cfg = report.config
     steps = list(steps)
-    if not steps or not all(0 <= k < cfg.n_steps for k in steps):
-        raise ValueError(f"snippet steps must be a non-empty list in [0, {cfg.n_steps})")
+    increasing = all(a < b for a, b in zip(steps, steps[1:]))
+    if not (steps and increasing and 0 <= steps[0] and steps[-1] < cfg.n_steps):
+        raise ValueError(
+            f"snippet steps must be a non-empty, strictly increasing list in [0, {cfg.n_steps})"
+        )
     truths = [shape_polyline(posed_target(cfg, k)) for k in steps]
     ests = [
         shape_polyline(shape_estimate(report.mean_estimates[k], cfg.tracker))

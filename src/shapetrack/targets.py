@@ -226,6 +226,8 @@ def polygon_target(vertices) -> GroundTruthTarget:
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] != 2 or vertices.shape[0] < 3:
         raise ValueError("polygon needs at least 3 (x, y) vertices")
+    if not np.isfinite(vertices).all():
+        raise ValueError("polygon_target: vertex coordinates must be finite")
     _check_simple(vertices)
     _check_star_convex(vertices, polygon_centroid(vertices))
     return GroundTruthTarget("polygon", vertices=vertices)
@@ -235,6 +237,8 @@ def group_target(members) -> GroundTruthTarget:
     members = np.atleast_2d(np.asarray(members, dtype=float))
     if members.shape[0] < 1 or members.shape[1] != 2:
         raise ValueError("point group needs at least one (x, y) member")
+    if not np.isfinite(members).all():
+        raise ValueError("group_target: member coordinates must be finite")
     return GroundTruthTarget("point_group", members=members)
 
 

@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from shapetrack.gaussian import (
     DEGENERATE,
+    JITTER_FLOOR,
+    PSD_TOL,
     ConditioningError,
     GaussianState,
     UnscentedSpread,
@@ -16,6 +18,7 @@ from shapetrack.gaussian import (
     stacked_psd_repair,
     stacked_sl_update,
     statistical_linearization_update,
+    symmetrize,
 )
 
 # Frozen from scripts/oracle_quadratic_update.py (10^7-sample Monte-Carlo
@@ -258,6 +261,105 @@ def test_stacked_psd_repair_flags_rows():
         assert np.array_equal(repaired[r], psd_repair(covs[r]))
     with pytest.raises(ConditioningError):
         psd_repair(covs[2])
+
+
+def eigvalsh_psd_repair(covs):
+    """The repair rule by `eigvalsh` on every finite matrix: the reference for
+    the Cholesky check of `stacked_psd_repair`."""
+    sym = symmetrize(np.asarray(covs, dtype=float))
+    ok = np.isfinite(sym).reshape(len(sym), -1).all(axis=1)
+    w_min = np.zeros(len(sym))
+    w_min[ok] = np.linalg.eigvalsh(sym[ok])[:, 0]
+    bad = (w_min < -PSD_TOL).nonzero()[0]
+    if bad.size:
+        eps = np.abs(w_min[bad]) + JITTER_FLOOR
+        sym[bad] = sym[bad] + eps[:, None, None] * np.eye(sym.shape[-1])
+        ok[bad] = np.linalg.eigvalsh(sym[bad])[:, 0] >= -PSD_TOL
+    return sym, ok
+
+
+def assert_repair_is_the_eigvalsh_rule(covs):
+    repaired, ok = stacked_psd_repair(covs)
+    want, want_ok = eigvalsh_psd_repair(covs)
+    assert repaired.tobytes() == want.tobytes()  # bit for bit, NaN included
+    assert ok.tolist() == want_ok.tolist()
+    return repaired, ok
+
+
+def factorizes(covs) -> bool:
+    try:
+        np.linalg.cholesky(symmetrize(covs))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def rotated(rng, w):
+    """A symmetric matrix with eigenvalues w in a random orthonormal basis."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(w), len(w))))
+    return (q * w) @ q.T
+
+
+@pytest.mark.parametrize("d", [3, 5, 8, 17])
+def test_psd_check_of_near_singular_stacks(d):
+    # positive definite with condition numbers 1e12-1e15: the check agrees
+    # with eigvalsh on every stack, and at least one stack factorizes, so
+    # the Cholesky path runs
+    rng = np.random.default_rng(d)
+    cleared = 0
+    for cond in (1e12, 1e13, 1e14, 1e15):
+        covs = np.stack([rotated(rng, np.geomspace(1.0, 1.0 / cond, d)) for _ in range(6)])
+        assert_repair_is_the_eigvalsh_rule(covs)
+        cleared += factorizes(covs)
+    assert cleared >= 1
+
+
+def test_psd_check_at_the_tolerance():
+    # smallest eigenvalue exactly 0, -0.5 PSD_TOL and -2 PSD_TOL, next to
+    # positive definite matrices; alone, in a stack, diagonal and rotated
+    rng = np.random.default_rng(4)
+    edges = [np.diag([w, 1.0, 2.0]) for w in (0.0, -0.5 * PSD_TOL, -2.0 * PSD_TOL)]
+    spd = [random_spd(rng, 3) for _ in range(2)]
+    for cov in edges:
+        for covs in ([cov], [spd[0], cov, spd[1]]):
+            assert_repair_is_the_eigvalsh_rule(np.stack(covs))
+    repaired, ok = assert_repair_is_the_eigvalsh_rule(np.stack(edges + spd))
+    assert ok.all()
+    assert [np.array_equal(r, c) for r, c in zip(repaired, edges)] == [True, True, False]
+    turn = rotated(rng, [1.0, 1.0, 1.0])  # an orthonormal basis
+    assert_repair_is_the_eigvalsh_rule(np.stack([turn @ c @ turn.T for c in edges + spd]))
+
+
+def test_psd_check_of_a_large_norm_stack():
+    # entries of 1e8-1e12, as a run near the divergence bound of its centre
+    # can carry: every matrix factorizes, yet eigvalsh finds the smallest
+    # eigenvalue of some below -PSD_TOL, which the norm bound must send to
+    # the jitter
+    rng = np.random.default_rng(9)
+    covs = []
+    while len(covs) < 40:
+        b = rng.normal(size=(5, 4)) * 10 ** rng.uniform(4, 6, 4)
+        cov = symmetrize(b @ b.T)  # rank 4: smallest eigenvalue 0 up to rounding
+        if factorizes(cov[None]):
+            covs.append(cov)
+    covs = np.stack(covs)
+    assert factorizes(covs)
+    assert (np.linalg.eigvalsh(covs)[:, 0] < -PSD_TOL).sum() >= 3
+    repaired, _ = assert_repair_is_the_eigvalsh_rule(covs)
+    assert not np.array_equal(repaired, covs)
+
+
+def test_psd_check_flags_non_finite_rows():
+    # a NaN or inf matrix can factorize into a non-finite factor without an
+    # error; it must still be flagged, and the others repaired as alone
+    rng = np.random.default_rng(6)
+    covs = np.stack([random_spd(rng, 4) for _ in range(5)])
+    covs[1, 2, 3] = np.nan
+    covs[3, 0, 0] = np.inf
+    covs[4] = np.diag([1.0, 1.0, 1.0, -2.0 * PSD_TOL])
+    for stack in (covs, covs[[1, 3]], covs[:4]):
+        repaired, ok = assert_repair_is_the_eigvalsh_rule(stack)
+        assert ok.tolist() == np.isfinite(stack).all(axis=(1, 2)).tolist()
 
 
 # ---------------------------------------------------------------------------

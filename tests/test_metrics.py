@@ -507,12 +507,19 @@ def _zero_union_pair(family):
     return np.zeros(2), np.r_[2e-4, np.zeros(6)], truth
 
 
+def force_chunks(monkeypatch, pairs):
+    """Chunks of the given number of pairs on every scoring path, through the
+    chunk budget: each pair is taken to fill that share of CHUNK_BYTES."""
+    monkeypatch.setattr(metrics, "_pair_bytes", lambda *_: metrics.CHUNK_BYTES // pairs)
+
+
 @pytest.mark.parametrize("res", [256, 1024])
 @pytest.mark.parametrize("kind", ["ellipse", "polygon", "group"])
 @pytest.mark.parametrize("family", ["ellipse", "star_convex"])
-def test_stacked_scores_equal_per_pair_oracle(family, kind, res):
+def test_stacked_scores_equal_per_pair_oracle(monkeypatch, family, kind, res):
     rng = np.random.default_rng([res, len(kind), len(family)])
-    chunk = metrics.ROWS_PER_CALL // res
+    chunk = 4096 // res  # 16 pairs at resolution 256, 4 at 1024
+    force_chunks(monkeypatch, chunk)
     n_steps = 5
     truths = _truth_steps(kind, rng, n_steps)
     # mixed steps; the pair count crosses two chunk boundaries
@@ -543,7 +550,7 @@ def test_later_smaller_chunks_reuse_the_workspace(monkeypatch, family, kind):
     # and crossings into the call's workspace than the first left there.
     # A stale tail of a reused array would change their scores.
     res = 64
-    monkeypatch.setattr(metrics, "ROWS_PER_CALL", 3 * res)
+    force_chunks(monkeypatch, 3)
     rng = np.random.default_rng([7, len(kind), len(family)])
     truths = _truth_steps(kind, rng, 3)
     n = 7
@@ -584,7 +591,7 @@ def test_stacked_scores_mix_truth_kinds(monkeypatch, family, interleaved):
     if interleaved:
         flat = group_target([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         truths = truths[0::2] + [flat] + truths[1::2]
-        monkeypatch.setattr(metrics, "ROWS_PER_CALL", 3 * 256)
+        force_chunks(monkeypatch, 3)
     n = 40
     which = rng.integers(0, len(truths), n)
     centers, params = _estimates(family, rng, n, truths, which)
@@ -593,6 +600,27 @@ def test_stacked_scores_mix_truth_kinds(monkeypatch, family, interleaved):
     if interleaved:  # each pass spans three chunks or more; the flat group's pairs score 0
         assert np.isin(which, [0, 4]).sum() > 6 and np.isin(which, [1, 2, 5, 6]).sum() > 6
         assert (which == 3).any() and (got[which == 3] == 0.0).all()
+
+
+@pytest.mark.parametrize("res", [256, 1024])
+@pytest.mark.parametrize(
+    "family, kind", [("ellipse", "ellipse"), ("ellipse", "polygon"), ("star_convex", "polygon")]
+)
+def test_scores_do_not_depend_on_the_chunk_budget(monkeypatch, family, kind, res):
+    # more pairs than a chunk holds at the default budget, so both budgets
+    # split the call: the default one into three chunks, the other into one
+    # chunk per pair
+    rng = np.random.default_rng([res, len(kind), len(family), 2])
+    truths = _truth_steps(kind, rng, 4)
+    pair = metrics._pair_bytes(family == "ellipse", kind == "ellipse", res)
+    n = 2 * (metrics.CHUNK_BYTES // pair) + 1
+    which = rng.integers(0, len(truths), n)
+    centers, params = _estimates(family, rng, n, truths, which)
+    default = metrics.shape_ious(centers, params, truths, which, family, res)
+    force_chunks(monkeypatch, 1)
+    one_pair = metrics.shape_ious(centers, params, truths, which, family, res)
+    np.testing.assert_array_equal(default, one_pair)
+    assert (default > 0).mean() > 0.5
 
 
 def test_shape_iou_is_the_one_pair_case():

@@ -139,6 +139,13 @@ def test_snippet_rejects_steps_outside_the_run(steps):
         snippet_svg(MOVING, steps)
 
 
+@pytest.mark.parametrize("steps", [[14, 4], [4, 9, 9]])
+def test_snippet_rejects_steps_out_of_order(steps):
+    # the window runs from the first step to the last, so they must increase
+    with pytest.raises(ValueError, match="strictly increasing"):
+        snippet_svg(MOVING, steps)
+
+
 def test_snippet_skips_steps_without_estimates():
     report = run_scenario(small_scenario(moving=True))
     report.mean_estimates[9] = np.nan

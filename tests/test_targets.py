@@ -93,6 +93,14 @@ def test_polygon_target_rejects_non_star_convex():
         polygon_target(notched)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_builders_reject_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="polygon_target: vertex coordinates must be finite"):
+        polygon_target([[0.0, 0.0], [1.0, bad], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="group_target: member coordinates must be finite"):
+        group_target([[0.0, 0.0], [1.0, bad], [0.0, 1.0], [1.0, 1.0]])
+
+
 def test_polygon_target_rejects_too_few_vertices():
     with pytest.raises(ValueError):
         polygon_target([[0.0, 0.0], [1.0, 1.0]])

@@ -33,6 +33,7 @@ from shapetrack.starconvex import (
     sc_scaled_implicit,
 )
 from shapetrack.tracker import (
+    TRACE_FLOOR,
     DynamicsSpec,
     ScalingModel,
     Tracker,
@@ -282,6 +283,42 @@ def test_ellipse_pseudo_stacked_columns_match_single(k):
         for r in range(n_runs):
             own = ellipse_pseudo_measurement(runs[r], all_ys[r], all_offsets[r], normalize)
             assert np.array_equal(by_run[r], own)
+
+
+def frozen_ellipse_pseudo(points, ys, offsets, normalize):
+    """The elliptic pseudo-measurement, one element at a time in a frozen
+    operation order: points (R, n, d + 3k), ys and offsets (R, k, 2)."""
+    k = ys.shape[1]
+    d = points.shape[-1] - 3 * k
+    out = np.empty(points.shape[:2] + (k,))
+    for r, i, l in np.ndindex(out.shape):
+        p = [float(x) for x in points[r, i]]
+        a, b, c = p[d - 3 : d]
+        v0, v1, u = p[d + 3 * l : d + 3 * l + 3]
+        w0, w1 = float(ys[r, l, 0]) - p[0], float(ys[r, l, 1]) - p[1]
+        r0, r1 = (float(x) for x in offsets[r, l])
+        q11, q12, q22 = a * a, a * c, b * b + c * c
+        # x**2 of an array is x * x
+        quad = q11 * (w0 * w0) + 2.0 * q12 * w0 * w1 + q22 * (w1 * w1)
+        cross = q11 * r0 * v0 + q12 * (r0 * v1 + r1 * v0) + q22 * r1 * v1
+        noise_quad = q11 * (v0 * v0) + 2.0 * q12 * v0 * v1 + q22 * (v1 * v1)
+        val = quad - 2.0 * cross - noise_quad - u
+        out[r, i, l] = val / max(q11 + q22, TRACE_FLOOR) if normalize else val
+    return out
+
+
+@pytest.mark.parametrize("n_runs", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_ellipse_pseudo_keeps_its_operation_order(k, n_runs):
+    rng = np.random.default_rng([k, n_runs])
+    d = 7
+    points = rng.normal(size=(n_runs, 2 * (d + 3 * k) + 1, d + 3 * k))
+    points[:, :, 4:6] += 2.0
+    ys = rng.uniform(-3, 3, size=(n_runs, k, 2))
+    offsets = rng.uniform(-1, 1, size=(n_runs, k, 2))
+    for normalize in (True, False):
+        got = ellipse_pseudo_measurement(points, ys, offsets, normalize)
+        assert got.tobytes() == frozen_ellipse_pseudo(points, ys, offsets, normalize).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
