@@ -26,14 +26,14 @@ No kernel copies its inputs, writes to them, or returns an array that
 shares memory with them. When every run takes part, a kernel works on the
 whole stack as it is: `stacked_psd_repair` clears all finite matrices
 with one stacked `cholesky` and a norm bound, and runs `eigvalsh` only on
-those it does not clear; `stacked_sl_update` tests the finiteness of the
-whole stack once, checks every run's innovation and, when every run is
-`OK`, returns its posterior arrays themselves. Only a subset of runs (a
-non-finite matrix, a `DEGENERATE` or `FAILED` run) is gathered, and its
-results are scattered into copies of the priors. `psd_repair`,
-`draw_sigma_points` and `statistical_linearization_update` work on one
-state: `FAILED` becomes the `ConditioningError` of the single-state API,
-and a `DEGENERATE` update returns a copy of the prior.
+those it does not clear; `stacked_sl_update` checks every run's
+innovation and, when every run is `OK`, returns its posterior arrays
+themselves. Only a subset of runs (a non-finite matrix, a `DEGENERATE` or
+`FAILED` run) is gathered, and its results are scattered into copies of
+the priors. `psd_repair`, `draw_sigma_points` and
+`statistical_linearization_update` work on one state: `FAILED` becomes the
+`ConditioningError` of the single-state API, and a `DEGENERATE` update
+returns a copy of the prior.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def stacked_psd_repair(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w_min below -PSD_TOL. That eigensolve runs only on the finite matrices
     that one stacked Cholesky factorization does not clear: all of them
     when it fails, else those whose factor's squared norm exceeds
-    `_cholesky_norm_bound`. The others have w_min >= -PSD_TOL, so the
-    result is that of `eigvalsh` on every finite matrix.
+    `_cholesky_norm_bound`. The bound puts the others' w_min at or above
+    -PSD_TOL, so the result is that of `eigvalsh` on every finite matrix.
 
     Returns the repaired stack and a per-matrix flag, False where a matrix
     is not finite or is still indefinite after the jitter.
@@ -131,17 +131,21 @@ def stacked_psd_repair(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _cholesky_norm_bound(n: int) -> float:
     """The squared Frobenius norm ||L||_F^2 up to which a Cholesky factor L of
-    an n x n symmetric A proves that `eigvalsh` finds A's smallest
-    eigenvalue at or above -PSD_TOL: PSD_TOL / (gamma_{n+1} + n^2 u), with
-    u the unit roundoff and gamma_k = k u / (1 - k u).
+    an n x n symmetric A clears A: PSD_TOL / (gamma_{n+1} + n^2 u), with u
+    the unit roundoff and gamma_k = k u / (1 - k u).
 
     A Cholesky factorization that runs to completion gives L L^T = A + E
     with |E| <= gamma_{n+1} |L| |L^T| (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm 10.3), so ||E||_2 <= gamma_{n+1}
-    ||L||_F^2 and A's smallest eigenvalue is at least -gamma_{n+1}
-    ||L||_F^2. `eigvalsh` is backward stable: each eigenvalue it returns
-    is within p(n) u ||A||_2 of the exact one, with ||A||_2 <= (1 +
-    gamma_{n+1}) ||L||_F^2; n^2 u ||L||_F^2 is a generous allowance for that.
+    ||L||_F^2 and A's smallest eigenvalue is proved to be at least
+    -gamma_{n+1} ||L||_F^2. The n^2 u ||L||_F^2 term is an assumed
+    allowance, not a proof, for the error of `eigvalsh` itself: LAPACK
+    bounds each computed eigenvalue's error by p(n) u ||A||_2 with p(n) "a
+    modestly growing function of n" that it does not state (LAPACK Users'
+    Guide, 3rd ed., Sec. 4.7), and ||A||_2 <= (1 + gamma_{n+1}) ||L||_F^2,
+    so the allowance takes p(n) (1 + gamma_{n+1}) <= n^2. The largest
+    ||L||_F^2 of the bundled scenarios is about 146, against a bound of
+    about 3.7e4 at n = 15.
     """
     u = 2.0**-53
     return PSD_TOL / ((n + 1) * u / (1 - (n + 1) * u) + n * n * u)
@@ -310,12 +314,11 @@ def _stacked_sigma_points(
     n_runs, d = means.shape
     root_scale, w_mean, w_cov = _unscented_weights(d, spread)
     roots, ok = _stacked_cholesky(covs)
-    roots *= root_scale  # the factors are new arrays
-    root_t = roots.swapaxes(-1, -2)
+    root_t = (roots * root_scale).swapaxes(-1, -2)
     points = np.empty((n_runs, 2 * d + 1, d))
     points[:, 0] = means
-    np.add(means[:, None, :], root_t, out=points[:, 1 : d + 1])
-    np.subtract(means[:, None, :], root_t, out=points[:, d + 1 :])
+    points[:, 1 : d + 1] = means[:, None, :] + root_t
+    points[:, d + 1 :] = means[:, None, :] - root_t
     return points, w_mean, w_cov, ok
 
 
@@ -425,11 +428,8 @@ def stacked_sl_update(
     cov_hh = symmetrize((w_c[:, None] * dh).swapaxes(-1, -2) @ dh)
     cov_xh = (w_c[:, None] * dx).swapaxes(-1, -2) @ dh
 
-    if ok.all() and np.isfinite(cov_hh).all() and np.isfinite(cov_xh).all():
-        live = slice(None)  # one test of the whole stack, no gathers
-    else:
-        ok &= _finite_rows(cov_hh) & _finite_rows(cov_xh)
-        live = _rows(ok)
+    ok &= _finite_rows(cov_hh) & _finite_rows(cov_xh)
+    live = _rows(ok)
     if cov_hh.shape[-1] == 1:
         # the eigenvalue of a 1 x 1 matrix is its entry (LAPACK returns it as is)
         smallest = cov_hh[live, 0, 0]
@@ -437,13 +437,11 @@ def stacked_sl_update(
         smallest = np.linalg.eigvalsh(cov_hh[live])[:, 0]
     go = ok.copy()
     go[live] = ~(smallest < INNOVATION_TOL)
-    if go.all():
-        status, sel = np.full(n_runs, OK), slice(None)
-    else:
-        status = np.where(go, OK, np.where(ok, DEGENERATE, FAILED))
-        if not go.any():
-            return means.copy(), covs.copy(), status
-        sel = _rows(go)
+    status = np.where(go, OK, np.where(ok, DEGENERATE, FAILED))
+    if not go.any():
+        return means.copy(), covs.copy(), status
+
+    sel = _rows(go)
     gain, solved = _stacked_gain(cov_hh[sel], cov_xh[sel])
     mean_post = means[sel] + np.matmul(gain, (0.0 - mean_h[sel])[..., None])[..., 0]
     cov_post, repaired = stacked_psd_repair(

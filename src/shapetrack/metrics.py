@@ -13,17 +13,16 @@ Scoring is stacked. `shape_ious` takes N estimates (ellipse Cholesky
 triples or Fourier coefficients) and the truths they are paired with. It
 traces each distinct truth once, a point group's convex hull included,
 into a stack of its kind, exact ellipses or polylines, and counts the
-pairs of each kind a chunk at a time. A chunk takes as many pairs as fit
-in CHUNK_BYTES of workspace by the bytes a pair fills on its path
-(`_pair_bytes`): an ellipse-estimate pair holds row arrays only, a
-Fourier-estimate pair also its traces and edge table, so ellipse
-estimates are counted several times as many pairs at a time, and their
-outlines are built once per call. The crossing keys of two polyline
-stacks are offset by pair, so one sorted sweep of both counts every
-pair's union and intersection. An ellipse fills one span per row, so a
-polyline's sorted keys, taken two by two as spans, are clipped to it
-instead, and two ellipses are counted from a per-row min/max of their
-roots; all three take the same integer row cells. Every array that grows with a chunk
+pairs of each kind a chunk at a time. ROWS_PER_CALL bounds the grid rows
+of a chunk of Fourier estimates; an ellipse-estimate pair holds row
+arrays only, no traces or edge table, so a chunk of ellipse estimates
+takes four times the rows, and their outlines are built once per call.
+The crossing keys of two polyline stacks are offset by pair, so one
+sorted sweep of both counts every pair's union and intersection. An
+ellipse fills one span per row, so a polyline's sorted keys, taken two
+by two as spans, are clipped to it instead, and two ellipses are counted
+from a per-row min/max of their roots; all three take the same integer
+row cells. Every array that grows with a chunk
 (per edge, crossing, row or sample) is written in place into grow-only
 arrays that the chunks of a call share (`_Workspace`), so a call faults
 its memory in once, not once per chunk. `shape_iou` is the one-pair case
@@ -46,10 +45,10 @@ __all__ = ["shape_iou", "shape_ious", "shape_polyline", "DEFAULT_RESOLUTION"]
 
 DEFAULT_RESOLUTION = 1024
 CONTOUR_SAMPLES = 2048
-# Workspace bytes of one stacked count, which bound the row arrays, traces
-# and crossings of a chunk: at resolution 256 (1024), 89 (22) ellipse/ellipse,
-# 42 (10) ellipse/polyline and 16 (4) Fourier/polyline pairs (`_pair_bytes`).
-CHUNK_BYTES = 1_650_000
+# Grid rows per stacked count of Fourier estimates (16 pairs at resolution
+# 256), four times as many of ellipse estimates (64 pairs): bounds the
+# (pairs x resolution) row arrays and the traces of a chunk.
+ROWS_PER_CALL = 1 << 12
 
 
 class _NoArea(ValueError):
@@ -174,17 +173,11 @@ def _fourier_offsets(coeffs, n: int, ws: _Workspace, name: str) -> np.ndarray:
     return offsets
 
 
-def _trace_samples(resolution: int) -> int:
-    """Samples of a Fourier contour's scoring trace: coarser on coarse grids
-    (boundary sampling finer than the grid adds nothing)."""
-    return min(CONTOUR_SAMPLES, max(256, 2 * resolution))
-
-
 def _fourier_outlines(centers, coeffs, resolution: int, ws: _Workspace) -> _Outlines:
-    """Fourier contours, boxed by a CONTOUR_SAMPLES trace and scored on a
-    `_trace_samples` one. The scoring trace is left in ws, a box-only trace
-    in its scratch."""
-    samples = _trace_samples(resolution)
+    """Fourier contours, boxed by a CONTOUR_SAMPLES trace and scored on one
+    that is coarser on coarse grids (boundary sampling finer than the grid
+    adds nothing). The scoring trace is left in ws, a box-only trace in its scratch."""
+    samples = min(CONTOUR_SAMPLES, max(256, 2 * resolution))
     box_only = samples != CONTOUR_SAMPLES
     offsets = _fourier_offsets(coeffs, CONTOUR_SAMPLES, ws, "scratch" if box_only else "trace")
     # adding the centre is monotone in the offset, so the trace's box is
@@ -420,28 +413,12 @@ def _pair_counts(a: _Outlines, b: _Outlines, res: int, ws: _Workspace):
     return inter, a1.sum(axis=1) + filled_b - inter
 
 
-def _pair_bytes(est_ellipse: bool, truth_ellipse: bool, res: int) -> int:
-    """About the workspace bytes that one pair fills on its path, 8 for each
-    float or int; a chunk takes CHUNK_BYTES // _pair_bytes pairs.
-
-    Per row: a row centre when an ellipse is in the pair, two span cells
-    for each ellipse and, for two, their overlap. Per crossing, counted as
-    two a row for each polyline: a key, an edge and an index. Per sample of
-    a Fourier estimate's scoring trace: two coordinates, six edge floats
-    and three of its row search. The scratch holds the largest of three
-    root floats a row, a polyline's five floats a crossing, and a Fourier
-    estimate's box trace when that is traced apart.
-    """
-    ellipses = est_ellipse + truth_ellipse
-    row = (ellipses > 0) + 2 * ellipses + (ellipses == 2)
-    crossings = 2 * res * (2 - ellipses)
-    entries = row * res + 3 * crossings
-    scratch = max(3 * res * (ellipses > 0), 5 * 2 * res * (ellipses < 2))
-    if not est_ellipse:
-        samples = _trace_samples(res)
-        entries += 11 * samples
-        scratch = max(scratch, 2 * CONTOUR_SAMPLES * (samples < CONTOUR_SAMPLES))
-    return 8 * (entries + scratch)
+def _chunk_pairs(family: str, resolution: int) -> int:
+    """Pairs of one stacked count: ROWS_PER_CALL grid rows of Fourier
+    estimates, four times as many of ellipse estimates, whose pairs hold no
+    trace or edge table."""
+    rows = ROWS_PER_CALL << 2 if family == "ellipse" else ROWS_PER_CALL
+    return max(1, rows // resolution)
 
 
 def shape_ious(
@@ -457,9 +434,9 @@ def shape_ious(
     Each pair is scored exactly as `shape_iou` scores it. Each distinct
     truth object is traced once, and ellipse estimates are outlined once.
     The pairs whose truth is an ellipse and those whose truth is a polyline
-    are counted in two passes, each a chunk of CHUNK_BYTES // `_pair_bytes`
-    pairs at a time, so that a chunk fills about CHUNK_BYTES of the one
-    workspace that all chunks share.
+    are counted in two passes, each a chunk of `_chunk_pairs` pairs at a
+    time (ROWS_PER_CALL // resolution of Fourier estimates, four times as
+    many of ellipse estimates), in one workspace for all chunks.
 
     Args:
         centers: (N, 2) estimate centers.
@@ -502,14 +479,12 @@ def shape_ious(
             traced[id(truth)] = (int(region.ellipse), len(stacks[region.ellipse]))
             stacks[region.ellipse].append(region)
     kind, slot = np.array([traced[id(t)] for t in truths])[which].T
+    chunk = _chunk_pairs(family, resolution)
     ws = _Workspace()
     ellipses = _ellipse_outlines(centers, params) if family == "ellipse" else None
     for ellipse, stack in enumerate(stacks):
         pairs = np.flatnonzero(kind == ellipse)
-        if not pairs.size:
-            continue
-        regions = _concat(stack)
-        chunk = max(1, CHUNK_BYTES // _pair_bytes(family == "ellipse", bool(ellipse), resolution))
+        regions = _concat(stack) if pairs.size else None
         for at in range(0, pairs.size, chunk):
             part = pairs[at : at + chunk]
             if ellipses is not None:

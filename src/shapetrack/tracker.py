@@ -253,14 +253,10 @@ def ellipse_pseudo_measurement(
     x, y, noise = _stacked(state, measurement)
     offsets = np.asarray(source_offset, dtype=float).reshape(y.shape)
     r0, r1 = offsets[:, None, :, 0], offsets[:, None, :, 1]  # each (R, 1, k)
-    n_runs, n, k = noise.shape[:3]
-    # the two coordinates of y - m, then of v, side by side: (2, R, n, 2k)
-    z = np.empty((2, n_runs, n, 2 * k))
-    centers = x[..., :2].transpose(2, 0, 1)[..., None]  # (2, R, n, 1)
-    np.subtract(y.transpose(2, 0, 1)[:, :, None], centers, out=z[..., :k])
-    z[..., k:] = noise[..., :2].transpose(3, 0, 1, 2)
-    z0, z1 = z[0], z[1]
-    v0, v1, u = z0[..., k:], z1[..., k:], noise[..., 2]  # each (R, n, k)
+    v0, v1, u = noise[..., 0], noise[..., 1], noise[..., 2]  # each (R, n, k)
+    # y - m, each (R, n, k)
+    w0 = y[:, None, :, 0] - x[..., 0, None]
+    w1 = y[:, None, :, 1] - x[..., 1, None]
     a, b, c = x[..., -3, None], x[..., -2, None], x[..., -1, None]  # each (R, n, 1)
 
     # L L^T entries for L = [[a, 0], [c, b]]
@@ -268,11 +264,11 @@ def ellipse_pseudo_measurement(
     q12 = a * c
     q22 = b * b + c * c
 
-    # the quadratic forms of y - m and of v in one expression
-    forms = q11 * z0**2 + 2.0 * q12 * z0 * z1 + q22 * z1**2
+    quad = q11 * w0**2 + 2.0 * q12 * w0 * w1 + q22 * w1**2
     cross = q11 * r0 * v0 + q12 * (r0 * v1 + r1 * v0) + q22 * r1 * v1
+    noise_quad = q11 * v0**2 + 2.0 * q12 * v0 * v1 + q22 * v1**2
 
-    vals = forms[..., :k] - 2.0 * cross - forms[..., k:] - u
+    vals = quad - 2.0 * cross - noise_quad - u
     if trace_normalize:
         vals = vals / np.maximum(q11 + q22, TRACE_FLOOR)
     return _unstacked(vals, state, measurement)

@@ -508,18 +508,16 @@ def _zero_union_pair(family):
 
 
 def force_chunks(monkeypatch, pairs):
-    """Chunks of the given number of pairs on every scoring path, through the
-    chunk budget: each pair is taken to fill that share of CHUNK_BYTES."""
-    monkeypatch.setattr(metrics, "_pair_bytes", lambda *_: metrics.CHUNK_BYTES // pairs)
+    """Chunks of the given number of pairs for both estimate families."""
+    monkeypatch.setattr(metrics, "_chunk_pairs", lambda *_: pairs)
 
 
 @pytest.mark.parametrize("res", [256, 1024])
 @pytest.mark.parametrize("kind", ["ellipse", "polygon", "group"])
 @pytest.mark.parametrize("family", ["ellipse", "star_convex"])
-def test_stacked_scores_equal_per_pair_oracle(monkeypatch, family, kind, res):
+def test_stacked_scores_equal_per_pair_oracle(family, kind, res):
     rng = np.random.default_rng([res, len(kind), len(family)])
-    chunk = 4096 // res  # 16 pairs at resolution 256, 4 at 1024
-    force_chunks(monkeypatch, chunk)
+    chunk = metrics._chunk_pairs(family, res)
     n_steps = 5
     truths = _truth_steps(kind, rng, n_steps)
     # mixed steps; the pair count crosses two chunk boundaries
@@ -606,14 +604,13 @@ def test_stacked_scores_mix_truth_kinds(monkeypatch, family, interleaved):
 @pytest.mark.parametrize(
     "family, kind", [("ellipse", "ellipse"), ("ellipse", "polygon"), ("star_convex", "polygon")]
 )
-def test_scores_do_not_depend_on_the_chunk_budget(monkeypatch, family, kind, res):
-    # more pairs than a chunk holds at the default budget, so both budgets
-    # split the call: the default one into three chunks, the other into one
-    # chunk per pair
+def test_scores_do_not_depend_on_the_chunk_size(monkeypatch, family, kind, res):
+    # more pairs than a default chunk holds, so both chunkings split the
+    # call: the default one into three chunks, the other into one chunk per
+    # pair
     rng = np.random.default_rng([res, len(kind), len(family), 2])
     truths = _truth_steps(kind, rng, 4)
-    pair = metrics._pair_bytes(family == "ellipse", kind == "ellipse", res)
-    n = 2 * (metrics.CHUNK_BYTES // pair) + 1
+    n = 2 * metrics._chunk_pairs(family, res) + 1
     which = rng.integers(0, len(truths), n)
     centers, params = _estimates(family, rng, n, truths, which)
     default = metrics.shape_ious(centers, params, truths, which, family, res)
