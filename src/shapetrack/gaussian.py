@@ -30,16 +30,22 @@ those it does not clear; `stacked_sl_update` checks every run's
 innovation and, when every run is `OK`, returns its posterior arrays
 themselves. Only a subset of runs (a non-finite matrix, a `DEGENERATE` or
 `FAILED` run) is gathered, and its results are scattered into copies of
-the priors. `psd_repair`, `draw_sigma_points` and
-`statistical_linearization_update` work on one state: `FAILED` becomes the
-`ConditioningError` of the single-state API, and a `DEGENERATE` update
-returns a copy of the prior.
+the priors. `stacked_sl_update` is the one-update case of two private
+pieces: `_sl_posterior` computes an update's posterior up to the PSD
+repair, and `_sl_conclude` repairs the posteriors of several updates of
+one state dimension in one `stacked_psd_repair` call, as
+`tracker.stacked_step` does once per round of updates. `psd_repair`,
+`draw_sigma_points` and `statistical_linearization_update` work on one
+state: `FAILED` becomes the `ConditioningError` of the single-state API,
+and a `DEGENERATE` update returns a copy of the prior.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,7 +92,7 @@ def symmetrize(cov: np.ndarray) -> np.ndarray:
 
 def _finite_rows(a: np.ndarray) -> np.ndarray:
     """Per leading index, whether every entry is finite."""
-    return np.isfinite(a).reshape(len(a), -1).all(axis=1)
+    return np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
 
 
 def _rows(mask: np.ndarray):
@@ -402,6 +408,25 @@ def stacked_sl_update(
         its prior) or `FAILED` (a factorization or the PSD repair failed,
         or a value is not finite; the run keeps its prior values).
     """
+    (result,) = _sl_conclude([_sl_posterior(means, covs, h, noise_mean, noise_cov, spread)])
+    return result
+
+
+class _Posterior(NamedTuple):
+    """An update's results before the PSD repair of its posterior
+    covariances (`_sl_posterior`)."""
+
+    means: np.ndarray  # (R, d) the priors
+    covs: np.ndarray  # (R, d, d)
+    status: np.ndarray  # (R,) OK where the update goes on
+    sel: slice | np.ndarray | None  # the rows whose status is OK (`_rows`), None if none
+    mean: np.ndarray  # their posterior means
+    cov: np.ndarray  # their posterior covariances, not yet repaired
+    solved: np.ndarray  # whether their gain was solved
+
+
+def _sl_posterior(means, covs, h, noise_mean, noise_cov, spread) -> _Posterior:
+    """`stacked_sl_update` up to the PSD repair of its posterior covariances."""
     n_runs, d = means.shape
     m0 = len(noise_mean)
     aug_mean = np.empty((n_runs, d + m0))
@@ -439,21 +464,42 @@ def stacked_sl_update(
     go[live] = ~(smallest < INNOVATION_TOL)
     status = np.where(go, OK, np.where(ok, DEGENERATE, FAILED))
     if not go.any():
-        return means.copy(), covs.copy(), status
-
+        return _Posterior(means, covs, status, None, means[:0], covs[:0], go[:0])
     sel = _rows(go)
     gain, solved = _stacked_gain(cov_hh[sel], cov_xh[sel])
     mean_post = means[sel] + np.matmul(gain, (0.0 - mean_h[sel])[..., None])[..., 0]
-    cov_post, repaired = stacked_psd_repair(
-        covs[sel] - gain @ cov_hh[sel] @ gain.swapaxes(-1, -2)
-    )
-    good = solved & repaired & _finite_rows(mean_post)
+    cov_post = covs[sel] - gain @ cov_hh[sel] @ gain.swapaxes(-1, -2)
+    return _Posterior(means, covs, status, sel, mean_post, cov_post, solved)
+
+
+def _sl_conclude(posteriors) -> list:
+    """Each update's (means, covs, status) as `stacked_sl_update` returns
+    them, from its `_sl_posterior`. The posterior covariances of all the
+    updates, which share d, are repaired in one `stacked_psd_repair`: each
+    matrix's repair does not depend on the others in the stack."""
+    if len(posteriors) == 1:
+        return [_sl_result(posteriors[0], *stacked_psd_repair(posteriors[0].cov))]
+    repaired_covs, repaired = stacked_psd_repair(np.concatenate([p.cov for p in posteriors]))
+    bounds = list(itertools.accumulate((len(p.cov) for p in posteriors), initial=0))
+    return [
+        _sl_result(post, repaired_covs[lo:hi], repaired[lo:hi])
+        for post, lo, hi in zip(posteriors, bounds, bounds[1:])
+    ]
+
+
+def _sl_result(post: _Posterior, cov_post, repaired):
+    """One update's (means, covs, status) from its posterior and the repair
+    of its posterior covariances."""
+    status, sel = post.status, post.sel
+    if sel is None:
+        return post.means.copy(), post.covs.copy(), status
+    good = post.solved & repaired & _finite_rows(post.mean)
     if isinstance(sel, slice) and good.all():
-        return mean_post, cov_post, status  # every run updated; both arrays are new
-    status[go] = np.where(good, OK, FAILED)
+        return post.mean, cov_post, status  # every run updated; both arrays are new
+    status[sel] = np.where(good, OK, FAILED)
     updated = status == OK
-    out_means, out_covs = means.copy(), covs.copy()
-    out_means[updated] = mean_post[good]
+    out_means, out_covs = post.means.copy(), post.covs.copy()
+    out_means[updated] = post.mean[good]
     out_covs[updated] = cov_post[good]
     return out_means, out_covs, status
 

@@ -13,8 +13,11 @@ bounds a block). Per live run and step of a block only the generator
 calls run, in that order: the count, the sources' first rejection round
 (a box chunk, or a point group's member picks), the level uniforms, the
 noise. One `targets._round_sources` call then takes the sources of all
-the block's rounds, with one inside-or-out test per distinct truth, and
-one einsum the noise offsets. A run that any step of the block leaves
+the block's rounds, and one einsum the noise offsets. That call tests a
+pair's first 4n box draws for n sources inside-or-out, and the rest only
+for the pairs they leave short; each of these two passes tests the
+points of every polygon truth of the block in one sector lookup, and an
+ellipse truth's in its own calls. A run that any step of the block leaves
 short (a group run never is) goes back to its generator state at the
 start of the block, and the runs so redrawn make their draws again step
 by step, their sources together by the multi-round
@@ -479,8 +482,10 @@ def _first_round(model, truths, rngs, factors, cdf):
     from a single rejection round (see `_draw_block`).
 
     The draws are laid out step by step, pair p = j * R + i, and one
-    `targets._round_sources` call turns them all into sources, with one
-    inside-or-out test per stretch of steps with the same truth.
+    `targets._round_sources` call turns them all into sources: it tests
+    each pair's first 4n box draws for n sources, and then the rest of
+    those of the pairs still short, each time in one inside-or-out call
+    for all the polygon truths of the block.
 
     Returns (ys, short): ys[i][j] holds run i's measurements at step j,
     and short (R,) marks the runs that some step left short, whose ys[i]

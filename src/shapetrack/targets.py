@@ -4,7 +4,10 @@ Targets produce measurement sources drawn uniformly over their extent
 (uniformly among members for groups). For star-convex geometries the
 radius function along a ray from the star center is exposed, which both
 drives the rejection sampling and lets tests extract the radial scaling
-fraction of each sample.
+fraction of each sample. It is found by a sector lookup
+(`_polygon_sectors`): a ray is tested against the edge of its angular
+sector and that edge's two neighbours only, which the polygon builder's
+exact star-convexity check makes enough.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 from importlib import resources
 from pathlib import Path
 
@@ -38,11 +42,11 @@ __all__ = [
     "builtin_data_path",
 ]
 
-STAR_CHECK_GRID = 3600
 MAX_REJECTION_ATTEMPTS = 10**6
-# Points per call of an inside-or-out test (`_inside_extent`). The test of
-# the bundled 12-edge polygon holds about 560 bytes a point, about 4.6 MB
-# at the bound, however many runs draw in one rejection round.
+# Points per call of an inside-or-out test (`_inside_rows`). The sector
+# lookup of the polygon test holds about 330 bytes a point whatever the
+# number of edges, about 2.7 MB at the bound, however many runs draw in one
+# rejection round.
 INSIDE_TEST_POINTS = 1 << 13
 
 
@@ -68,25 +72,81 @@ def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
     return np.array([cx, cy])
 
 
-def _ray_crossings(vertices: np.ndarray, center: np.ndarray, phi: np.ndarray):
-    """Distances t >= 0 where rays center + t e(phi) cross polygon edges.
+class _Sectors(NamedTuple):
+    """The edges of T star-convex polygons in flat (E,) arrays, polygon t's
+    from start[t] to start[t + 1], with each polygon's vertex angles about
+    its anchor sorted into sectors (`_polygon_sectors`)."""
 
-    Returns (t, hits): t of shape (len(phi),) holding the positive crossing
-    distance per angle (nan where none), hits the number of crossings.
-    Edge endpoints are treated half-open so shared vertices count once.
+    start: np.ndarray  # (T + 1,)
+    anchors: np.ndarray  # (T, 2)
+    angles: np.ndarray  # (E,) each polygon's vertex angles, sorted
+    near: np.ndarray  # (E, 3) the edge of each sector and its two neighbours
+    u0: np.ndarray  # edge vectors
+    u1: np.ndarray
+    w0: np.ndarray  # edge starts minus the anchor
+    w1: np.ndarray
+    cross_wu: np.ndarray
+
+
+def _polygon_sectors(polygons, anchors) -> _Sectors:
+    """The sector table of polygons (each (E_t, 2) vertices) about anchors
+    (T, 2), each anchor strictly inside every edge of its polygon.
+
+    A ray from such an anchor meets the boundary once: on the edge of its
+    angular sector, the span between two neighbouring vertex angles, or
+    at a vertex shared with a neighbour of that edge.
     """
-    v = np.asarray(vertices, dtype=float)
-    p = v
-    u = np.roll(v, -1, axis=0) - v  # edge vectors
-    w = p - center  # (E, 2)
+    sizes = [len(v) for v in polygons]
+    start = np.concatenate(([0], np.cumsum(sizes)))
+    v = np.concatenate(polygons)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    nxt = np.arange(1, len(v) + 1)
+    nxt[start[1:] - 1] = start[:-1]
+    prv = np.arange(-1, len(v) - 1)
+    prv[start[:-1]] = start[1:] - 1
+    u = v[nxt] - v  # the floats of np.roll(v, -1, axis=0) - v
+    w = v - anchors[owner]
+    cross_wu = w[:, 0] * u[:, 1] - w[:, 1] * u[:, 0]
+    phi = np.arctan2(w[:, 1], w[:, 0])
+    low = np.lexsort((phi, owner))  # the vertex at the lower angle of each sector
+    # cross_wu sums to twice the signed area: a clockwise edge runs down in angle
+    ccw = np.add.reduceat(cross_wu, start[:-1]) > 0
+    edge = np.where(ccw[owner], low, prv[low])
+    near = np.stack([prv[edge], edge, nxt[edge]], axis=1)
+    return _Sectors(start, anchors, phi[low], near, u[:, 0], u[:, 1], w[:, 0], w[:, 1], cross_wu)
 
-    d = np.stack([np.cos(phi), np.sin(phi)], axis=-1)  # (A, 2)
-    # Solve t d = w + tau u per (angle, edge) pair via 2D cross products.
-    denom = d[:, None, 0] * u[None, :, 1] - d[:, None, 1] * u[None, :, 0]
-    cross_wu = w[None, :, 0] * u[None, :, 1] - w[None, :, 1] * u[None, :, 0]
-    cross_wd = w[None, :, 0] * d[:, None, 1] - w[None, :, 1] * d[:, None, 0]
+
+def _sector_crossings(sectors: _Sectors, which, phi) -> np.ndarray:
+    """The distance t > 0 at which each ray anchor + t e(phi) crosses the
+    boundary of polygon which[i] of sectors; which is non-decreasing.
+
+    Each ray is tested against the edge of its sector and that edge's two
+    neighbours, with the half-open edge test of the full pass over every
+    edge, and gets the smallest crossing. For an anchor strictly inside
+    every edge, no other edge is crossed, so t is the float of that pass.
+
+    Raises:
+        ValueError: a ray crosses none of its three edges.
+    """
+    d0, d1 = np.cos(phi), np.sin(phi)
+    # the sectors are searched at the angles in [-pi, pi] of the rays themselves
+    wrapped = np.abs(phi) > np.pi
+    look = np.where(wrapped, np.arctan2(d1, d0), phi) if wrapped.any() else phi
+    row = np.empty(len(phi), dtype=np.intp)
+    for lo, hi in _runs(which):
+        first, stop = sectors.start[which[lo]], sectors.start[which[lo] + 1]
+        k = np.searchsorted(sectors.angles[first:stop], look[lo:hi], side="right")
+        # an angle below the first vertex angle lies in the last sector, which wraps
+        row[lo:hi] = first + (k - 1) % (stop - first)
+    near = np.take(sectors.near, row, axis=0)
+    u0, u1 = np.take(sectors.u0, near), np.take(sectors.u1, near)
+    w0, w1 = np.take(sectors.w0, near), np.take(sectors.w1, near)
+    d0, d1 = d0[:, None], d1[:, None]
+    # Solve t d = w + tau u per (ray, edge) pair via 2D cross products.
+    denom = d0 * u1 - d1 * u0
+    cross_wd = w0 * d1 - w1 * d0
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = cross_wu / denom
+        t = np.take(sectors.cross_wu, near) / denom
         tau = cross_wd / denom
     # small slack on the half-open edge interval so a ray through a shared
     # vertex still counts exactly once despite roundoff in tau
@@ -97,19 +157,24 @@ def _ray_crossings(vertices: np.ndarray, center: np.ndarray, phi: np.ndarray):
         & (tau < 1.0 - slack)
         & (t > 0.0)
     )
-    hits = valid.sum(axis=1)
-    t = np.where(valid, t, np.nan)
-    t_first = np.where(hits > 0, np.nanmin(np.where(valid, t, np.inf), axis=1), np.nan)
-    return t_first, hits
+    if not valid.any(axis=1).all():
+        raise ValueError("ray misses the polygon boundary; geometry not star-convex")
+    return np.min(np.where(valid, t, np.inf), axis=1)
+
+
+def _runs(which) -> list:
+    """(lo, hi) of each run of equal values in which, in order."""
+    cuts = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), len(which)]
+    return list(zip(cuts, cuts[1:])) if len(which) else []
 
 
 def polygon_radius(vertices: np.ndarray, center: np.ndarray, phi) -> np.ndarray:
-    """Boundary distance from `center` along angle(s) phi for a star-convex polygon."""
+    """Boundary distance from `center` along angle(s) phi for a polygon that
+    is star-convex about center (center strictly inside every edge)."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    t, hits = _ray_crossings(vertices, np.asarray(center, dtype=float), phi)
-    if np.any(hits < 1):
-        raise ValueError("ray misses the polygon boundary; geometry not star-convex")
-    return t
+    center = np.asarray(center, dtype=float)
+    sectors = _polygon_sectors([np.asarray(vertices, dtype=float)], center[None])
+    return _sector_crossings(sectors, np.zeros(len(phi), dtype=np.intp), phi)
 
 
 def _segments_intersect(a0, a1, b0, b1) -> bool:
@@ -133,13 +198,17 @@ def _check_simple(vertices: np.ndarray) -> None:
 
 
 def _check_star_convex(vertices: np.ndarray, center: np.ndarray) -> None:
-    phi = np.linspace(0.0, 2 * np.pi, STAR_CHECK_GRID, endpoint=False)
-    _, hits = _ray_crossings(vertices, center, phi)
-    if np.any(hits != 1):
-        bad = int(np.count_nonzero(hits != 1))
+    """Raise unless center lies strictly on the inner side of every edge,
+    the inner side taken from the orientation of the signed area."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    area2 = np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    u = np.roll(vertices, -1, axis=0) - vertices
+    w = vertices - center
+    inner = np.sign(area2) * (w[:, 0] * u[:, 1] - w[:, 1] * u[:, 0]) > 0.0
+    if not inner.all():
         raise ValueError(
-            f"polygon is not star-convex about {center}: radius multi-valued or "
-            f"undefined at {bad} of {STAR_CHECK_GRID} angles"
+            f"polygon is not star-convex about {center}: not strictly inside "
+            f"edge(s) {np.flatnonzero(~inner).tolist()}"
         )
 
 
@@ -272,17 +341,47 @@ def _box_chunk_size(short: int) -> int:
     return min(max(4 * short, 64), 1 << 17)
 
 
-def _inside_extent(target: GroundTruthTarget, points) -> np.ndarray:
+def _inside_polygons(sectors: _Sectors, which, points) -> np.ndarray:
+    """Whether each point (N, 2) lies in polygon which[i] of sectors
+    (boundary included); which is non-decreasing. The floats of
+    ``radial_fraction(target, points) <= 1.0`` for each polygon's points."""
+    offsets = points - np.take(sectors.anchors, which, axis=0)
+    rho = np.linalg.norm(offsets, axis=1)
+    phi = np.arctan2(offsets[:, 1], offsets[:, 0])
+    return rho / _sector_crossings(sectors, which, phi) <= 1.0
+
+
+def _inside_rows(truths, which, points) -> np.ndarray:
     """Whether each point (N, 2) lies in the extent (boundary included) of
-    an ellipse or polygon target, tested INSIDE_TEST_POINTS points at a
-    time. The test is pointwise, so the slicing changes no result."""
+    truths[which[i]], an ellipse or a polygon; which is non-decreasing.
+
+    Each ellipse's points are tested in their own calls, and the points of
+    all polygons together in one sector lookup (`_inside_polygons`); no
+    call takes more than INSIDE_TEST_POINTS points. The test is pointwise,
+    so neither the grouping nor the slicing changes a result.
+    """
     inside = np.empty(len(points), dtype=bool)
-    for start in range(0, len(points), INSIDE_TEST_POINTS):
-        part = slice(start, start + INSIDE_TEST_POINTS)
-        if target.kind == "ellipse":
-            inside[part] = ellipse_implicit(target.ellipse, points[part]) <= 0.0
-        else:
-            inside[part] = radial_fraction(target, points[part]) <= 1.0
+    polygon = np.array([truth.kind == "polygon" for truth in truths])
+    for lo, hi in _runs(which):
+        truth = truths[which[lo]]
+        if truth.kind == "ellipse":
+            for start in range(lo, hi, INSIDE_TEST_POINTS):
+                part = slice(start, min(start + INSIDE_TEST_POINTS, hi))
+                inside[part] = ellipse_implicit(truth.ellipse, points[part]) <= 0.0
+    if polygon.any():
+        polygons = [truth for truth in truths if truth.kind == "polygon"]
+        sectors = _polygon_sectors(
+            [truth.vertices for truth in polygons], np.array([truth.anchor for truth in polygons])
+        )
+        rows = polygon[which]
+        rows = slice(None) if rows.all() else rows.nonzero()[0]
+        number = np.cumsum(polygon) - 1  # a polygon truth's index among the polygons
+        which, points = number[which[rows]], points[rows]
+        tested = np.empty(len(points), dtype=bool)
+        for start in range(0, len(points), INSIDE_TEST_POINTS):
+            part = slice(start, start + INSIDE_TEST_POINTS)
+            tested[part] = _inside_polygons(sectors, which[part], points[part])
+        inside[rows] = tested
     return inside
 
 
@@ -312,32 +411,60 @@ def _round_sources(truths, draws, needs) -> tuple[np.ndarray, np.ndarray]:
     truth, P // len(truths) to a truth: pair p made the `_round_draws`
     draws[p] for needs[p] sources. Member indices pick members; box draws
     u become lo + (hi - lo) * u in the truth's bounding box (the floats of
-    ``rng.uniform(lo, hi)``), in place, and are tested inside-or-out once
-    per stretch of pairs with the same truth. Returns (sources, got): pair
-    p's first got[p] = min(needs[p], inside points) points in draw order,
-    pair after pair."""
+    ``rng.uniform(lo, hi)``), in place. A box pair's first
+    min(len(draws[p]), 4 needs[p]) points are tested inside-or-out, and
+    the rest only for the pairs that this leaves short, each pass in one
+    `_inside_rows` call over all truths. Returns (sources, got): pair p's
+    first got[p] = min(needs[p], inside points) points in draw order, pair
+    after pair."""
+    needs = np.asarray(needs, dtype=np.intp)
     per_truth = len(draws) // len(truths)
-    edges = np.cumsum([0, *map(len, draws)])  # the pairs' point ranges
+    sizes = np.array([len(d) for d in draws], dtype=np.intp)
+    edges = np.concatenate(([0], np.cumsum(sizes)))  # the pairs' point ranges
     points = np.empty((edges[-1], 2))
-    inside = np.ones(len(points), dtype=bool)
+    inside = np.ones(len(points), dtype=bool)  # box points: until tested
+    stretch = np.empty(len(draws), dtype=np.intp)  # each pair's stretch of one truth
+    boxed = np.zeros(len(draws), dtype=bool)
     firsts = [0] + [j for j in range(1, len(truths)) if truths[j] is not truths[j - 1]]
-    for j, stop in zip(firsts, firsts[1:] + [len(truths)]):
-        truth, pairs = truths[j], draws[j * per_truth : stop * per_truth]
-        part = slice(edges[j * per_truth], edges[stop * per_truth])
+    for s, (j, stop) in enumerate(zip(firsts, firsts[1:] + [len(truths)])):
+        truth, pairs = truths[j], slice(j * per_truth, stop * per_truth)
+        part = slice(edges[pairs.start], edges[pairs.stop])
+        stretch[pairs] = s
         if truth.kind == "point_group":
-            points[part] = truth.members[np.concatenate(pairs)]
+            points[part] = truth.members[np.concatenate(draws[pairs])]
         else:
             lo, hi = truth.bounding_box
-            box = np.concatenate(pairs, out=points[part])
+            box = np.concatenate(draws[pairs], out=points[part])
             box *= hi - lo
             box += lo
-            inside[part] = _inside_extent(truth, box)
+            inside[part] = False
+            boxed[pairs] = True
+    distinct = [truths[j] for j in firsts]
+    head = np.where(boxed, np.minimum(sizes, 4 * needs), 0)
+    found = _test_spans(distinct, stretch, points, inside, edges[:-1], head)
+    rest = np.where(boxed & (found < needs), sizes - head, 0)
+    _test_spans(distinct, stretch, points, inside, edges[:-1] + head, rest)
     found = np.concatenate(([0], np.cumsum(inside)))
     before = found[edges[:-1]]  # inside points before each pair's draws
     got = np.minimum(found[edges[1:]] - before, needs)
     # pair p's sources are the inside points numbered before[p] to before[p] + got[p]
     nth = np.repeat(before - (np.cumsum(got) - got), got) + np.arange(got.sum())
     return points[np.flatnonzero(inside)[nth]], got
+
+
+def _test_spans(truths, stretch, points, inside, starts, lengths) -> np.ndarray:
+    """Test points starts[p] to starts[p] + lengths[p] of each pair p
+    against its truth, truths[stretch[p]], in one `_inside_rows` call, and
+    mark the inside ones in inside. Returns the inside points per pair."""
+    offsets = np.cumsum(lengths) - lengths  # each pair's first tested point
+    total = int(lengths.sum())
+    if not total:
+        return np.zeros(len(lengths), dtype=np.intp)
+    rows = np.repeat(starts - offsets, lengths) + np.arange(total)
+    hit = _inside_rows(truths, np.repeat(stretch, lengths), np.take(points, rows, axis=0))
+    inside[rows] = hit
+    counted = np.concatenate(([0], np.cumsum(hit)))
+    return counted[offsets + lengths] - counted[offsets]
 
 
 def stacked_sample_sources(target: GroundTruthTarget, counts, rngs) -> list:

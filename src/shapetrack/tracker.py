@@ -23,20 +23,24 @@ measurement count k), and the transition matrices once per dynamics and
 layout (`_transition`; once per scenario).
 
 `stacked_step` applies one time step's measurements, which may differ in
-number between runs, as the config asks: in batch mode one
-`stacked_update` per group of runs with the same count, in sequential
-mode one per measurement index. The scenario loop and `Tracker.update`
+number between runs, as the config asks: in batch mode one update per
+group of runs with the same count, all in one round, in sequential mode
+one round per measurement index. Each update stops short of the PSD
+repair of its posterior covariances (`_update_posterior`), and each
+round repairs the posteriors of all its updates in one
+`gaussian.stacked_psd_repair`. The scenario loop and `Tracker.update`
 (its R = 1 case) both go through it. It is the one place that decides
 whether a run has failed: a run whose prior is not finite (an overflowing
 prediction) is failed from the start, joins no update and comes back
 unchanged, and a run fails at its first `FAILED` update. Every run it
-does not mark failed comes back finite. It copies nothing up front: an update
-that every run takes part in gets the moments as they are, and its new
-arrays become the step's. Only a subset of runs (a batch-mode group of one
-count, the runs with more than j measurements, or those left after a
-failed update) is gathered, and its results are scattered into copies
-made at the first scatter. The step's results never share memory with
-its inputs, and the inputs are left as they were.
+does not mark failed comes back finite. When the runs are not already in
+order of falling measurement count, the step sorts them once, so that
+each count group and each round is a contiguous slice, taken as a view;
+the results are put back in run order at the end. A step whose runs are
+in order, as when they all take the same count, copies nothing up
+front: an update that every run takes part in gets the moments as they
+are, and its new arrays become the step's. The step's results never
+share memory with its inputs, and the inputs are left as they were.
 
 State layout is fixed as [center(2); velocity(2, only with the
 constant-velocity dynamics); shape parameters]. `shape_params` turns
@@ -47,6 +51,7 @@ coefficients) for every caller: the tracker, the scoring and the plots.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +65,9 @@ from .gaussian import (
     GaussianState,
     UnscentedSpread,
     _finite_rows,
-    _rows,
+    _sl_conclude,
+    _sl_posterior,
     stacked_predict,
-    stacked_sl_update,
 )
 from .starconvex import FourierShapeParams, fourier_basis
 
@@ -396,6 +401,13 @@ def stacked_update(means, covs, measurements, noise_covs, config: TrackerConfig)
         a run with a degenerate innovation (`DEGENERATE`) or a failed
         update (`FAILED`) keeps its prior moments.
     """
+    (result,) = _sl_conclude([_update_posterior(means, covs, measurements, noise_covs, config)])
+    return result
+
+
+def _update_posterior(means, covs, measurements, noise_covs, config: TrackerConfig):
+    """`stacked_update` up to the PSD repair of its posterior covariances
+    (`gaussian._sl_posterior`)."""
     config.check_layout(means.shape[1])
     noise_mean, noise_cov = _noise_block(noise_covs, config.scaling)
     centers = means[:, :2]
@@ -415,17 +427,20 @@ def stacked_update(means, covs, measurements, noise_covs, config: TrackerConfig)
         def h(points):
             return sc_pseudo_measurement(points, measurements, phis, config.shape_dim)
 
-    return stacked_sl_update(means, covs, h, noise_mean, noise_cov, config.unscented)
+    return _sl_posterior(means, covs, h, noise_mean, noise_cov, config.unscented)
 
 
 def stacked_step(means, covs, measurements, noise_covs, config: TrackerConfig):
     """Apply one time step's measurements to R runs, batch or sequential per config.
 
     Batch mode conditions each run on all its k_r measurements in one
-    update, with one `stacked_update` per group of runs that share k_r.
-    Sequential mode conditions on the measurements one at a time, in
-    order: update j takes measurement j of every run with k_r > j. A run
-    stops at its first failed update, and its later updates are skipped.
+    update, with one update per group of runs that share k_r, all in one
+    round. Sequential mode conditions on the measurements one at a time,
+    in order: round j takes measurement j of every run with k_r > j. Each
+    round repairs the posterior covariances of all its updates in one
+    `gaussian.stacked_psd_repair` call. Every run's results are those of
+    `stacked_update` on it alone, bit for bit. A run stops at its first
+    failed update, and its later updates are skipped.
 
     Args:
         means: (R, d) prior means.
@@ -444,35 +459,67 @@ def stacked_step(means, covs, measurements, noise_covs, config: TrackerConfig):
         and how many of each run's updates had a degenerate innovation and
         were skipped. The moments of every run not failed are finite.
     """
-    counts = np.array([len(y) for y in measurements], dtype=int)
-    if config.batch_mode:
-        parts = [(counts == k, slice(0, k)) for k in np.unique(counts[counts > 0])]
-    else:
-        parts = [(counts > j, slice(j, j + 1)) for j in range(counts.max(initial=0))]
+    n_runs = len(measurements)
     failed = ~(_finite_rows(means) & _finite_rows(covs))
-    degenerate = np.zeros(len(counts), dtype=int)
-    owned = False  # whether means and covs are this call's own arrays yet
-    for takes_part, cols in parts:
-        sel = _rows(takes_part & ~failed)
-        whole = isinstance(sel, slice)
-        if not (whole or sel.size):
+    # the measurements each run takes: none for a run failed from the start
+    takes = [0 if bad else len(y) for bad, y in zip(failed.tolist(), measurements)]
+    order = None
+    if any(a < b for a, b in zip(takes, takes[1:])):
+        # most measurements first, so that each count and each round is a run of rows
+        order = np.array(sorted(range(n_runs), key=takes.__getitem__, reverse=True))
+        means, covs, failed = means[order], covs[order], failed[order]
+        takes = [takes[i] for i in order]
+        measurements = [measurements[i] for i in order]
+    # each round's parts: the rows (lo, hi) of an update and its measurement columns
+    if config.batch_mode:  # one round, a part per count
+        sizes = [len(list(group)) for _, group in itertools.groupby(takes)]
+        bounds = list(itertools.accumulate(sizes, initial=0))
+        rounds = [[(lo, hi, slice(0, takes[lo])) for lo, hi in zip(bounds, bounds[1:]) if takes[lo]]]
+    else:  # round j takes measurement j of the runs with more than j
+        rounds = [
+            [(0, sum(k > j for k in takes), slice(j, j + 1))] for j in range(max(takes, default=0))
+        ]
+    degenerate = np.zeros(n_runs, dtype=int)
+    owned = order is not None  # whether means and covs are this call's own arrays yet
+    failures = False  # whether an update of this step has failed a run
+    for parts in rounds:
+        spans = []
+        for lo, hi, cols in parts:
+            rows = slice(lo, hi)
+            if failures:  # a run failed in an earlier round takes no later one
+                rows = lo + np.flatnonzero(~failed[rows])
+                if not rows.size:
+                    continue
+            spans.append((rows, cols))
+        if not spans:
             continue
-        taking = measurements if whole else [measurements[i] for i in sel]
-        ys = np.array([y[cols] for y in taking])
-        new_means, new_covs, status = stacked_update(
-            means[sel], covs[sel], ys, noise_covs[cols], config
-        )
-        if whole:  # the update's arrays are new: take them as they are
-            means, covs = new_means, new_covs
-        else:
-            if not owned:
-                means, covs = means.copy(), covs.copy()
-            means[sel], covs[sel] = new_means, new_covs
-        owned = True
-        failed[sel] |= status == FAILED
-        degenerate[sel] += status == DEGENERATE
+        posteriors = []
+        for rows, cols in spans:
+            taking = measurements[rows] if isinstance(rows, slice) else [measurements[i] for i in rows]
+            ys = np.array([y[cols] for y in taking])
+            posteriors.append(
+                _update_posterior(means[rows], covs[rows], ys, noise_covs[cols], config)
+            )
+        for (rows, _), (new_means, new_covs, status) in zip(spans, _sl_conclude(posteriors)):
+            if not owned and isinstance(rows, slice) and rows == slice(0, n_runs):
+                # the update's arrays are new: take them as they are
+                means, covs = new_means, new_covs
+            else:
+                if not owned:
+                    means, covs = means.copy(), covs.copy()
+                means[rows], covs[rows] = new_means, new_covs
+            owned = True
+            if status.any():  # OK is 0: some run's update is not OK
+                bad = status == FAILED
+                failed[rows] |= bad
+                failures |= bool(bad.any())
+                degenerate[rows] += status == DEGENERATE
     if not owned:
         means, covs = means.copy(), covs.copy()
+    if order is not None:
+        back = np.empty_like(order)
+        back[order] = np.arange(n_runs)
+        means, covs, failed, degenerate = means[back], covs[back], failed[back], degenerate[back]
     return means, covs, failed, degenerate
 
 

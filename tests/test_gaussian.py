@@ -362,6 +362,21 @@ def test_psd_check_flags_non_finite_rows():
         assert ok.tolist() == np.isfinite(stack).all(axis=(1, 2)).tolist()
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_stacked_kernels_of_no_runs(d):
+    repaired, ok = stacked_psd_repair(np.zeros((0, d, d)))
+    assert repaired.shape == (0, d, d) and ok.shape == (0,)
+    for m in (1, 2):  # a scalar and a stacked pseudo-measurement
+        means, covs, status = stacked_sl_update(
+            np.zeros((0, d)),
+            np.zeros((0, d, d)),
+            lambda p: np.repeat(p[..., :1], m, axis=-1),
+            np.zeros(1),
+            np.eye(1),
+        )
+        assert means.shape == (0, d) and covs.shape == (0, d, d) and status.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # Time update (stacked_predict on one run)
 

@@ -771,17 +771,26 @@ def test_group_blocks_are_sized_by_member_picks():
 
 
 def test_inside_test_points_per_call_are_bounded(monkeypatch):
-    # 300 runs of a polygon truth send 300 box chunks of 64 points, 19,200
-    # in all, to one rejection round: the block's first round and each
-    # round of the multi-round sampler. The inside test takes them in
-    # slices, and the draws are those of one unsliced test.
+    # 300 runs of a polygon truth, 16 sources a step, send 300 box chunks of
+    # 64 points, 19,200 in all, to the first test of one rejection round:
+    # the block's first round and each round of the multi-round sampler
+    # (a run's first 4 * 16 draws are its whole chunk). The stacked polygon
+    # test takes them in slices, and the draws are those of one unsliced test.
     truth = load_geometry(builtin_data_path("aircraft.txt"))
-    config = ellipse_scenario(target=truth, n_runs=300, n_steps=1)
+    n = 16
+    config = ellipse_scenario(
+        target=truth,
+        meas_count_model=MeasurementCountModel("fixed_per_step", n),
+        n_runs=300,
+        n_steps=1,
+    )
     factors = psd_root(config.noise_mixture.covariances[0])[None]
     sizes = []
-    original = targets.radial_fraction
+    original = targets._inside_polygons
     monkeypatch.setattr(
-        targets, "radial_fraction", lambda t, p: sizes.append(len(p)) or original(t, p)
+        targets,
+        "_inside_polygons",
+        lambda s, w, p: sizes.append(len(p)) or original(s, w, p),
     )
 
     def rngs():
@@ -790,15 +799,15 @@ def test_inside_test_points_per_call_are_bounded(monkeypatch):
     def draws():
         block, errors = simulate._draw_block(config, [truth], rngs(), factors, None)
         assert not errors
-        sources = stacked_sample_sources(truth, [4] * config.n_runs, rngs())
+        sources = stacked_sample_sources(truth, [n] * config.n_runs, rngs())
         return [run[0] for run in block], sources
 
     sliced = draws()
-    assert max(sizes) <= simulate.DRAW_AHEAD_POINTS < config.n_runs * _box_chunk_size(1)
+    assert max(sizes) <= simulate.DRAW_AHEAD_POINTS < config.n_runs * _box_chunk_size(n)
     monkeypatch.setattr(targets, "INSIDE_TEST_POINTS", 1 << 30)
     sizes.clear()
     whole = draws()
-    assert max(sizes) == config.n_runs * _box_chunk_size(1)
+    assert max(sizes) == config.n_runs * _box_chunk_size(n)
     for got, want in zip(sliced, whole):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 

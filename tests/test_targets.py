@@ -78,6 +78,110 @@ def test_polygon_radius_points_lie_on_boundary():
     assert_allclose(radial_fraction(tgt, pts), 1.0, atol=1e-9)
 
 
+def full_ray_crossings(vertices, center, phi):
+    """The crossing test over every edge that the sector lookup replaced,
+    kept verbatim: (t, hits) of rays center + t e(phi)."""
+    v = np.asarray(vertices, dtype=float)
+    p = v
+    u = np.roll(v, -1, axis=0) - v  # edge vectors
+    w = p - center  # (E, 2)
+
+    d = np.stack([np.cos(phi), np.sin(phi)], axis=-1)  # (A, 2)
+    # Solve t d = w + tau u per (angle, edge) pair via 2D cross products.
+    denom = d[:, None, 0] * u[None, :, 1] - d[:, None, 1] * u[None, :, 0]
+    cross_wu = w[None, :, 0] * u[None, :, 1] - w[None, :, 1] * u[None, :, 0]
+    cross_wd = w[None, :, 0] * d[:, None, 1] - w[None, :, 1] * d[:, None, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = cross_wu / denom
+        tau = cross_wd / denom
+    slack = 1e-12
+    valid = (
+        (np.abs(denom) > 1e-14)
+        & (tau >= -slack)
+        & (tau < 1.0 - slack)
+        & (t > 0.0)
+    )
+    hits = valid.sum(axis=1)
+    t = np.where(valid, t, np.nan)
+    t_first = np.where(hits > 0, np.nanmin(np.where(valid, t, np.inf), axis=1), np.nan)
+    return t_first, hits
+
+
+def random_star_polygon(rng, clockwise):
+    """A random polygon, star-convex about its centroid, drawn until one is."""
+    while True:
+        n = int(rng.integers(3, 16))
+        phi = np.sort(rng.uniform(-np.pi, np.pi, n))
+        r = rng.uniform(0.3, 2.0, n)
+        v = rng.normal(0.0, 3.0, 2) + r[:, None] * np.c_[np.cos(phi), np.sin(phi)]
+        try:
+            return polygon_target(v[::-1] if clockwise else v)
+        except ValueError:
+            continue
+
+
+def sector_test_polygons():
+    rng = np.random.default_rng(41)
+    aircraft = aircraft_target()
+    posed = [
+        aircraft.transformed(rotation, shift)
+        for rotation, shift in [(0.3, (5.0, -2.0)), (-2.0, (-40.0, 13.0)), (np.pi, (0.0, 0.0))]
+    ]
+    mirrored = polygon_target(aircraft.vertices[::-1])  # clockwise
+    randoms = [random_star_polygon(rng, clockwise=bool(i % 2)) for i in range(40)]
+    square = polygon_target(UNIT_SQUARE)
+    return [aircraft, mirrored, square, polygon_target(DIAMOND), *posed, *randoms]
+
+
+def ray_angles(target, rng):
+    """Random angles, each vertex angle about the anchor and one ulp on
+    either side of it, and a few angles outside [-pi, pi]."""
+    w = target.vertices - target.anchor
+    at = np.arctan2(w[:, 1], w[:, 0])
+    near = np.concatenate([at, np.nextafter(at, np.inf), np.nextafter(at, -np.inf)])
+    rays = np.concatenate([rng.uniform(-np.pi, np.pi, 200), near, [np.pi, -np.pi, 0.0]])
+    return np.concatenate([rays, rays[:20] + 2.0 * np.pi, rays[20:40] - 4.0 * np.pi])
+
+
+def test_sector_lookup_equals_the_full_pass():
+    rng = np.random.default_rng(42)
+    for target in sector_test_polygons():
+        phi = ray_angles(target, rng)
+        want, hits = full_ray_crossings(target.vertices, target.anchor, phi)
+        assert (hits >= 1).all()
+        got = polygon_radius(target.vertices, target.anchor, phi)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_polygon_test_equals_the_full_pass():
+    # the points of several polygons in one call: random box points and
+    # points on the rays through each vertex, on either side of it
+    rng = np.random.default_rng(43)
+    polygons = sector_test_polygons()
+    which, points, want = [], [], []
+    for i, target in enumerate(polygons):
+        lo, hi = target.bounding_box
+        phi = ray_angles(target, rng)[:-40]
+        radius = full_ray_crossings(target.vertices, target.anchor, phi)[0]
+        ring = target.anchor + (radius * rng.uniform(0.9, 1.1, len(phi)))[:, None] * np.c_[
+            np.cos(phi), np.sin(phi)
+        ]
+        pts = np.concatenate([lo + (hi - lo) * rng.random((300, 2)), ring])
+        offsets = pts - target.anchor
+        t, _ = full_ray_crossings(
+            target.vertices, target.anchor, np.arctan2(offsets[:, 1], offsets[:, 0])
+        )
+        which.append(np.full(len(pts), i))
+        points.append(pts)
+        want.append(np.linalg.norm(offsets, axis=1) / t <= 1.0)
+    sectors = targets._polygon_sectors(
+        [t.vertices for t in polygons], np.array([t.anchor for t in polygons])
+    )
+    got = targets._inside_polygons(sectors, np.concatenate(which), np.concatenate(points))
+    assert_array_equal(got, np.concatenate(want))
+    assert got.any() and not got.all()
+
+
 def test_polygon_target_rejects_self_intersection():
     bowtie = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
     with pytest.raises(ValueError, match="self-intersect"):
@@ -90,6 +194,26 @@ def test_polygon_target_rejects_non_star_convex():
         [[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [2.0, 0.4], [0.0, 3.0]]
     )
     with pytest.raises(ValueError, match="star-convex"):
+        polygon_target(notched)
+
+
+def test_polygon_target_rejects_a_thin_wedge_between_sampled_rays():
+    # a square with a notch whose edge 2 passes 2e-4 on the outer side of
+    # the centroid: rays in the 3.2e-4 rad wedge between the angles of
+    # vertices 3 and 2 cross the boundary more than once. 3600 rays spread
+    # evenly about the centroid all miss the wedge, and each crosses once;
+    # the exact test sees the edge.
+    notched = np.array(
+        [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [0.38393563235644823, 0.3026239845719914], [-1.0, 1.0]]
+    )
+    center = polygon_centroid(notched)
+    phi = np.linspace(0.0, 2 * np.pi, 3600, endpoint=False)
+    assert (full_ray_crossings(notched, center, phi)[1] == 1).all()
+    w = notched - center
+    angles = np.arctan2(w[:, 1], w[:, 0])
+    wedge = np.linspace(angles[3], angles[2], 101)[1:-1]
+    assert (full_ray_crossings(notched, center, wedge)[1] > 1).all()
+    with pytest.raises(ValueError, match=r"star-convex .* edge\(s\) \[2\]"):
         polygon_target(notched)
 
 
@@ -361,10 +485,7 @@ def oracle_sample(target, n, rng):
         draws = rng.uniform(lo, hi, size=(chunk, 2))
         attempts += chunk
         rounds += 1
-        if target.kind == "ellipse":
-            inside = ellipse_implicit(target.ellipse, draws) <= 0.0
-        else:
-            inside = radial_fraction(target, draws) <= 1.0
+        inside = full_inside(target, draws)
         accepted = draws[inside]
         take = min(accepted.shape[0], n - filled)
         out[filled : filled + take] = accepted[:take]
@@ -372,10 +493,26 @@ def oracle_sample(target, n, rng):
     return out, rounds
 
 
+def full_inside(target, points):
+    """Whether each point lies in an ellipse or polygon target, tested with
+    the full pass over every polygon edge."""
+    if target.kind == "ellipse":
+        return ellipse_implicit(target.ellipse, points) <= 0.0
+    offsets = points - target.anchor
+    phi = np.arctan2(offsets[:, 1], offsets[:, 0])
+    t, _ = full_ray_crossings(target.vertices, target.anchor, phi)
+    return np.linalg.norm(offsets, axis=1) / t <= 1.0
+
+
 def thin_sliver():
     # a 1%-area diamond along the diagonal of a 20 x 20 box: runs need
     # several rejection rounds, and different numbers of them
     return polygon_target([[-10.0, -10.0], [0.1, -0.1], [10.0, 10.0], [-0.1, 0.1]])
+
+
+def thin_ellipse():
+    # 0.56% of its bounding box: most rounds fall short of a few sources
+    return ellipse_target(from_semi_axes([0.0, 0.0], [3.0, 0.01], 0.7))
 
 
 def stream_state(rng):
@@ -391,6 +528,7 @@ SAMPLED_TARGETS = {
     "ellipse": lambda: ellipse_target(from_semi_axes([1.0, 2.0], [2.0, 0.7], 0.9)),
     "aircraft": aircraft_target,
     "thin_sliver": thin_sliver,
+    "thin_ellipse": thin_ellipse,
     "group": lambda: group_target([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]),
 }
 
@@ -414,8 +552,74 @@ def test_stacked_sampling_equals_one_run_at_a_time(name):
         # each stream is left exactly where the run alone leaves it
         assert stream_state(rngs[r]) == stream_state(oracle_rngs[r])
         assert stream_state(single_rngs[r]) == stream_state(oracle_rngs[r])
-    if name == "thin_sliver":
+    if name.startswith("thin"):
         assert max(rounds) > 2 and len(set(rounds)) > 2
+
+
+def whole_chunk_sources(truths, draws, needs):
+    """`targets._round_sources` as it was when it tested every box draw,
+    kept verbatim apart from its inside test (`full_inside`)."""
+    per_truth = len(draws) // len(truths)
+    edges = np.cumsum([0, *map(len, draws)])
+    points = np.empty((edges[-1], 2))
+    inside = np.ones(len(points), dtype=bool)
+    firsts = [0] + [j for j in range(1, len(truths)) if truths[j] is not truths[j - 1]]
+    for j, stop in zip(firsts, firsts[1:] + [len(truths)]):
+        truth, pairs = truths[j], draws[j * per_truth : stop * per_truth]
+        part = slice(edges[j * per_truth], edges[stop * per_truth])
+        if truth.kind == "point_group":
+            points[part] = truth.members[np.concatenate(pairs)]
+        else:
+            lo, hi = truth.bounding_box
+            box = np.concatenate(pairs, out=points[part])
+            box *= hi - lo
+            box += lo
+            inside[part] = full_inside(truth, box)
+    found = np.concatenate(([0], np.cumsum(inside)))
+    before = found[edges[:-1]]
+    got = np.minimum(found[edges[1:]] - before, needs)
+    nth = np.repeat(before - (np.cumsum(got) - got), got) + np.arange(got.sum())
+    return points[np.flatnonzero(inside)[nth]], got
+
+
+def round_layouts():
+    """Truths of the steps of a block, one per step: a stationary ellipse,
+    posed polygons, a group, and all kinds mixed."""
+    ellipse = SAMPLED_TARGETS["ellipse"]()
+    aircraft = aircraft_target()
+    posed = [aircraft.transformed(0.2 * j, (3.0 * j, -j)) for j in range(4)]
+    group = SAMPLED_TARGETS["group"]()
+    sliver, thin = thin_sliver(), thin_ellipse()
+    return {
+        "ellipse": [ellipse] * 3,
+        "polygon": posed,
+        "group": [group] * 2,
+        "mixed": [ellipse, ellipse, posed[1], posed[2], group, thin, thin, sliver, aircraft, ellipse],
+    }
+
+
+@pytest.mark.parametrize("layout", ["ellipse", "polygon", "group", "mixed"])
+def test_round_sources_equal_the_whole_chunk_rule(layout):
+    # needs from 0 to 40: a pair's first 4 needs[p] draws are its whole
+    # chunk from 16 on, and the thin targets leave most pairs short of
+    # their prefix, so their rest is tested too
+    truths = round_layouts()[layout]
+    rng = np.random.default_rng(44)
+    n_runs = 6
+    gens = spawned_generators(n_runs, seed=45)
+    needs = rng.integers(0, 41, size=len(truths) * n_runs)
+    needs[::7] = rng.integers(1, 4, size=len(needs[::7]))
+    draws = [
+        targets._round_draws(truth, gens[i], int(needs[j * n_runs + i]))
+        for j, truth in enumerate(truths)
+        for i in range(n_runs)
+    ]
+    want = whole_chunk_sources(truths, [d.copy() for d in draws], needs)
+    got = targets._round_sources(truths, [d.copy() for d in draws], needs)
+    assert_array_equal(got[1], want[1])
+    assert got[0].tobytes() == want[0].tobytes()
+    if layout == "mixed":
+        assert (want[1] < needs).any() and (want[1] == needs).any()
 
 
 def test_stacked_sampling_with_no_runs_or_no_sources():

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
+from shapetrack import gaussian as gaussian_module
 from shapetrack import tracker as tracker_module
 from shapetrack.ellipse import (
     EllipseParams,
@@ -561,10 +562,10 @@ def test_stacked_update_status_is_per_run():
 @pytest.mark.parametrize("batch", [False, True])
 def test_stacked_step_rows_equal_lone_steps(batch, monkeypatch):
     reached = []  # whether each run that reaches an update is finite
-    original = tracker_module.stacked_update
+    original = tracker_module._update_posterior
     monkeypatch.setattr(
         tracker_module,
-        "stacked_update",
+        "_update_posterior",
         lambda means, covs, *a: reached.extend(_finite(means, covs)) or original(means, covs, *a),
     )
     rng = np.random.default_rng(95)
@@ -601,6 +602,97 @@ def test_stacked_step_rows_equal_lone_steps(batch, monkeypatch):
         assert np.array_equal(out[0], np.concatenate([got_means, bad_means[5:]]), equal_nan=True)
         assert np.array_equal(out[1], np.concatenate([got_covs, bad_covs[5:]]), equal_nan=True)
     assert reached and all(reached)
+
+
+def _lone_steps(means, covs, ys, rs, config):
+    """`stacked_step` of each run alone, stacked: (means, covs, failed, degenerate)."""
+    steps = [stacked_step(means[[r]], covs[[r]], [ys[r]], rs, config) for r in range(len(ys))]
+    return [np.concatenate(parts) for parts in zip(*steps)]
+
+
+@pytest.mark.parametrize("family", ["ellipse", "star_convex"])
+def test_batch_step_failure_leaves_the_other_count_groups(family):
+    # run 2 shares its count with run 0, and its update overflows: it fails
+    # and keeps its prior, while both count groups go on, and every row is
+    # its lone step's
+    config = TrackerConfig(shape_family=family, batch_mode=True)
+    prior = ellipse_prior() if family == "ellipse" else circle_prior()
+    rng = np.random.default_rng(96)
+    counts = [2, 3, 2, 1, 3]
+    means = prior.mean + rng.normal(0.0, 0.05, size=(len(counts), prior.dim))
+    means[2, 0] = 1e200
+    covs = np.stack([prior.cov * s for s in rng.uniform(0.5, 2.0, len(counts))])
+    ys = [rng.uniform(-2.5, 2.5, size=(k, 2)) for k in counts]
+    rs = np.stack([s * s * np.eye(2) for s in rng.uniform(0.1, 0.6, size=max(counts))])
+    with np.errstate(all="ignore"):
+        got = stacked_step(means, covs, ys, rs, config)
+        want = _lone_steps(means, covs, ys, rs, config)
+    assert got[2].tolist() == [False, False, True, False, False]
+    assert np.array_equal(got[0][2], means[2]) and np.array_equal(got[1][2], covs[2])
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_stacked_step_repairs_once_per_round(batch, monkeypatch):
+    # batch mode repairs every count group's posteriors in one call, and
+    # sequential mode each measurement round's
+    repaired = []  # the stack size of each repair
+    original = gaussian_module.stacked_psd_repair
+    monkeypatch.setattr(
+        gaussian_module, "stacked_psd_repair", lambda c: repaired.append(len(c)) or original(c)
+    )
+    counts = [2, 0, 3, 1, 2, 3]
+    rng = np.random.default_rng(97)
+    for family, prior in [("ellipse", ellipse_prior()), ("star_convex", circle_prior())]:
+        config = TrackerConfig(shape_family=family, batch_mode=batch)
+        means = prior.mean + rng.normal(0.0, 0.05, size=(len(counts), prior.dim))
+        covs = np.stack([prior.cov] * len(counts))
+        ys = [rng.uniform(-2.5, 2.5, size=(k, 2)) for k in counts]
+        rs = np.stack([0.1 * np.eye(2)] * max(counts))
+        repaired.clear()
+        got = stacked_step(means, covs, ys, rs, config)
+        assert not got[2].any()
+        assert repaired == ([5] if batch else [5, 4, 2])
+        for a, b in zip(got, _lone_steps(means, covs, ys, rs, config)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_stacked_step_of_equal_counts_updates_the_stack_as_it_is(batch, monkeypatch):
+    # runs that all take the same count are in order: no run is gathered,
+    # the first update gets views of the step's inputs, and each update
+    # takes the whole stack
+    seen = []
+    original = tracker_module._update_posterior
+    monkeypatch.setattr(
+        tracker_module,
+        "_update_posterior",
+        lambda means, covs, *a: seen.append((means, covs)) or original(means, covs, *a),
+    )
+    config = TrackerConfig(shape_family="ellipse", batch_mode=batch)
+    prior = ellipse_prior()
+    rng = np.random.default_rng(98)
+    means = prior.mean + rng.normal(0.0, 0.05, size=(3, prior.dim))
+    covs = np.stack([prior.cov] * 3)
+    ys = [rng.uniform(-2.5, 2.5, size=(2, 2)) for _ in range(3)]
+    got = stacked_step(means, covs, ys, np.stack([0.1 * np.eye(2)] * 2), config)
+    assert len(seen) == (1 if batch else 2)
+    assert seen[0][0].base is means and seen[0][1].base is covs
+    assert all(len(m) == len(c) == 3 for m, c in seen)
+    assert not np.shares_memory(got[0], means) and not np.shares_memory(got[1], covs)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("family", ["ellipse", "star_convex"])
+def test_stacked_step_of_no_runs(family, batch):
+    config = TrackerConfig(shape_family=family, batch_mode=batch)
+    d = config.state_dim()
+    means, covs, failed, degenerate = stacked_step(
+        np.zeros((0, d)), np.zeros((0, d, d)), [], np.zeros((0, 2, 2)), config
+    )
+    assert means.shape == (0, d) and covs.shape == (0, d, d)
+    assert failed.shape == degenerate.shape == (0,)
 
 
 def test_stacked_step_stops_a_run_at_its_failed_update():
