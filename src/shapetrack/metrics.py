@@ -22,16 +22,22 @@ sorted sweep of both counts every pair's union and intersection. An
 ellipse fills one span per row, so a polyline's sorted keys, taken two
 by two as spans, are clipped to it instead, and two ellipses are counted
 from a per-row min/max of their roots; all three take the same integer
-row cells. Every array that grows with a chunk
-(per edge, crossing, row or sample) is written in place into grow-only
-arrays that the chunks of a call share (`_Workspace`), so a call faults
-its memory in once, not once per chunk. `shape_iou` is the one-pair case
-of the same path.
+row cells.
+
+Every array that grows with a chunk (per edge, crossing, row or sample)
+is written in place into one grow-only arena per thread (`_arena`, a
+`_Workspace` held in a `threading.local`). It outlives the call, so a
+repeated pass reuses the pages it has and does not fault them in again.
+Its size is bounded by one chunk's needs (ROWS_PER_CALL grid rows), not
+by the number of pairs. Nothing kept past one chunk may be a view into
+it: truths are traced into workspaces of their own. `shape_iou` is the
+one-pair case of the same path.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,17 +75,39 @@ def _group_hull(members: np.ndarray) -> np.ndarray:
 
 
 class _Workspace(dict):
-    """Grow-only arrays by name, shared by the chunks of a `shape_ious` call:
-    ``ws(name, shape, dtype)`` views the first prod(shape) entries of the
-    array under name, made by ``fill`` anew only when too small. A view is
-    valid until the next request of its name, and one of "scratch" (floats)
-    or "scratch ints" until the next call given the workspace."""
+    """Grow-only arrays by name: ``ws(name, shape, dtype)`` views the first
+    prod(shape) entries of the array under name, made by ``fill`` anew only
+    when it is too small or of another dtype. A view is valid until the
+    next request of its name, and one of "scratch" (floats) or "scratch
+    ints" until the next call given the workspace.
+
+    `shape_ious` and `shape_iou` take their workspace from `_arena`, one per
+    thread, which lives as long as its thread. It holds no values across
+    requests: every view is written before it is read, apart from the
+    "arange" index, which only its fill writes. Its size is bounded by the
+    largest chunk it served (ROWS_PER_CALL grid rows, a quarter more for
+    growth), whatever the number of pairs. Outlines that outlive a chunk,
+    such as the traced truths, use workspaces of their own, never the arena.
+    """
 
     def __call__(self, name: str, shape: tuple, dtype=float, fill=np.empty) -> np.ndarray:
-        size = math.prod(shape)
-        if name not in self or self[name].size < size:
-            self[name] = fill(size + size // 4, dtype=dtype)  # room for later chunks
-        return self[name][:size].reshape(shape)
+        size, dtype = math.prod(shape), np.dtype(dtype)
+        have = self.get(name)
+        if have is None or have.size < size or have.dtype != dtype:
+            self[name] = have = fill(size + size // 4, dtype=dtype)  # room for later chunks
+        return have[:size].reshape(shape)
+
+
+_THREAD = threading.local()
+
+
+def _arena() -> _Workspace:
+    """This thread's scoring workspace, made on its first use."""
+    try:
+        return _THREAD.workspace
+    except AttributeError:
+        _THREAD.workspace = _Workspace()
+        return _THREAD.workspace
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -176,15 +204,18 @@ def _fourier_offsets(coeffs, n: int, ws: _Workspace, name: str) -> np.ndarray:
 def _fourier_outlines(centers, coeffs, resolution: int, ws: _Workspace) -> _Outlines:
     """Fourier contours, boxed by a CONTOUR_SAMPLES trace and scored on one
     that is coarser on coarse grids (boundary sampling finer than the grid
-    adds nothing). The scoring trace is left in ws, a box-only trace in its scratch."""
+    adds nothing), both in ws under "trace". When the coarser sample count
+    divides CONTOUR_SAMPLES, its trace is every k-th sample of the box
+    trace: the same angles, basis rows and floats as a trace of its own."""
     samples = min(CONTOUR_SAMPLES, max(256, 2 * resolution))
-    box_only = samples != CONTOUR_SAMPLES
-    offsets = _fourier_offsets(coeffs, CONTOUR_SAMPLES, ws, "scratch" if box_only else "trace")
+    offsets = _fourier_offsets(coeffs, CONTOUR_SAMPLES, ws, "trace")
     # adding the centre is monotone in the offset, so the trace's box is
     # the centre plus the offsets' box; rows reduce fast
     lo, hi = centers + offsets.min(axis=2), centers + offsets.max(axis=2)
-    if box_only:
+    if CONTOUR_SAMPLES % samples:
         offsets = _fourier_offsets(coeffs, samples, ws, "trace")
+    else:
+        offsets = offsets[:, :, :: CONTOUR_SAMPLES // samples]
     return _Outlines(False, lo, hi, polys=np.add(offsets, centers[:, :, None], out=offsets))
 
 
@@ -315,22 +346,23 @@ def _polyline_keys(polys, lo, dx, dy, res, ws, name):
     r0.ravel()[1:] -= ends[:-1]  # less the index of its first crossing, which brings back the row
     np.add(r0, 0.5, out=edges[0])  # row + 0.5 once a crossing adds its index, exact in floats
     r0 += np.arange(0, len(polys) * res, res)[:, None]  # and the pair's first row, for the key
-    t, p0, p01, origin, step = cross = ws("scratch", (5, len(edge)))
+    t, term = ws("scratch", (2, len(edge)))
     keys = np.floor_divide(edge, n, out=ws(name, edge.shape, int))  # the crossing's pair
     index = ws("arange", edge.shape, int, np.arange)
-    np.take(edges[:3].reshape(3, -1), edge, axis=1, out=cross[:3], mode="clip")
-    np.take(grid[:2], keys, axis=1, out=cross[3:], mode="clip")
+
+    def gathered(table, at):  # each crossing's value of a per-edge or per-pair table, in term
+        return np.take(table.ravel(), at, out=term, mode="clip")
+
+    np.take(edges[0].ravel(), edge, out=t, mode="clip")
     t += index
-    t *= step
-    t += origin
-    t -= p0
-    t /= p01  # the fraction of the edge at the row centre
-    np.take(edges[3:5].reshape(2, -1), edge, axis=1, out=cross[1:3], mode="clip")
-    np.take(grid[2:], keys, axis=1, out=cross[3:], mode="clip")
-    t *= p01
-    t += p0
-    t -= origin
-    t /= step
+    t *= gathered(grid[1], keys)  # dy
+    t += gathered(grid[0], keys)  # ylo: the row centre
+    t -= gathered(edges[1], edge)  # y0
+    t /= gathered(edges[2], edge)  # y1 - y0: the fraction of the edge at the row centre
+    t *= gathered(edges[4], edge)  # x1 - x0
+    t += gathered(edges[3], edge)  # x0: the abscissa
+    t -= gathered(grid[2], keys)  # xlo
+    t /= gathered(grid[3], keys)  # dx
     t -= 0.5
     np.take(r0.ravel(), edge, out=keys, mode="clip")
     np.multiply(np.add(keys, index, out=keys), res + 1, out=keys)
@@ -436,7 +468,7 @@ def shape_ious(
     The pairs whose truth is an ellipse and those whose truth is a polyline
     are counted in two passes, each a chunk of `_chunk_pairs` pairs at a
     time (ROWS_PER_CALL // resolution of Fourier estimates, four times as
-    many of ellipse estimates), in one workspace for all chunks.
+    many of ellipse estimates), in this thread's workspace (`_arena`).
 
     Args:
         centers: (N, 2) estimate centers.
@@ -480,7 +512,7 @@ def shape_ious(
             stacks[region.ellipse].append(region)
     kind, slot = np.array([traced[id(t)] for t in truths])[which].T
     chunk = _chunk_pairs(family, resolution)
-    ws = _Workspace()
+    ws = _arena()
     ellipses = _ellipse_outlines(centers, params) if family == "ellipse" else None
     for ellipse, stack in enumerate(stacks):
         pairs = np.flatnonzero(kind == ellipse)
@@ -512,7 +544,7 @@ def shape_iou(a, b, resolution: int = DEFAULT_RESOLUTION) -> float:
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     outlines = _outline(a, resolution), _outline(b, resolution)
-    inter, union = _pair_counts(*outlines, resolution, _Workspace())
+    inter, union = _pair_counts(*outlines, resolution, _arena())
     if union[0] == 0:
         raise ValueError("both regions rasterize to zero area")
     return float(inter[0] / union[0])

@@ -104,9 +104,8 @@ def _figure(truths, ests, meas, radius, truth_label, path=None) -> str:
 
 
 def _finite_steps(report: ScenarioReport, steps) -> list:
-    return [
-        int(k) for k in steps if np.isfinite(report.mean_estimates[k]).all()
-    ]
+    steps = np.asarray(steps, dtype=int)
+    return steps[np.isfinite(report.mean_estimates[steps]).all(axis=1)].tolist()
 
 
 def _stacked(points: list) -> np.ndarray:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -471,8 +474,16 @@ def oracle_scores(centers, params, truths, which, family, res):
     return np.array([0.0 if isinstance(v, str) else v for v in out])
 
 
+def _fourier_truth(rng, n_coeffs=11):
+    coeffs = rng.normal(0.0, 0.15, n_coeffs)
+    coeffs[0] = rng.uniform(2.5, 4.0)
+    return FourierShapeParams(rng.normal(0.0, 0.5, 2), coeffs)
+
+
 def _truth_steps(kind, rng, n_steps):
     """A truth of the given kind, posed anew at each step."""
+    if kind == "fourier":
+        return [_fourier_truth(rng) for _ in range(n_steps)]
     if kind == "ellipse":
         base = ellipse_target(from_semi_axes([0.0, 0.0], [2.0, 0.8], 0.3))
     elif kind == "polygon":
@@ -487,7 +498,9 @@ def _truth_steps(kind, rng, n_steps):
 
 def _estimates(family, rng, n, truths, which):
     """Raw filter-like estimates near their truths, clamped as `_score` clamps them."""
-    centers = np.array([truths[k].anchor for k in which]) + rng.normal(0.0, 0.7, (n, 2))
+    anchors = [t.center if isinstance(t, FourierShapeParams) else t.anchor
+               for t in (truths[k] for k in which)]
+    centers = np.array(anchors).reshape(n, 2) + rng.normal(0.0, 0.7, (n, 2))
     if family == "ellipse":
         chols = rng.uniform(-1.5, 1.5, (n, 3))
         chols[::4, 1] = 1e-9  # collapsed diagonals, clamped to the floor
@@ -737,3 +750,191 @@ def test_pair_counts_equal_those_of_masked_row_cells(monkeypatch, res):
                 want = metrics._pair_counts(a, b, res, metrics._Workspace())
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
+
+
+# ---------------------------------------------------------------------------
+# The per-thread arena: it outlives each call and serves the next one
+
+
+def test_workspace_remakes_an_array_asked_for_in_another_dtype():
+    ws = metrics._Workspace()
+    floats = ws("x", (4,))
+    ints = ws("x", (3,), int)
+    assert floats.dtype == float and ints.dtype == np.dtype(int)
+    assert not np.shares_memory(floats, ints)
+    again = ws("x", (2,), int)  # same dtype, smaller: the same array
+    assert again.dtype == np.dtype(int) and np.shares_memory(again, ints)
+    assert ws("x", (2,), np.int8).dtype == np.int8
+
+
+def test_arena_serves_later_smaller_calls_of_other_kinds(monkeypatch):
+    # one large call leaves long arrays in the arena; each later call is
+    # smaller and of another family, resolution or truth kind, so a stale
+    # tail of any reused array would change its scores
+    rng = np.random.default_rng(23)
+    calls = [
+        ("star_convex", "polygon", 1024, 12, 4),
+        ("ellipse", "group", 256, 7, 3),
+        ("star_convex", "fourier", 128, 5, 2),
+        ("ellipse", "ellipse", 64, 4, 3),
+        ("star_convex", "ellipse", 256, 3, 1),
+        ("ellipse", "fourier", 512, 6, 4),
+        ("star_convex", "group", 17, 5, 2),
+        ("ellipse", "polygon", 300, 4, 2),
+    ]
+    for family, kind, res, n, chunk in calls:
+        force_chunks(monkeypatch, chunk)
+        truths = _truth_steps(kind, rng, 3)
+        which = rng.integers(0, len(truths), n)
+        centers, params = _estimates(family, rng, n, truths, which)
+        got = shape_ious(centers, params, truths, which, family, res)
+        want = oracle_scores(centers, params, truths, which, family, res)
+        np.testing.assert_array_equal(got, want, err_msg=f"{family} vs {kind} at {res}")
+        assert (got > 0).any()
+
+
+def _in_thread(fn):
+    """fn() run in a new thread, whose arena starts empty; its result or error."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except Exception as err:  # re-raised in the caller
+            out["error"] = err
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive(), "scoring did not finish"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def _scoring_jobs(rng):
+    jobs = []
+    for family, kind, res, n in [
+        ("star_convex", "polygon", 256, 40),
+        ("ellipse", "group", 512, 30),
+        ("star_convex", "fourier", 1024, 9),
+        ("ellipse", "polygon", 256, 70),
+    ]:
+        truths = _truth_steps(kind, rng, 3)
+        which = rng.integers(0, len(truths), n)
+        centers, params = _estimates(family, rng, n, truths, which)
+        jobs.append((centers, params, truths, which, family, res))
+    return jobs
+
+
+def test_threads_score_in_arenas_of_their_own():
+    # more threads than cores call at once, each in its own order, meeting
+    # at a barrier before every call, with a short switch interval: their
+    # scores equal those of the same calls made one after another
+    jobs = _scoring_jobs(np.random.default_rng(29))
+    want = [shape_ious(*job) for job in jobs]
+    orders = [[(k + j) % len(jobs) for j in range(len(jobs) + 1)] for k in range(len(jobs))]
+    barrier = threading.Barrier(len(orders), timeout=120)
+    results, errors = [None] * len(orders), []
+
+    def work(k):
+        try:
+            got = []
+            for i in orders[k]:
+                barrier.wait()
+                got.append((i, shape_ious(*jobs[i])))
+            results[k] = got, metrics._arena()
+        except Exception as err:  # reported below
+            errors.append(err)
+            barrier.abort()
+
+    # daemon threads: corrupted scratch can keep `_row_index` looping, and
+    # the test must then fail, not hang
+    threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "scoring did not finish"
+    assert not errors, errors
+    for got, _ in results:
+        for i, scores in got:
+            np.testing.assert_array_equal(scores, want[i])
+    arenas = [arena for _, arena in results] + [metrics._arena()]
+    assert len({id(arena) for arena in arenas}) == len(arenas)
+
+
+def test_fourier_truths_are_traced_outside_the_arena(monkeypatch):
+    # every distinct truth is traced before the first chunk is counted: a
+    # Fourier truth traced into the arena would be overwritten by the next
+    # one's trace, and by each chunk, before it is copied into its stack
+    rng = np.random.default_rng(37)
+    truths = [_fourier_truth(rng, n_coeffs) for n_coeffs in (7, 11, 15, 11, 5)]
+    force_chunks(monkeypatch, 2)
+    for family in ("ellipse", "star_convex"):
+        for res in (256, 1024):
+            n = 13
+            which = np.arange(n) % len(truths)
+            centers, params = _estimates(family, rng, n, truths, which)
+            got = shape_ious(centers, params, truths, which, family, res)
+            want = oracle_scores(centers, params, truths, which, family, res)
+            np.testing.assert_array_equal(got, want)
+            assert len(np.unique(got)) > len(truths)
+            arena = metrics._arena().values()
+            for truth in truths:
+                polys = metrics._outline(truth, res).polys
+                assert not any(np.shares_memory(polys, a) for a in arena)
+
+
+def test_a_repeated_call_makes_no_new_arena_array(monkeypatch):
+    # allocation stability without asking the OS: the second of two
+    # identical calls fills no new array into the arena
+    jobs = _scoring_jobs(np.random.default_rng(41))
+    made = []
+    request = metrics._Workspace.__call__
+
+    def counted(self, name, shape, dtype=float, fill=np.empty):
+        def counting_fill(*args, **kwargs):
+            if self is metrics._arena():
+                made.append(name)
+            return fill(*args, **kwargs)
+
+        return request(self, name, shape, dtype, counting_fill)
+
+    monkeypatch.setattr(metrics._Workspace, "__call__", counted)
+
+    def twice():
+        first = [shape_ious(*job) for job in jobs]
+        n_first = len(made)
+        second = [shape_ious(*job) for job in jobs]
+        return first, second, n_first
+
+    first, second, n_first = _in_thread(twice)
+    assert n_first > 0 and len(made) == n_first
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("res", [128, 256, 300, 512])
+def test_fourier_scoring_trace_equals_a_trace_of_its_own(res):
+    # on a coarse grid a Fourier estimate is scored on every k-th sample of
+    # its CONTOUR_SAMPLES box trace (a separate trace where the sample count
+    # does not divide it, as at 300); either must be the explicit trace at
+    # the coarser count, bit for bit, which holds only while a row of the
+    # basis product does not depend on the number of rows in it
+    rng = np.random.default_rng(res)
+    samples = min(CONTOUR_SAMPLES, max(256, 2 * res))
+    for n_coeffs in range(3, 22, 2):  # 11 and 15: the bundled trackers'
+        coeffs = rng.normal(0.0, 0.5, (30, n_coeffs))
+        coeffs[:, 0] = rng.uniform(0.2, 6.0, 30)  # some radii clamped to zero
+        centers = rng.normal(0.0, 3.0, (30, 2))
+        got = metrics._fourier_outlines(centers, coeffs, res, metrics._Workspace()).polys
+        want = metrics._fourier_offsets(coeffs, samples, metrics._Workspace(), "explicit")
+        want += centers[:, :, None]
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes(), n_coeffs
