@@ -16,11 +16,11 @@ The update kernels return their outcome as a value, a per-run status
 that fails even after its jitter retry is flagged, not raised. One
 failing run leaves the others untouched. `stacked_predict` returns the
 predicted moments only, finite or not: whether a run has failed is
-decided by the caller that updates it (`tracker.stacked_step`). The
-sigma-point weights are computed once per dimension and spread
-(`_unscented_weights`, cached and read-only), and a scalar innovation
-variance is its own smallest eigenvalue, so a sequential update runs no
-eigenvalue solver on it.
+decided by the caller that updates it (`tracker.stacked_step`).
+`_sl_posterior` takes the sigma-point weights (`_unscented_weights`) from
+its caller, so an owner of many updates builds them once per dimension
+(`tracker._Constants`), and a scalar innovation variance is its own
+smallest eigenvalue, so a sequential update runs no eigenvalue solver on it.
 
 No kernel copies its inputs, writes to them, or returns an array that
 shares memory with them. When every run takes part, a kernel works on the
@@ -42,7 +42,6 @@ and a `DEGENERATE` update returns a copy of the prior.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -299,40 +298,31 @@ def _jittered_cholesky(sym: np.ndarray) -> tuple[np.ndarray, bool]:
         return np.zeros_like(sym), False
 
 
-def _stacked_sigma_points(
-    means: np.ndarray, covs: np.ndarray, spread: UnscentedSpread = DEFAULT_SPREAD
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _stacked_sigma_points(means: np.ndarray, covs: np.ndarray, root_scale: float):
     """Draw the 2d+1 scaled symmetric sigma points of R Gaussians at once.
 
     Args:
         means: (R, d) means.
         covs: (R, d, d) finite covariances.
-        spread: unscented parameters; the default keeps d + lambda = 3.
+        root_scale: sqrt(d + lambda), from `_unscented_weights`.
 
     Returns:
-        (points (R, 2d+1, d), mean weights (2d+1,), covariance weights
-        (2d+1,), ok (R,)); ok is False where a covariance cannot be
-        factorized, and that run's points all sit at its mean.
-
-    Raises:
-        ValueError: spread yields d + lambda <= 0.
+        (points (R, 2d+1, d), ok (R,)); ok is False where a covariance
+        cannot be factorized, and that run's points all sit at its mean.
     """
     n_runs, d = means.shape
-    root_scale, w_mean, w_cov = _unscented_weights(d, spread)
     roots, ok = _stacked_cholesky(covs)
     root_t = (roots * root_scale).swapaxes(-1, -2)
     points = np.empty((n_runs, 2 * d + 1, d))
     points[:, 0] = means
     points[:, 1 : d + 1] = means[:, None, :] + root_t
     points[:, d + 1 :] = means[:, None, :] - root_t
-    return points, w_mean, w_cov, ok
+    return points, ok
 
 
-@functools.lru_cache(maxsize=64)
 def _unscented_weights(d: int, spread: UnscentedSpread):
     """(sqrt(d + lambda), mean weights, covariance weights) of the 2d+1
-    sigma points, computed once per dimension and spread; the weight
-    arrays are read-only because every caller shares them.
+    sigma points of a d-dimensional Gaussian, new arrays.
 
     Raises:
         ValueError: spread yields d + lambda <= 0.
@@ -344,8 +334,6 @@ def _unscented_weights(d: int, spread: UnscentedSpread):
     w_mean[0] = lam / scale
     w_cov = w_mean.copy()
     w_cov[0] += 1.0 - spread.alpha**2 + spread.beta
-    w_mean.flags.writeable = False
-    w_cov.flags.writeable = False
     return np.sqrt(scale), w_mean, w_cov
 
 
@@ -354,8 +342,7 @@ def draw_sigma_points(
 ) -> SigmaPointSet:
     """Draw the 2d+1 scaled symmetric sigma points of a Gaussian.
 
-    The R = 1 case of `_stacked_sigma_points`, with its own copies of the
-    shared weights, so a caller may edit them.
+    The R = 1 case of `_stacked_sigma_points`.
 
     Args:
         state: source density, dimension d >= 1.
@@ -369,12 +356,11 @@ def draw_sigma_points(
         ValueError: spread yields d + lambda <= 0.
         ConditioningError: covariance cannot be factorized.
     """
-    points, w_mean, w_cov, ok = _stacked_sigma_points(
-        state.mean[None], state.cov[None], spread
-    )
+    root_scale, w_mean, w_cov = _unscented_weights(state.dim, spread)
+    points, ok = _stacked_sigma_points(state.mean[None], state.cov[None], root_scale)
     if not ok[0]:
         raise ConditioningError("Cholesky failed after jitter retry")
-    return SigmaPointSet(points[0], w_mean.copy(), w_cov.copy())
+    return SigmaPointSet(points[0], w_mean, w_cov)
 
 
 def stacked_sl_update(
@@ -408,7 +394,8 @@ def stacked_sl_update(
         its prior) or `FAILED` (a factorization or the PSD repair failed,
         or a value is not finite; the run keeps its prior values).
     """
-    (result,) = _sl_conclude([_sl_posterior(means, covs, h, noise_mean, noise_cov, spread)])
+    weights = _unscented_weights(means.shape[1] + len(noise_mean), spread)
+    (result,) = _sl_conclude([_sl_posterior(means, covs, h, noise_mean, noise_cov, weights)])
     return result
 
 
@@ -425,7 +412,7 @@ class _Posterior(NamedTuple):
     solved: np.ndarray  # whether their gain was solved
 
 
-def _sl_posterior(means, covs, h, noise_mean, noise_cov, spread) -> _Posterior:
+def _sl_posterior(means, covs, h, noise_mean, noise_cov, weights) -> _Posterior:
     """`stacked_sl_update` up to the PSD repair of its posterior covariances."""
     n_runs, d = means.shape
     m0 = len(noise_mean)
@@ -435,7 +422,8 @@ def _sl_posterior(means, covs, h, noise_mean, noise_cov, spread) -> _Posterior:
     aug_cov = np.zeros((n_runs, d + m0, d + m0))
     aug_cov[:, :d, :d] = covs
     aug_cov[:, d:, d:] = noise_cov
-    points, w_m, w_c, ok = _stacked_sigma_points(aug_mean, aug_cov, spread)
+    root_scale, w_m, w_c = weights
+    points, ok = _stacked_sigma_points(aug_mean, aug_cov, root_scale)
 
     values = np.asarray(h(points), dtype=float)
     if values.ndim == 2:
@@ -585,9 +573,9 @@ def stacked_predict(
 
     A system_matrix of None stands for A = I (a random walk): nothing is
     multiplied, and the moments become `means + 0.0` and `covs + Q`. For
-    finite moments and a Q with no -0.0 entry, these are the floats of the
-    products with I: each product's sum starts from +0.0, so it turns a
-    -0.0 into 0.0, as adding 0.0 does.
+    finite moments and a Q with no -0.0 entry (`tracker._transition` builds
+    its Q so), these are the floats of the products with I: each product's
+    sum starts from +0.0, so it turns a -0.0 into 0.0, as adding 0.0 does.
 
     Returns (means (R, d), covs (R, d, d)), new arrays. A run whose
     prediction overflows gets non-finite moments, which is a modelled

@@ -27,21 +27,23 @@ and raised only when the filter reaches that step with the run still
 live.
 
 The live runs are predicted together and updated together as stacked
-arrays (`stacked_time_update`, `stacked_step`): in batch mode one update
-per group of runs with the same measurement count; in sequential mode
-one update per measurement index j, taken by the runs with more than j
-measurements. A run's draws and arithmetic do not depend on the other
-runs, so its results are the same bit for bit whatever the number of
-runs. Every live run goes from the prediction straight to the step, which
-takes the predicted moments as they are; its results replace them. The
-live set and its moments are compacted only at a step where a run
-diverges.
+arrays (`stacked_predict`, and `tracker._step`, the kernel of
+`stacked_step`): in batch mode one update per group of runs with the same
+measurement count; in sequential mode one update per measurement index j,
+taken by the runs with more than j measurements. The scenario builds the
+constants of these updates once (`tracker._transition`,
+`tracker._Constants`), and the noise block once per draw block. A run's
+draws and arithmetic do not depend on the other runs, so its results are
+the same bit for bit whatever the number of runs. Every live run goes
+from the prediction straight to the step, which takes the predicted
+moments as they are; its results replace them. The live set and its
+moments are compacted only at a step where a run diverges.
 
 Scoring is stacked as well: every (run, step) pair is scored in one
 `shape_ious` call, which traces each step's truth once, and the
 run-averaged shapes in another.
 
-Divergence is a per-run mask. A run diverges at a step when `stacked_step`
+Divergence is a per-run mask. A run diverges at a step when the step
 marks it failed (its prediction is not finite, or an update fails: a
 covariance cannot be factorized or repaired, or a value is not finite),
 or when its centre leaves DIVERGENCE_CENTER_BOUND; it then leaves the live
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import GaussianState
+from .gaussian import GaussianState, stacked_predict
 from .metrics import shape_ious
 from .targets import (
     INSIDE_TEST_POINTS,
@@ -68,7 +70,7 @@ from .targets import (
     psd_root,
     stacked_sample_sources,
 )
-from .tracker import TrackerConfig, shape_params, stacked_step, stacked_time_update
+from .tracker import TrackerConfig, _Constants, _step, _transition, shape_params
 
 __all__ = [
     "NoiseMixture",
@@ -587,6 +589,8 @@ def _filter_runs(config: ScenarioConfig, truths, seeds):
     """
     n_runs, n_steps, dim = config.n_runs, config.n_steps, config.prior.dim
     tracker = config.tracker
+    transition = _transition(tracker.dynamics, dim, tracker.shape_dim)
+    constants = _Constants(tracker)
     rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
     mix = config.noise_mixture
     told_cov = mix.mean_covariance
@@ -613,7 +617,7 @@ def _filter_runs(config: ScenarioConfig, truths, seeds):
                 config, truths[k:block_end], [rngs[r] for r in live], factors, cdf
             )
             most = max((len(y) for run in block for y in run), default=0)
-            noise_covs = np.broadcast_to(told_cov, (most, 2, 2))
+            constants.set_noise(np.broadcast_to(told_cov, (most, 2, 2)))
         at = block_runs.searchsorted(live)
         j = k - block_start
         for i, (step, err) in sorted(errors.items()):
@@ -622,8 +626,8 @@ def _filter_runs(config: ScenarioConfig, truths, seeds):
         ys = [block[i][j] for i in at]
         if live[0] == 0:
             example.append(ys[0].copy())  # a copy: a view would keep the block alive
-        means, covs = stacked_time_update(means, covs, tracker.dynamics, tracker.shape_dim)
-        means, covs, failed, _ = stacked_step(means, covs, ys, noise_covs, tracker)
+        means, covs = stacked_predict(means, covs, *transition)
+        means, covs, failed, _ = _step(means, covs, ys, constants)
         centres = means[:, :2]
         with np.errstate(over="ignore"):  # an infinite norm is past the bound
             # the floats of np.linalg.norm(centres, axis=1)
@@ -651,7 +655,7 @@ def run_scenario(
     short, keeps NaN rows from that step on, and is excluded from the
     averaged columns.
 
-    Divergence is read from the failed flags that `stacked_step` returns,
+    Divergence is read from the failed flags that the step returns,
     not from floating-point errors: the step is the one place that decides
     whether a run has failed. Only the two expressions whose overflow is a
     modelled divergence ignore it: the prediction (`stacked_predict`,

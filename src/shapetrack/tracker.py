@@ -16,31 +16,25 @@ a bracketed secular-equation root per measurement), or one arctan2 over the
 (R, k) offsets from the prior centers. Then one pseudo-measurement
 evaluation covers all runs, sigma points and k columns, and
 `gaussian.stacked_sl_update` conditions all runs at once.
-Failures come back as a per-run status. The constants of an update are
-cached and shared read-only: the noise block once per set of noise
-covariances and scaling model (`_noise_block`; in a scenario, once per
-measurement count k), and the transition matrices once per dynamics and
-layout (`_transition`; once per scenario).
+Failures come back as a per-run status. The constants of the updates
+belong to their owner (a scenario, a `Tracker`, or one call of a public
+kernel), which builds them and shares them read-only: the transition
+(`_transition`) once, and a `_Constants` of noise block and weights.
 
-`stacked_step` applies one time step's measurements, which may differ in
-number between runs, as the config asks: in batch mode one update per
-group of runs with the same count, all in one round, in sequential mode
-one round per measurement index. Each update stops short of the PSD
-repair of its posterior covariances (`_update_posterior`), and each
-round repairs the posteriors of all its updates in one
-`gaussian.stacked_psd_repair`. The scenario loop and `Tracker.update`
-(its R = 1 case) both go through it. It is the one place that decides
-whether a run has failed: a run whose prior is not finite (an overflowing
-prediction) is failed from the start, joins no update and comes back
-unchanged, and a run fails at its first `FAILED` update. Every run it
-does not mark failed comes back finite. When the runs are not already in
-order of falling measurement count, the step sorts them once, so that
-each count group and each round is a contiguous slice, taken as a view;
-the results are put back in run order at the end. A step whose runs are
-in order, as when they all take the same count, copies nothing up
-front: an update that every run takes part in gets the moments as they
-are, and its new arrays become the step's. The step's results never
-share memory with its inputs, and the inputs are left as they were.
+`stacked_step` applies one time step's measurements, batch or sequential
+as the config asks, in rounds of updates (see its docstring). The
+scenario loop and `Tracker.update` (its R = 1 case) both go through its
+kernel `_step`, the one place that decides whether a run has failed.
+Each update stops short of the PSD repair of its posterior covariances
+(`_update_posterior`), so that a round repairs them all in one
+`gaussian.stacked_psd_repair`. When the runs are not already in order of
+falling measurement count, the step sorts them once, so that each count
+group and each round is a contiguous slice, taken as a view; the results
+are put back in run order at the end. A step whose runs are in order
+copies nothing up front: an update that every run takes part in gets the
+moments as they are, and its new arrays become the step's. The step's
+results never share memory with its inputs, and the inputs are left as
+they were.
 
 State layout is fixed as [center(2); velocity(2, only with the
 constant-velocity dynamics); shape parameters]. `shape_params` turns
@@ -50,7 +44,6 @@ coefficients) for every caller: the tracker, the scoring and the plots.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -67,6 +60,7 @@ from .gaussian import (
     _finite_rows,
     _sl_conclude,
     _sl_posterior,
+    _unscented_weights,
     stacked_predict,
 )
 from .starconvex import FourierShapeParams, fourier_basis
@@ -95,7 +89,6 @@ class ScalingModel:
     The shape family says what the scalar in the augmented state
     represents: s^2 for the elliptic family (where uniform sources over the
     extent make s^2 uniform on [0, 1]), s itself for the star-convex one.
-    A -0.0 field is stored as 0.0 (`_normalise_zeros`).
     """
 
     mean: float
@@ -106,7 +99,6 @@ class ScalingModel:
             raise ValueError("scaling mean and variance must be finite")
         if not self.variance > 0:
             raise ValueError("scaling variance must be positive")
-        _normalise_zeros(self, "mean", "variance")
 
     @classmethod
     def squared_scale_uniform(cls) -> "ScalingModel":
@@ -120,19 +112,12 @@ class ScalingModel:
         return cls(0.7, 0.06)
 
 
-def _normalise_zeros(spec, *names) -> None:
-    """Store the named fields of a frozen spec plus 0.0, which turns -0.0 into
-    0.0: the two compare equal, so the caches keyed on a spec could mix them."""
-    for name in names:
-        object.__setattr__(spec, name, getattr(spec, name) + 0.0)
-
-
 @dataclass(frozen=True)
 class DynamicsSpec:
     """Temporal model: static with a random walk, or constant velocity.
 
     q1 is the shape (random-walk) noise intensity, q2 the kinematic noise
-    intensity of the constant-velocity block. A -0.0 field is stored as 0.0.
+    intensity of the constant-velocity block.
     """
 
     model: str = "static_random_walk"
@@ -147,7 +132,6 @@ class DynamicsSpec:
             raise ValueError("time step must be positive and finite")
         if not (0 <= self.q1 < np.inf and 0 <= self.q2 < np.inf):
             raise ValueError("noise intensities must be non-negative and finite")
-        _normalise_zeros(self, "step", "q1", "q2")
 
     @property
     def has_velocity(self) -> bool:
@@ -340,17 +324,11 @@ def _unstacked(vals, state, measurement):
 # Updates
 
 
-def _noise_block(noise_covs: np.ndarray, scaling: ScalingModel):
+def _noise_block(noise_covs, scaling: ScalingModel):
     """Mean and covariance of [v_1; scaling_1; ...; v_k; scaling_k] for the
-    noise covariances (k, 2, 2). Built once per distinct set of covariances
-    and scaling model (in a scenario, once per count k) and shared
-    read-only."""
-    return _cached_noise_block(np.ascontiguousarray(noise_covs, dtype=float).tobytes(), scaling)
-
-
-@functools.lru_cache(maxsize=16)
-def _cached_noise_block(cov_bytes: bytes, scaling: ScalingModel):
-    covs = np.frombuffer(cov_bytes).reshape(-1, 2, 2)
+    noise covariances (k, 2, 2), read-only. The covariance is block-diagonal,
+    so the block of columns a..b is its [3a:3b, 3a:3b] sub-block."""
+    covs = np.asarray(noise_covs, dtype=float).reshape(-1, 2, 2)
     k = len(covs)
     each = np.arange(k)
     cov = np.zeros((k, 3, k, 3))
@@ -360,10 +338,27 @@ def _cached_noise_block(cov_bytes: bytes, scaling: ScalingModel):
 
 
 def _read_only(*arrays):
-    """The arrays, marked read-only: a cached result is shared by every caller."""
+    """The arrays, marked read-only: an owner shares them among its updates."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+class _Constants:
+    """The update constants of one owner: the `_noise_block` of its noise
+    covariances (K, 2, 2), and the sigma-point weights of each count k, built
+    at its first update on k (a count never taken may have none)."""
+
+    def __init__(self, config: TrackerConfig, noise_covs=()):
+        self.config, self.weights, self._key = config, {}, None
+        self.set_noise(noise_covs)
+
+    def set_noise(self, noise_covs) -> None:
+        """Build the noise block, unless noise_covs has the kept bytes."""
+        key = np.ascontiguousarray(noise_covs, dtype=float).tobytes()
+        if key != self._key:
+            self._key = key
+            self.noise_mean, self.noise_cov = _noise_block(noise_covs, self.config.scaling)
 
 
 def _source_angles(measurements, centers) -> np.ndarray:
@@ -401,15 +396,20 @@ def stacked_update(means, covs, measurements, noise_covs, config: TrackerConfig)
         a run with a degenerate innovation (`DEGENERATE`) or a failed
         update (`FAILED`) keeps its prior moments.
     """
-    (result,) = _sl_conclude([_update_posterior(means, covs, measurements, noise_covs, config)])
-    return result
+    posterior = _update_posterior(means, covs, measurements, _Constants(config, noise_covs), 0)
+    return _sl_conclude([posterior])[0]
 
 
-def _update_posterior(means, covs, measurements, noise_covs, config: TrackerConfig):
+def _update_posterior(means, covs, measurements, constants: _Constants, first: int):
     """`stacked_update` up to the PSD repair of its posterior covariances
-    (`gaussian._sl_posterior`)."""
+    (`gaussian._sl_posterior`), on (R, k, 2) measurements of columns first on."""
+    config = constants.config
     config.check_layout(means.shape[1])
-    noise_mean, noise_cov = _noise_block(noise_covs, config.scaling)
+    k = np.shape(measurements)[1]
+    if k not in constants.weights:
+        constants.weights[k] = _unscented_weights(config.augmented_dim(k), config.unscented)
+    cols = slice(3 * first, 3 * (first + k))  # the block of these columns
+    noise_mean, noise_cov = constants.noise_mean[cols], constants.noise_cov[cols, cols]
     centers = means[:, :2]
     if config.shape_family == "ellipse":
         # an overflowing run gets NaN offsets, so its pseudo-measurements are
@@ -417,9 +417,7 @@ def _update_posterior(means, covs, measurements, noise_covs, config: TrackerConf
         offsets = ellipse_closest_points(centers, means[:, -3:], measurements) - centers[:, None]
 
         def h(points):
-            return ellipse_pseudo_measurement(
-                points, measurements, offsets, config.trace_normalize
-            )
+            return ellipse_pseudo_measurement(points, measurements, offsets, config.trace_normalize)
 
     else:
         phis = _source_angles(measurements, centers)
@@ -427,7 +425,7 @@ def _update_posterior(means, covs, measurements, noise_covs, config: TrackerConf
         def h(points):
             return sc_pseudo_measurement(points, measurements, phis, config.shape_dim)
 
-    return _sl_posterior(means, covs, h, noise_mean, noise_cov, config.unscented)
+    return _sl_posterior(means, covs, h, noise_mean, noise_cov, constants.weights[k])
 
 
 def stacked_step(means, covs, measurements, noise_covs, config: TrackerConfig):
@@ -448,8 +446,8 @@ def stacked_step(means, covs, measurements, noise_covs, config: TrackerConfig):
             covariance is not finite is failed: it joins no update and
             comes back unchanged.
         measurements: R arrays (k_r, 2), run r's measurements; k_r may be 0.
-        noise_covs: (K, 2, 2) with K >= max k_r; noise_covs[j] is the noise
-            covariance of every run's measurement j.
+        noise_covs: (K, 2, 2) with K >= max k_r, else a ValueError;
+            noise_covs[j] is the noise covariance of every run's measurement j.
         config: tracker configuration.
 
     Returns:
@@ -459,6 +457,15 @@ def stacked_step(means, covs, measurements, noise_covs, config: TrackerConfig):
         and how many of each run's updates had a degenerate innovation and
         were skipped. The moments of every run not failed are finite.
     """
+    noise_covs = np.asarray(noise_covs, dtype=float)
+    most = max((len(y) for y in measurements), default=0)
+    if noise_covs.shape[1:] != (2, 2) or len(noise_covs) < most:
+        raise ValueError(f"noise_covs {noise_covs.shape} is not (K, 2, 2), K >= max k_r = {most}")
+    return _step(means, covs, measurements, _Constants(config, noise_covs))
+
+
+def _step(means, covs, measurements, constants: _Constants):
+    """`stacked_step` with its owner's constants, whose noise block covers every column."""
     n_runs = len(measurements)
     failed = ~(_finite_rows(means) & _finite_rows(covs))
     # the measurements each run takes: none for a run failed from the start
@@ -471,7 +478,7 @@ def stacked_step(means, covs, measurements, noise_covs, config: TrackerConfig):
         takes = [takes[i] for i in order]
         measurements = [measurements[i] for i in order]
     # each round's parts: the rows (lo, hi) of an update and its measurement columns
-    if config.batch_mode:  # one round, a part per count
+    if constants.config.batch_mode:  # one round, a part per count
         sizes = [len(list(group)) for _, group in itertools.groupby(takes)]
         bounds = list(itertools.accumulate(sizes, initial=0))
         rounds = [[(lo, hi, slice(0, takes[lo])) for lo, hi in zip(bounds, bounds[1:]) if takes[lo]]]
@@ -498,7 +505,7 @@ def stacked_step(means, covs, measurements, noise_covs, config: TrackerConfig):
             taking = measurements[rows] if isinstance(rows, slice) else [measurements[i] for i in rows]
             ys = np.array([y[cols] for y in taking])
             posteriors.append(
-                _update_posterior(means[rows], covs[rows], ys, noise_covs[cols], config)
+                _update_posterior(means[rows], covs[rows], ys, constants, cols.start)
             )
         for (rows, _), (new_means, new_covs, status) in zip(spans, _sl_conclude(posteriors)):
             if not owned and isinstance(rows, slice) and rows == slice(0, n_runs):
@@ -532,22 +539,22 @@ def _measurement_arrays(measurements, noise_covs):
     return ys.reshape(-1, 2), covs.reshape(-1, 2, 2)
 
 
-@functools.lru_cache(maxsize=16)
 def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
     """System matrix A and process noise Q of one step (see `stacked_time_update`).
 
-    Computed once per dynamics and layout, so once per scenario, and shared
-    read-only. The static model's A = I is returned as None, which
-    `stacked_predict` applies without a product; its Q holds no -0.0,
-    because `DynamicsSpec` stores none.
+    Built once per scenario and once per `Tracker`, and shared read-only.
+    The static model's A = I is returned as None, which `stacked_predict`
+    applies without a product. Q is built from q1 + 0.0 and q2 + 0.0, so it
+    holds no -0.0 and a -0.0 intensity gives the floats of 0.0.
     """
+    q1, q2 = dyn.q1 + 0.0, dyn.q2 + 0.0
     if not dyn.has_velocity:
         if dim != 2 + shape_dim:
             raise ValueError(
                 f"static layout [center(2); shape({shape_dim})] expects dimension "
                 f"{2 + shape_dim}, got {dim}"
             )
-        return None, *_read_only(dyn.q1 * np.eye(dim))
+        return None, *_read_only(q1 * np.eye(dim))
 
     if dim != 4 + shape_dim:
         raise ValueError(
@@ -559,11 +566,11 @@ def _transition(dyn: DynamicsSpec, dim: int, shape_dim: int):
     a = np.eye(dim)
     a[:2, 2:4] = t * eye2
     q = np.zeros((dim, dim))
-    q[:2, :2] = dyn.q2 * t**3 / 3.0 * eye2
-    q[:2, 2:4] = dyn.q2 * t**2 / 2.0 * eye2
-    q[2:4, :2] = dyn.q2 * t**2 / 2.0 * eye2
-    q[2:4, 2:4] = dyn.q2 * t * eye2
-    q[4:, 4:] = dyn.q1 * np.eye(shape_dim)
+    q[:2, :2] = q2 * t**3 / 3.0 * eye2
+    q[:2, 2:4] = q2 * t**2 / 2.0 * eye2
+    q[2:4, :2] = q2 * t**2 / 2.0 * eye2
+    q[2:4, 2:4] = q2 * t * eye2
+    q[4:, 4:] = q1 * np.eye(shape_dim)
     return _read_only(a, q)
 
 
@@ -600,6 +607,8 @@ class Tracker:
         self.state = prior.copy()
         self.clamp_repairs = 0
         self.degenerate_updates = 0
+        self._transition = _transition(config.dynamics, prior.dim, config.shape_dim)
+        self._constants = _Constants(config)
 
     def predict(self) -> None:
         """Predict one step ahead (`stacked_time_update` on one run).
@@ -607,10 +616,8 @@ class Tracker:
         Raises:
             ValueError: the prediction is not finite.
         """
-        dyn, shape_dim = self.config.dynamics, self.config.shape_dim
-        means, covs = stacked_time_update(
-            self.state.mean[None], self.state.cov[None], dyn, shape_dim
-        )
+        state = self.state
+        means, covs = stacked_predict(state.mean[None], state.cov[None], *self._transition)
         self.state = GaussianState(means[0], covs[0])
 
     def update(self, measurements, noise_covs) -> None:
@@ -621,16 +628,17 @@ class Tracker:
         update keeps the state and is counted.
 
         Raises:
+            ValueError: not one noise covariance per measurement.
             ConditioningError: an update failed; the state is left as it
                 was before the call.
         """
-        measurements = list(measurements)
-        if not measurements:
-            return
         ys, covs = _measurement_arrays(measurements, noise_covs)
+        if not len(ys):
+            return
+        self._constants.set_noise(covs)
         self.clamp_repairs += int(shape_params(self.state.mean[None], self.config)[2][0])
-        means, cov, failed, degenerate = stacked_step(
-            self.state.mean[None], self.state.cov[None], [ys], covs, self.config
+        means, cov, failed, degenerate = _step(
+            self.state.mean[None], self.state.cov[None], [ys], self._constants
         )
         self.degenerate_updates += int(degenerate[0])
         if failed[0]:

@@ -114,7 +114,7 @@ def test_sigma_points_recombine_random_cov(dim):
 
 
 def test_sigma_point_weights_are_the_callers_own():
-    # the weights are cached for the stacked update; each call hands out copies
+    # each call builds its own weights, so editing them changes no later draw
     state = GaussianState(np.zeros(3), np.eye(3))
     first = draw_sigma_points(state)
     w_mean, w_cov = first.mean_weights.copy(), first.cov_weights.copy()

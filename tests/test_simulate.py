@@ -332,6 +332,27 @@ def test_same_seed_bit_identical():
         assert np.array_equal(ya, yb)
 
 
+def test_repeated_passes_make_the_same_calls(monkeypatch):
+    # the update constants belong to the scenario, so a second identical
+    # pass in one process builds its sigma-point weights again, as the first
+    # did; a spread no other test uses keeps the first pass's count whole
+    calls = []
+    original = UnscentedSpread.scaling
+    monkeypatch.setattr(
+        UnscentedSpread, "scaling", lambda self, dim: calls.append(dim) or original(self, dim)
+    )
+    tracker = TrackerConfig(
+        shape_family="ellipse", dynamics=STATIC, unscented=UnscentedSpread(kappa=-2.375)
+    )
+    config = ellipse_scenario(n_steps=6, n_runs=2, tracker=tracker)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        run_scenario(config)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_different_seeds_differ():
     a = run_scenario(ellipse_scenario(n_steps=10, n_runs=1))
     b = run_scenario(ellipse_scenario(n_steps=10, n_runs=1, rng_seed=92))
@@ -741,9 +762,9 @@ def test_budget_error_is_raised_only_at_a_live_step(monkeypatch, diverges):
         assert report.diverged_at[0] == 0
     else:
         predicts = []
-        original = simulate.stacked_time_update
+        original = simulate.stacked_predict
         monkeypatch.setattr(
-            simulate, "stacked_time_update", lambda *a: predicts.append(1) or original(*a)
+            simulate, "stacked_predict", lambda *a: predicts.append(1) or original(*a)
         )
         with pytest.raises(RejectionBudgetError, match="draw 3"):
             run_scenario(config)

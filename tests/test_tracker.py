@@ -1,7 +1,7 @@
 """Tests for the pseudo-measurement functions and the recursive tracker."""
 
 import dataclasses
-import math
+import re
 
 import numpy as np
 import pytest
@@ -118,13 +118,33 @@ def test_config_rejects_star_convex_without_harmonics():
         TrackerConfig(shape_family="star_convex", n_fourier=0)
 
 
-def test_specs_store_no_negative_zero():
-    # -0.0 == 0.0, so the caches keyed on these specs (`_transition`,
-    # `_cached_noise_block`) would hand the arrays built for one to the other
-    dyn = DynamicsSpec(q1=-0.0, q2=-0.0)
-    scaling = ScalingModel(-0.0, 1.0)
-    for value in (dyn.q1, dyn.q2, scaling.mean):
-        assert math.copysign(1.0, value) == 1.0
+@pytest.mark.parametrize("model", ["static_random_walk", "constant_velocity_plus_random_walk"])
+def test_negative_zero_specs_update_as_their_twins(model):
+    # a spec with -0.0 fields equals its 0.0 twin; its predictions and
+    # updates give the same bytes whether the twin ran before it or not,
+    # and they are the twin's. The prior's -0.0 covariances keep a -0.0 of
+    # Q visible in the prediction.
+    rng = np.random.default_rng(15)
+    ys = [rng.uniform(-2.0, 2.0, size=(k, 2)) for k in (1, 3, 2)]
+
+    def states(zero):
+        dyn = DynamicsSpec(model, q1=zero, q2=zero)
+        config = TrackerConfig(scaling=ScalingModel(zero, 1.0), dynamics=dyn)
+        d = config.state_dim()
+        mean = np.zeros(d)
+        mean[-3:] = [1.6, 1.6, 0.6]
+        tracker = Tracker(config, GaussianState(mean, np.where(np.eye(d) > 0, 1.0, -0.0)))
+        out = []
+        for y in ys:
+            tracker.predict()
+            out.append(tracker.state.cov.tobytes())
+            tracker.update(y, [0.25 * np.eye(2)] * len(y))
+            out += [tracker.state.mean.tobytes(), tracker.state.cov.tobytes()]
+        return out
+
+    first = states(-0.0)
+    twin = states(0.0)
+    assert states(-0.0) == first == twin
 
 
 def test_dynamics_validation():
@@ -712,6 +732,33 @@ def test_stacked_step_stops_a_run_at_its_failed_update():
     assert np.array_equal(got_means[0], tracker.state.mean)
     # the inputs are not written to
     assert np.array_equal(means[0], prior.mean) and np.array_equal(covs[0], prior.cov)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_stacked_step_checks_the_noise_covariances_first(batch):
+    # a short or malformed stack is named before any update runs
+    config = TrackerConfig(shape_family="ellipse", batch_mode=batch)
+    prior = ellipse_prior()
+    means, covs = np.stack([prior.mean] * 2), np.stack([prior.cov] * 2)
+    ys = [np.array([[1.2, 0.3], [-0.4, 1.0], [0.5, -1.1]]), np.array([[0.2, 0.9]])]
+    for rs, shape in [
+        (np.stack([0.25 * np.eye(2)] * 2), "(2, 2, 2)"),
+        (0.25 * np.eye(2), "(2, 2)"),
+        (np.zeros((3, 2, 3)), "(3, 2, 3)"),
+    ]:
+        message = rf"noise_covs {re.escape(shape)} is not \(K, 2, 2\), K >= max k_r = 3"
+        with pytest.raises(ValueError, match=message):
+            stacked_step(means, covs, ys, rs, config)
+    # K above the largest count is allowed
+    stacked_step(means, covs, ys, np.stack([0.25 * np.eye(2)] * 4), config)
+
+
+def test_tracker_checks_the_noise_count_of_an_empty_update():
+    tracker = Tracker(ELL_CONFIG, ellipse_prior())
+    with pytest.raises(ValueError, match="one noise covariance per measurement"):
+        tracker.update([], [np.eye(2)])
+    tracker.update([], [])
+    assert np.array_equal(tracker.state.mean, ellipse_prior().mean)
 
 
 def test_batch_malformed_measurement_rejected():
